@@ -239,7 +239,7 @@ class GroundTruth:
 
     def transfer_time(self, device_id: str, units: float) -> float:
         """True staging seconds for a block's input bytes."""
-        device = self.cluster.device(device_id)
+        device = self.performance(device_id).device
         return self.transfer_model.transfer_time(
             device, units * self.kernel.bytes_in_per_unit
         )

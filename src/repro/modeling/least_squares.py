@@ -17,7 +17,14 @@ import numpy as np
 from repro.errors import FitError
 from repro.modeling.basis import BasisFunction
 
-__all__ = ["FitResult", "fit_basis_model", "r_squared", "_relative_rmse"]
+__all__ = [
+    "FitResult",
+    "checked_data",
+    "fit_basis_model",
+    "fit_columns",
+    "r_squared",
+    "_relative_rmse",
+]
 
 
 def _relative_rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -119,6 +126,93 @@ class FitResult:
         return f"F[x] = {' '.join(terms)}  (u=x/{self.x_scale:.4g}, R2={self.r2:.3f})"
 
 
+def checked_data(
+    x: Sequence[float],
+    y: Sequence[float],
+    *,
+    x_scale: float | None = None,
+    weights: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None]:
+    """Validate fitting inputs once for any number of basis subsets.
+
+    Returns ``(x, y, x_scale, sqrt_weights)`` as floats; ``x_scale``
+    defaults to ``max(x)`` and ``sqrt_weights`` is None when unweighted.
+
+    Raises
+    ------
+    FitError
+        On mismatched or empty data, non-positive or non-finite sizes,
+        non-finite targets, a non-positive scale or bad weights.
+    """
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.ndim != 1 or xa.shape != ya.shape:
+        raise FitError(f"x and y must be equal-length 1-D, got {xa.shape}, {ya.shape}")
+    if xa.size == 0:
+        raise FitError("cannot fit a model to zero points")
+    if np.any(xa <= 0.0):
+        raise FitError(f"block sizes must be positive, got {xa.min()}")
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise FitError("x and y must be finite")
+    scale = float(x_scale) if x_scale is not None else float(xa.max())
+    if scale <= 0.0:
+        raise FitError(f"x_scale must be positive, got {scale}")
+    sqrt_w = None
+    if weights is not None:
+        w_raw = np.asarray(weights, dtype=float)
+        if w_raw.shape != xa.shape or np.any(w_raw < 0):
+            raise FitError("weights must be non-negative and match x")
+        sqrt_w = np.sqrt(w_raw)
+    return xa, ya, scale, sqrt_w
+
+
+def fit_columns(
+    basis: Sequence[BasisFunction],
+    columns: Sequence[np.ndarray],
+    y: np.ndarray,
+    *,
+    x_scale: float,
+    x_max: float,
+    sqrt_weights: np.ndarray | None = None,
+) -> FitResult:
+    """Least-squares fit from basis columns already evaluated at the data.
+
+    ``columns[i]`` is ``basis[i].f(x / x_scale)``; inputs are assumed
+    validated by :func:`checked_data`.  Model selection evaluates each
+    basis function once and fits every candidate subset through here.
+
+    Raises
+    ------
+    FitError
+        If the numerical solve fails.
+    """
+    design = np.column_stack(columns)
+    target = y
+    if sqrt_weights is not None:
+        design = design * sqrt_weights[:, None]
+        target = y * sqrt_weights
+
+    # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
+    col_norms = np.linalg.norm(design, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    try:
+        coef_scaled, *_ = np.linalg.lstsq(design / col_norms, target, rcond=None)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
+        raise FitError(f"least-squares solve failed: {exc}") from exc
+    coef = coef_scaled / col_norms
+
+    y_hat = np.asarray(sum(a * col for a, col in zip(coef, columns)))
+    return FitResult(
+        basis=tuple(basis),
+        coefficients=np.asarray(coef, dtype=float),
+        x_scale=x_scale,
+        r2=r_squared(y, y_hat),
+        n_points=int(y.size),
+        x_max=x_max,
+        rel_rmse=_relative_rmse(y, y_hat),
+    )
+
+
 def fit_basis_model(
     x: Sequence[float],
     y: Sequence[float],
@@ -148,55 +242,19 @@ def fit_basis_model(
         If fewer points than coefficients are supplied, sizes are
         non-positive, or the numerical solve fails.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or xa.shape != ya.shape:
-        raise FitError(f"x and y must be equal-length 1-D, got {xa.shape}, {ya.shape}")
-    if xa.size == 0:
-        raise FitError("cannot fit a model to zero points")
-    if np.any(xa <= 0.0):
-        raise FitError(f"block sizes must be positive, got {xa.min()}")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise FitError("x and y must be finite")
-    nb = len(basis)
-    if nb == 0:
+    if len(basis) == 0:
         raise FitError("basis must be non-empty")
-    if xa.size < nb:
+    xa, ya, scale, sqrt_w = checked_data(x, y, x_scale=x_scale, weights=weights)
+    if xa.size < len(basis):
         raise FitError(
-            f"{xa.size} points cannot determine {nb} coefficients"
+            f"{xa.size} points cannot determine {len(basis)} coefficients"
         )
-    scale = float(x_scale) if x_scale is not None else float(xa.max())
-    if scale <= 0.0:
-        raise FitError(f"x_scale must be positive, got {scale}")
-
     u = xa / scale
-    design = np.column_stack([b.f(u) for b in basis])
-    target = ya
-    if weights is not None:
-        w_raw = np.asarray(weights, dtype=float)
-        if w_raw.shape != xa.shape or np.any(w_raw < 0):
-            raise FitError("weights must be non-negative and match x")
-        w = np.sqrt(w_raw)
-        design = design * w[:, None]
-        target = ya * w
-
-    # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
-    col_norms = np.linalg.norm(design, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    try:
-        coef_scaled, *_ = np.linalg.lstsq(design / col_norms, target, rcond=None)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
-        raise FitError(f"least-squares solve failed: {exc}") from exc
-    coef = coef_scaled / col_norms
-
-    u_all = xa / scale
-    y_hat = np.asarray(sum(a * b.f(u_all) for a, b in zip(coef, basis)))
-    return FitResult(
-        basis=tuple(basis),
-        coefficients=np.asarray(coef, dtype=float),
+    return fit_columns(
+        basis,
+        [b.f(u) for b in basis],
+        ya,
         x_scale=scale,
-        r2=r_squared(ya, y_hat),
-        n_points=int(xa.size),
         x_max=float(xa.max()),
-        rel_rmse=_relative_rmse(ya, y_hat),
+        sqrt_weights=sqrt_w,
     )

@@ -189,6 +189,8 @@ class PerfProfile:
         self.device_id = device_id
         self.max_points = int(max_points)
         self._points: list[ProfilePoint] = []
+        #: (points, candidates, recency_decay) of the last fit, and its model
+        self._fitted: tuple[tuple, DeviceModel] | None = None
 
     def __len__(self) -> int:
         return len(self._points)
@@ -251,6 +253,10 @@ class PerfProfile:
     ) -> DeviceModel:
         """Fit F and G to the retained observations.
 
+        The last model is kept and returned as is while the retained
+        points, ``candidates`` and ``recency_decay`` all equal those it
+        was fitted from; a :class:`FitError` is never kept.
+
         Parameters
         ----------
         candidates:
@@ -272,6 +278,12 @@ class PerfProfile:
             )
         if not 0.0 < recency_decay <= 1.0:
             raise FitError(f"recency_decay must be in (0, 1], got {recency_decay}")
+        # Keyed on point contents: once a size holds PER_SIZE_LIMIT points,
+        # a repeat observation replaces its oldest twin with an equal point.
+        candidates = tuple(map(tuple, candidates))
+        key = (tuple(self._points), candidates, recency_decay)
+        if self._fitted is not None and self._fitted[0] == key:
+            return self._fitted[1]
         x = np.array([p.units for p in self._points], dtype=float)
         y_exec = np.array([p.exec_s for p in self._points], dtype=float)
         y_xfer = np.array([p.transfer_s for p in self._points], dtype=float)
@@ -282,8 +294,11 @@ class PerfProfile:
             weights = recency_decay**ages
         exec_fit = select_model(x, y_exec, candidates=candidates, weights=weights)
         transfer_fit = fit_transfer_model(x, y_xfer)
-        return DeviceModel(self.device_id, exec_fit, transfer_fit)
+        model = DeviceModel(self.device_id, exec_fit, transfer_fit)
+        self._fitted = (key, model)
+        return model
 
     def clear(self) -> None:
-        """Drop all observations (fresh profiling epoch)."""
+        """Drop all observations and the kept model (fresh profiling epoch)."""
         self._points.clear()
+        self._fitted = None

@@ -407,7 +407,7 @@ class TestProfiledSweeps:
     CURATED = (
         "repro.solver.ipm._solve_impl",
         "repro.solver.partition.solve_block_partition",
-        "repro.modeling.least_squares.fit_basis_model",
+        "repro.modeling.least_squares.fit_columns",
         "repro.runtime.sim_executor",
     )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FitError
+from repro.modeling.basis import CONSTANT, LINEAR
 from repro.modeling.perf_profile import DeviceModel, PerfProfile, ProfilePoint
 
 
@@ -143,3 +144,81 @@ class TestDeviceModel:
     def test_describe(self, model):
         text = model.describe()
         assert "dev" in text and "G[x]" in text
+
+
+class TestFitMemo:
+    """``fit()`` keeps its model until the retained points change."""
+
+    def test_no_new_point_returns_same_model(self):
+        prof = linear_profile()
+        assert prof.fit() is prof.fit()
+
+    def test_different_point_misses(self):
+        prof = linear_profile()
+        first = prof.fit()
+        prof.add(512, 0.5 + 0.01 * 512, 1e-5 * 512)
+        second = prof.fit()
+        assert second is not first
+        assert second.exec_fit.n_points == first.exec_fit.n_points + 1
+
+    def test_clear_misses(self):
+        prof = linear_profile()
+        first = prof.fit()
+        points = prof.points
+        prof.clear()
+        for p in points:
+            prof.add(p.units, p.exec_s, p.transfer_s, round_index=p.round_index)
+        assert prof.points == points
+        assert prof.fit() is not first
+
+    def test_identical_replacement_hits(self):
+        prof = PerfProfile("d")
+        prof.add(8, 0.1, 0.0)
+        for _ in range(PerfProfile.PER_SIZE_LIMIT):
+            prof.add(64, 0.6, 0.001)
+        first = prof.fit()
+        # the size is full: this add replaces its oldest point with an equal one
+        prof.add(64, 0.6, 0.001)
+        assert len(prof) == 1 + PerfProfile.PER_SIZE_LIMIT
+        assert prof.fit() is first
+        # a different time at the same size changes the contents
+        prof.add(64, 0.7, 0.001)
+        assert prof.fit() is not first
+
+    def test_changed_decay_or_candidates_misses(self):
+        prof = linear_profile()
+        first = prof.fit()
+        assert prof.fit(recency_decay=0.5) is not first
+        decayed = prof.fit(recency_decay=0.5)
+        assert prof.fit(recency_decay=0.5) is decayed
+        narrow = [(CONSTANT, LINEAR)]
+        custom = prof.fit(candidates=narrow)
+        assert custom is not decayed
+        assert custom.exec_fit.names == ("1", "x")
+        assert prof.fit(candidates=narrow) is custom
+        assert prof.fit() is not custom
+
+    def test_fit_error_is_not_kept(self, monkeypatch):
+        import repro.modeling.perf_profile as perf_profile
+
+        prof = linear_profile()
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise FitError("no candidate")
+
+        monkeypatch.setattr(perf_profile, "select_model", failing)
+        for _ in range(2):
+            with pytest.raises(FitError):
+                prof.fit()
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert isinstance(prof.fit(), DeviceModel)
+
+    def test_too_few_points_raises_every_time(self):
+        prof = PerfProfile("d")
+        prof.add(8, 1.0, 0.1)
+        for _ in range(2):
+            with pytest.raises(FitError):
+                prof.fit()

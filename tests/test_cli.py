@@ -507,9 +507,12 @@ class TestBenchProfileCommand:
 
 class TestFaultInjectionCommand:
     def test_run_with_transient(self, capsys):
+        # `repro run` charges measured host overhead into virtual time, so
+        # the makespan depends on host speed; the window closes well before
+        # the overhead-free makespan (~0.033 s) so both events always land.
         assert main(
             ["run", "--app", "matmul", "--size", "2048", "--machines", "2",
-             "--transient", "B.gpu0@0.05+0.02"]
+             "--transient", "B.gpu0@0.01+0.005"]
         ) == 0
         out = capsys.readouterr().out
         assert "faults: 1 down event(s), 1 recovery(ies)" in out

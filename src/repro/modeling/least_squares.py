@@ -17,7 +17,12 @@ import numpy as np
 from repro.errors import FitError
 from repro.modeling.basis import BasisFunction
 
+#: Inputs the models evaluate as one block size without NumPy array
+#: wrapping: Python ints and floats, and ``np.float64`` (a ``float``).
+SCALAR_TYPES = (float, int)
+
 __all__ = [
+    "SCALAR_TYPES",
     "FitResult",
     "checked_data",
     "fit_basis_model",
@@ -91,28 +96,38 @@ class FitResult:
         """Names of the basis terms, in coefficient order."""
         return tuple(b.name for b in self.basis)
 
-    def _u(self, x: np.ndarray | float) -> np.ndarray:
-        return np.asarray(x, dtype=float) / self.x_scale
+    def _expand(self, x: np.ndarray | float, term: str):
+        """``sum_i a_i * basis_i.<term>(x / x_scale)``, and whether ``x`` is scalar.
+
+        One block size is divided as a NumPy scalar instead of a 0-d
+        array: the basis callables see the same value and NumPy's
+        overflow and NaN semantics, without the array wrapping.
+        """
+        if isinstance(x, SCALAR_TYPES):
+            u, scalar = np.float64(x) / self.x_scale, True
+        else:
+            u, scalar = np.asarray(x, dtype=float) / self.x_scale, np.isscalar(x)
+        out = 0
+        for a, b in zip(self.coefficients, self.basis):
+            out = out + a * getattr(b, term)(u)
+        return out, scalar
 
     def predict(self, x: np.ndarray | float) -> np.ndarray | float:
         """Model value at raw block size(s) ``x``."""
-        u = self._u(x)
-        out = sum(a * b.f(u) for a, b in zip(self.coefficients, self.basis))
-        return float(out) if np.isscalar(x) else np.asarray(out)
+        out, scalar = self._expand(x, "f")
+        return float(out) if scalar else np.asarray(out)
 
     def derivative(self, x: np.ndarray | float) -> np.ndarray | float:
         """dF/dx at raw block size(s) ``x`` (chain rule over the scale)."""
-        u = self._u(x)
-        out = sum(a * b.df(u) for a, b in zip(self.coefficients, self.basis))
+        out, scalar = self._expand(x, "df")
         out = out / self.x_scale
-        return float(out) if np.isscalar(x) else np.asarray(out)
+        return float(out) if scalar else np.asarray(out)
 
     def second_derivative(self, x: np.ndarray | float) -> np.ndarray | float:
         """d²F/dx² at raw block size(s) ``x``."""
-        u = self._u(x)
-        out = sum(a * b.d2f(u) for a, b in zip(self.coefficients, self.basis))
+        out, scalar = self._expand(x, "d2f")
         out = out / self.x_scale**2
-        return float(out) if np.isscalar(x) else np.asarray(out)
+        return float(out) if scalar else np.asarray(out)
 
     def in_fitted_range(self, x: float, *, slack: float = 4.0) -> bool:
         """Whether ``x`` lies within ``slack`` times the profiled range."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import FitError
 from repro.modeling.basis import CANDIDATE_MODELS, BasisFunction
-from repro.modeling.least_squares import FitResult
+from repro.modeling.least_squares import SCALAR_TYPES, FitResult
 from repro.modeling.model_select import select_model
 from repro.modeling.transfer import LinearTransferFit, fit_transfer_model
 
@@ -88,6 +88,10 @@ class DeviceModel:
 
     def E(self, x: np.ndarray | float) -> np.ndarray | float:
         """Guarded total seconds ``max(F + G, epsilon)``."""
+        if isinstance(x, SCALAR_TYPES):
+            out = self.exec_fit.predict(x) + self.transfer_fit.predict(x)
+            # NaN passes through, as it does through np.maximum
+            return _TIME_FLOOR if out < _TIME_FLOOR else out
         out = np.asarray(self.exec_fit.predict(x)) + np.asarray(
             self.transfer_fit.predict(x)
         )
@@ -96,6 +100,8 @@ class DeviceModel:
 
     def dE(self, x: np.ndarray | float) -> np.ndarray | float:
         """dE/dx."""
+        if isinstance(x, SCALAR_TYPES):
+            return float(self.exec_fit.derivative(x) + self.transfer_fit.derivative(x))
         out = np.asarray(self.exec_fit.derivative(x)) + np.asarray(
             self.transfer_fit.derivative(x)
         )

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import FitError
-from repro.modeling.least_squares import r_squared
+from repro.modeling.least_squares import SCALAR_TYPES, r_squared
 
 __all__ = ["LinearTransferFit", "fit_transfer_model"]
 
@@ -34,6 +34,8 @@ class LinearTransferFit:
 
     def predict(self, x: np.ndarray | float) -> np.ndarray | float:
         """Transfer seconds for block size(s) ``x``."""
+        if isinstance(x, SCALAR_TYPES):
+            return float(self.slope * np.float64(x) + self.intercept)
         out = self.slope * np.asarray(x, dtype=float) + self.intercept
         return float(out) if np.isscalar(x) else np.asarray(out)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConvergenceError, SolverError
+from repro.errors import ConvergenceError, ReproError, SolverError
 from repro.obs.metrics import get_registry
 from repro.obs.profiler import profile_phase
 from repro.solver.filter import Filter, FilterEntry
@@ -206,14 +206,19 @@ class InteriorPointSolver:
         iteration = 0
         restorations = 0
 
-        for iteration in range(1, opts.max_iter + 1):
-            grad = problem.eval_gradient(x)
-            c = problem.eval_constraints(x)
-            jac = problem.eval_jacobian(x)
+        # Callback values at the current x, evaluated once per point: an
+        # accepted step keeps its trial's constraints, and a converged
+        # iterate reports the KKT error it was accepted on.
+        grad = problem.eval_gradient(x)
+        c = problem.eval_constraints(x)
+        jac = problem.eval_jacobian(x)
+        final_err: float | None = None
 
+        for iteration in range(1, opts.max_iter + 1):
             kkt_err0 = self._kkt_error(problem, x, lam, z_lo, z_up, grad, c, jac, 0.0)
             if kkt_err0 <= opts.tol:
                 status = "optimal"
+                final_err = kkt_err0
                 break
 
             if opts.barrier_strategy == "monotone":
@@ -315,11 +320,10 @@ class InteriorPointSolver:
                     break
                 x_trial = x + alpha * dx
                 try:
-                    theta_t = float(
-                        np.abs(problem.eval_constraints(x_trial)).sum()
-                    )
+                    c_trial = problem.eval_constraints(x_trial)
+                    theta_t = float(np.abs(c_trial).sum())
                     phi_t = self._barrier_value(problem, x_trial, mu)
-                except Exception:
+                except ReproError:
                     alpha *= 0.5
                     continue
                 armijo_ok = (
@@ -347,12 +351,17 @@ class InteriorPointSolver:
                 z_lo = np.where(has_lo, mu / np.maximum(x - lo, 1e-12), 0.0)
                 z_up = np.where(has_up, mu / np.maximum(up - x, 1e-12), 0.0)
                 flt.reset()
+                grad = problem.eval_gradient(x)
+                c = problem.eval_constraints(x)
+                jac = problem.eval_jacobian(x)
                 continue
 
             if not f_type:
                 flt.add(theta_k, phi_k)
 
-            x = x + alpha * dx
+            x, c = x_trial, c_trial
+            grad = problem.eval_gradient(x)
+            jac = problem.eval_jacobian(x)
             lam = lam + alpha * dlam
             z_lo = self._safeguard(z_lo + alpha_dual * dz_lo, x - lo, mu, has_lo)
             z_up = self._safeguard(z_up + alpha_dual * dz_up, up - x, mu, has_up)
@@ -371,12 +380,12 @@ class InteriorPointSolver:
                     }
                 )
 
-        grad = problem.eval_gradient(x)
-        c = problem.eval_constraints(x)
-        jac = problem.eval_jacobian(x)
-        final_err = self._kkt_error(problem, x, lam, z_lo, z_up, grad, c, jac, 0.0)
-        if final_err <= self.options.tol:
-            status = "optimal"
+        if final_err is None:
+            final_err = self._kkt_error(
+                problem, x, lam, z_lo, z_up, grad, c, jac, 0.0
+            )
+            if final_err <= self.options.tol:
+                status = "optimal"
         registry = get_registry()
         registry.inc("ipm.solves")
         registry.inc("ipm.iterations", iteration)
@@ -559,7 +568,7 @@ class InteriorPointSolver:
             ]
         )
         s_max = 100.0
-        denom = problem.m + np.sum(has_lo) + np.sum(has_up)
+        denom = problem.m + problem.num_bounds
         avg_mult = (
             (np.abs(lam).sum() + z_lo.sum() + z_up.sum()) / max(denom, 1)
             if denom

@@ -83,14 +83,15 @@ def solve_kkt(
             f"inconsistent KKT shapes: W{w_sigma.shape}, J{jac.shape}"
         )
     rhs = np.concatenate([rhs_x, rhs_c])
+    kkt = np.empty((n + m, n + m))
+    kkt[:n, n:] = jac.T
+    kkt[n:, :n] = jac
 
     delta_w = delta_w_init
     delta_c = 0.0
     for attempt in range(_MAX_REG_TRIES):
-        kkt = np.zeros((n + m, n + m))
+        # only the regularised diagonal blocks change between attempts
         kkt[:n, :n] = w_sigma + delta_w * np.eye(n)
-        kkt[:n, n:] = jac.T
-        kkt[n:, :n] = jac
         kkt[n:, n:] = -delta_c * np.eye(m)
 
         # Symmetric equilibration: barrier terms near active bounds blow

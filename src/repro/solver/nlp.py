@@ -73,6 +73,12 @@ class NLPProblem:
             )
         if np.any(self.lower > self.upper):
             raise ConfigurationError("lower bound exceeds upper bound")
+        self._has_lower = np.isfinite(self.lower)
+        self._has_upper = np.isfinite(self.upper)
+        self._has_lower.flags.writeable = False
+        self._has_upper.flags.writeable = False
+        #: number of finite bounds, lower and upper together
+        self.num_bounds = int(self._has_lower.sum() + self._has_upper.sum())
 
     # ------------------------------------------------------------------
     # checked evaluation wrappers
@@ -134,12 +140,12 @@ class NLPProblem:
     # helpers
     # ------------------------------------------------------------------
     def has_lower(self) -> np.ndarray:
-        """Boolean mask of variables with a finite lower bound."""
-        return np.isfinite(self.lower)
+        """Boolean mask (read-only) of variables with a finite lower bound."""
+        return self._has_lower
 
     def has_upper(self) -> np.ndarray:
-        """Boolean mask of variables with a finite upper bound."""
-        return np.isfinite(self.upper)
+        """Boolean mask (read-only) of variables with a finite upper bound."""
+        return self._has_upper
 
     def clip_interior(self, x: np.ndarray, margin: float = 1e-8) -> np.ndarray:
         """Project a point strictly inside the bounds.
@@ -149,7 +155,7 @@ class NLPProblem:
         """
         x = np.asarray(x, dtype=float).copy()
         gap = np.where(
-            np.isfinite(self.lower) & np.isfinite(self.upper),
+            self._has_lower & self._has_upper,
             self.upper - self.lower,
             1.0,
         )

@@ -16,6 +16,7 @@ It is used two ways:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -69,22 +70,25 @@ def waterfill_partition(
         cap_arr = np.minimum(cap_arr, q)
 
     # Precompute, per device, a monotone lookup table E(grid) so each
-    # bisection probe is one searchsorted instead of a scalar-evaluation
+    # bisection probe is one list bisection instead of a scalar-evaluation
     # bisection per device (this path is charged as scheduler overhead,
-    # so its wall cost directly worsens makespans).
+    # so its wall cost directly worsens makespans).  E is positive, so a
+    # table is sorted up to its first NaN, after which the running
+    # maximum is all NaN; the lookup orders NaN last, as np.searchsorted.
     grid_n = 513
-    tables: list[tuple[np.ndarray, np.ndarray]] = []
+    tables: list[tuple[list[float], list[float], int]] = []
     for m, c in zip(models, cap_arr):
         xs = np.linspace(0.0, float(c), grid_n)
         ys = np.asarray(m.E(xs[1:]), dtype=float)
         ys = np.concatenate([[0.0], np.maximum.accumulate(ys)])
-        tables.append((xs, ys))
+        head = grid_n - int(np.isnan(ys).sum())
+        tables.append((xs.tolist(), ys.tolist(), head))
 
     def assigned(t: float) -> np.ndarray:
         out = np.empty(len(models))
-        for i, (xs, ys) in enumerate(tables):
+        for i, (xs, ys, head) in enumerate(tables):
             # largest x with E(x) <= t (monotone table)
-            idx = int(np.searchsorted(ys, t, side="right")) - 1
+            idx = (bisect_right(ys, t, 0, head) if t == t else grid_n) - 1
             if idx <= 0:
                 out[i] = 0.0
             elif idx >= grid_n - 1:
@@ -97,7 +101,7 @@ def waterfill_partition(
         return out
 
     t_lo = 0.0
-    t_hi = max(float(ys[-1]) for _, ys in tables)
+    t_hi = max(ys[-1] for _, ys, _ in tables)
     if assigned(t_hi).sum() < q:
         # Even the slowest device's full-load time doesn't cover Q across
         # the cluster — can happen with wildly superlinear fitted curves.

@@ -1,10 +1,14 @@
 """Tests for the interior-point solver on standard reference problems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.modeling.perf_profile import PerfProfile
 from repro.solver.ipm import IPMOptions, InteriorPointSolver
 from repro.solver.nlp import NLPProblem
+from repro.solver.problem import build_partition_nlp, initial_partition_point
 
 
 def qp_simplex(n=3, weights=None):
@@ -215,3 +219,58 @@ class TestResultContract:
         result = InteriorPointSolver().solve(qp_simplex(3), np.full(3, 0.2))
         # lambda for sum(x)=1 at optimum of sum x^2 is -2/3
         assert result.lam[0] == pytest.approx(-2 / 3, abs=1e-4)
+
+
+def counted_partition_problem():
+    """A fixed 4-device partition NLP whose callbacks log what they see."""
+    models = []
+    for i, slope in enumerate((1e-4, 3e-4, 9e-4, 2e-3)):
+        prof = PerfProfile(f"d{i}")
+        for u in (10, 50, 250, 1000, 4000):
+            prof.add(u, 0.01 + slope * u + 2e-8 * u * u, 1e-7 * u)
+        models.append(prof.fit())
+    base = build_partition_nlp(models, 6000.0)
+    log = {"constraints": [], "jacobian": []}
+
+    def logged(name, fn):
+        def wrapper(z):
+            log[name].append(np.array(z).tobytes())
+            return fn(z)
+
+        return wrapper
+
+    problem = replace(
+        base,
+        constraints=logged("constraints", base.constraints),
+        jacobian=logged("jacobian", base.jacobian),
+    )
+    return problem, initial_partition_point(models, 6000.0), log
+
+
+class TestEvaluationReuse:
+    def test_each_point_evaluated_once(self):
+        problem, z0, log = counted_partition_problem()
+        result = InteriorPointSolver(IPMOptions(barrier_strategy="adaptive")).solve(
+            problem, z0
+        )
+        assert result.converged and result.restorations == 0
+        # accepted trials and the converged point are never re-evaluated
+        assert len(log["constraints"]) == len(set(log["constraints"]))
+        assert len(log["jacobian"]) == result.iterations
+
+    def test_callback_bug_in_line_search_propagates(self):
+        problem, z0, _ = counted_partition_problem()
+        calls = []
+        inner = problem.constraints
+
+        def constraints(z):
+            calls.append(1)
+            if len(calls) == 2:  # the first line-search trial
+                raise TypeError("bug in a model callback")
+            return inner(z)
+
+        problem.constraints = constraints
+        with pytest.raises(TypeError, match="bug in a model callback"):
+            InteriorPointSolver(IPMOptions(barrier_strategy="adaptive")).solve(
+                problem, z0
+            )

@@ -104,6 +104,9 @@ class HDSS(SchedulingPolicy):
         }
         self._stable: set[str] = set()
         self._weights: dict[str, float] = {}
+        # a failed device's (samples, round, stable, weight), restored
+        # if the outage turns out to be transient
+        self._benched: dict[str, tuple] = {}
         self._remaining_estimate = ctx.total_units
         self._consumed = 0
         self._min_block = self.min_block or max(ctx.initial_block_size // 2, 1)
@@ -124,26 +127,24 @@ class HDSS(SchedulingPolicy):
             and self._uniform_round <= self.max_adaptive_rounds
         )
 
-    def _fit_weights(self) -> None:
-        """Least-squares log fit per device; weight = rate at large x."""
+    def _fit_weight(self, d: str) -> float:
+        """Least-squares log fit of one device; weight = rate at large x."""
+        pts = self._samples[d]
+        if not pts:
+            return 1e-9
         x_ref = max(self.ctx.total_units / max(len(self._ids), 1), 2.0)
-        for d in self._ids:
-            pts = self._samples[d]
-            if not pts:
-                self._weights[d] = 1e-9
-                continue
-            x = np.array([p[0] for p in pts])
-            r = np.array([p[1] for p in pts])
-            if len(pts) >= 2 and np.ptp(np.log(x)) > 0:
-                design = np.column_stack([np.ones_like(x), np.log(x)])
-                (a, b), *_ = np.linalg.lstsq(design, r, rcond=None)
-                w = a + b * np.log(x_ref)
-            else:
-                w = float(r.mean())
-            self._weights[d] = max(float(w), float(r.max()) * 1e-3, 1e-9)
+        x = np.array([p[0] for p in pts])
+        r = np.array([p[1] for p in pts])
+        if len(pts) >= 2 and np.ptp(np.log(x)) > 0:
+            design = np.column_stack([np.ones_like(x), np.log(x)])
+            (a, b), *_ = np.linalg.lstsq(design, r, rcond=None)
+            w = a + b * np.log(x_ref)
+        else:
+            w = float(r.mean())
+        return max(float(w), float(r.max()) * 1e-3, 1e-9)
 
     def _enter_completion(self) -> None:
-        self._fit_weights()
+        self._weights = {d: self._fit_weight(d) for d in self._ids}
         self._phase = "completion"
 
     # ------------------------------------------------------------------
@@ -208,12 +209,19 @@ class HDSS(SchedulingPolicy):
             self._enter_completion()
 
     def on_device_failed(self, device_id: str, now: float) -> None:
-        """Drop the device; close the probe barrier if it was holding it."""
+        """Drop the device; close the probe barrier if it was holding it.
+
+        The device's samples, round and weight are benched, not
+        discarded, so :meth:`on_device_recovered` can restore them.
+        """
         self._ids = tuple(d for d in self._ids if d != device_id)
-        self._samples.pop(device_id, None)
-        self._round.pop(device_id, None)
+        self._benched[device_id] = (
+            self._samples.pop(device_id, []),
+            self._round.pop(device_id, 0),
+            device_id in self._stable,
+            self._weights.pop(device_id, None),
+        )
         self._stable.discard(device_id)
-        self._weights.pop(device_id, None)
         if self._phase == "adaptive" and not self.per_device_growth:
             self._in_round.discard(device_id)
             self._done_round.discard(device_id)
@@ -222,6 +230,27 @@ class HDSS(SchedulingPolicy):
                 self._done_round.clear()
                 if not self._budget_left():
                     self._enter_completion()
+
+    def on_device_recovered(self, device_id: str, now: float) -> None:
+        """Fold a transiently-failed device back in with its benched state.
+
+        In the adaptive phase the device rejoins the current probe
+        round; in the completion phase it keeps its weight, or — if it
+        was down when the weights were fitted — gets one fitted from
+        its benched samples.
+        """
+        if device_id in self._ids:
+            return
+        self._ids = self._ids + (device_id,)
+        samples, round_index, stable, weight = self._benched.pop(device_id)
+        self._samples[device_id] = samples
+        self._round[device_id] = round_index
+        if stable:
+            self._stable.add(device_id)
+        if self._phase == "completion":
+            self._weights[device_id] = (
+                weight if weight is not None else self._fit_weight(device_id)
+            )
 
     def phase_label(self, worker_id: str) -> str:
         return "probe" if self._phase == "adaptive" else "exec"

@@ -80,8 +80,8 @@ Commands
     work-conservation and fault-isolation invariants on every run, and
     write the resilience scorecard JSON.  Exits non-zero when any
     invariant is violated.  Same seed → bit-identical scorecard; see
-    docs/TUTORIAL.md §9.  ``--serve`` runs the campaign against
-    *service episodes* instead of batch runs: the same seeded fault
+    docs/TUTORIAL.md §9.  ``--serve`` runs the same campaign and flags
+    over *service episodes* instead of batch runs: seeded fault
     schedules are injected while the cluster keeps admitting, shedding
     and completing jobs; see docs/TUTORIAL.md §13.
 ``serve``
@@ -635,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--policies",
         default=None,
-        help="comma-separated policy list "
-        "(default plb-hec,greedy,hdss,gss; --quick: plb-hec,greedy)",
+        help="comma-separated policy list (default plb-hec,greedy,hdss,gss; "
+        "--serve: plb-hec,greedy,fair; --quick: plb-hec,greedy)",
     )
     p_chaos.add_argument(
         "--max-faults",
@@ -647,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke grid: two policies, one fault per run",
+        help="CI smoke grid: two policies, one fault per run "
+        "(--serve: at most 4 runs)",
     )
     p_chaos.add_argument(
         "--serve",
@@ -1804,146 +1805,113 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_serve_chaos(args: argparse.Namespace) -> int:
-    from repro.service.campaign import ServeChaosConfig, run_serve_campaign
-
-    if args.policies:
-        policies = tuple(
-            p.strip() for p in args.policies.split(",") if p.strip()
-        )
-    elif args.quick:
-        policies = ("plb-hec", "greedy")
-    else:
-        policies = ("plb-hec", "greedy", "fair")
-    max_faults = args.max_faults
-    if max_faults is None:
-        max_faults = 1 if args.quick else 2
-    runs = min(args.runs, 4) if args.quick else args.runs
-    config = ServeChaosConfig(
-        policies=policies,
-        runs=runs,
-        seed=args.seed,
-        rate=args.rate,
-        duration=args.duration,
-        machines=args.machines,
-        max_faults=max_faults,
-    )
-    scorecard = run_serve_campaign(config, jobs=args.jobs)
-
-    def fmt(value, digits=2, suffix=""):
-        if value is None:
-            return "-"
-        return f"{value:.{digits}f}{suffix}"
-
-    rows = [
-        [
-            name,
-            f"{agg['survived']}/{agg['runs']}",
-            f"{agg['survival_rate'] * 100:.0f}%",
-            fmt(agg["mean_goodput_ratio"], suffix="x"),
-            agg["violations"],
-            agg["shed"],
-            agg["timeout"],
-            agg["failed"],
-            agg["breaker_opens"],
-        ]
-        for name, agg in scorecard["policies"].items()
-    ]
-    print(
-        format_table(
-            ["policy", "survived", "rate", "goodput_ratio", "violations",
-             "shed", "timeout", "failed", "breaker_opens"],
-            rows,
-            title=f"Serve chaos campaign: rate={config.rate:g}/s "
-            f"duration={config.duration:g}s machines={config.machines} "
-            f"runs={config.runs} seed={config.seed}",
-        )
-    )
-    ok = scorecard["all_invariants_ok"]
-    print(
-        f"{scorecard['survived_runs']}/{scorecard['total_runs']} runs "
-        f"survived, {scorecard['total_violations']} invariant violation(s) "
-        f"-> {'OK' if ok else 'FAIL'}"
-    )
-    if args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(scorecard, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"scorecard written to {args.out}")
-    return 0 if ok else 3
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.obs.history import chaos_entry
     from repro.resilience import ChaosConfig, run_campaign
+    from repro.service.campaign import ServeChaosConfig
 
-    if args.serve:
-        return _cmd_serve_chaos(args)
     if args.policies:
         policies = tuple(
             p.strip() for p in args.policies.split(",") if p.strip()
         )
     elif args.quick:
         policies = ("plb-hec", "greedy")
+    elif args.serve:
+        policies = ("plb-hec", "greedy", "fair")
     else:
         policies = ("plb-hec", "greedy", "hdss", "gss")
     max_faults = args.max_faults
     if max_faults is None:
         max_faults = 1 if args.quick else 2
-    config = ChaosConfig(
-        apps=(args.app,),
-        sizes=(args.size,),
-        machines=args.machines,
-        policies=policies,
-        runs=args.runs,
-        seed=args.seed,
-        max_faults=max_faults,
-    )
-    scorecard = run_campaign(config, jobs=args.jobs)
 
     def fmt(value, scale=1.0, suffix="", digits=3):
         if value is None:
             return "-"
         return f"{value * scale:.{digits}f}{suffix}"
 
-    def share(agg, category):
-        attribution = agg.get("mean_attribution") or {}
-        if category not in attribution:
-            return "-"
-        return f"{attribution[category] * 100:.1f}%"
+    if args.serve:
+        config = ServeChaosConfig(
+            policies=policies,
+            runs=min(args.runs, 4) if args.quick else args.runs,
+            seed=args.seed,
+            rate=args.rate,
+            duration=args.duration,
+            machines=args.machines,
+            max_faults=max_faults,
+        )
+        title = (
+            f"Serve chaos campaign: rate={config.rate:g}/s "
+            f"duration={config.duration:g}s machines={config.machines} "
+            f"runs={config.runs} seed={config.seed}"
+        )
+        columns = ["goodput_ratio", "violations", "shed", "timeout",
+                   "failed", "breaker_opens"]
 
+        def row(agg):
+            return [
+                fmt(agg["mean_goodput_ratio"], digits=2, suffix="x"),
+                agg["violations"],
+                agg["shed"],
+                agg["timeout"],
+                agg["failed"],
+                agg["breaker_opens"],
+            ]
+    else:
+        config = ChaosConfig(
+            apps=(args.app,),
+            sizes=(args.size,),
+            machines=args.machines,
+            policies=policies,
+            runs=args.runs,
+            seed=args.seed,
+            max_faults=max_faults,
+        )
+        title = (
+            f"Chaos campaign: {args.app} size={args.size} "
+            f"machines={args.machines} runs={args.runs} seed={args.seed}"
+        )
+        columns = ["mean_deg", "max_deg", "recovery_lag", "violations",
+                   "slo_viol", "decisions", "fault_rec", "rework", "idle",
+                   "fallbacks"]
+
+        def share(agg, category):
+            attribution = agg.get("mean_attribution") or {}
+            if category not in attribution:
+                return "-"
+            return f"{attribution[category] * 100:.1f}%"
+
+        def row(agg):
+            return [
+                fmt(agg["mean_degradation"], suffix="x"),
+                fmt(agg["max_degradation"], suffix="x"),
+                fmt(agg["mean_recovery_lag"], scale=1e3, suffix="ms",
+                    digits=1),
+                agg["violations"],
+                agg.get("slo_violations", 0),
+                agg.get("decisions_explained", 0),
+                share(agg, "fault_recovery"),
+                share(agg, "rework"),
+                share(agg, "idle"),
+                ",".join(
+                    f"{k}={v}"
+                    for k, v in agg.get("fallback_stages_used", {}).items()
+                )
+                or "-",
+            ]
+
+    scorecard = run_campaign(config, jobs=args.jobs)
     rows = [
         [
             name,
             f"{agg['survived']}/{agg['runs']}",
             f"{agg['survival_rate'] * 100:.0f}%",
-            fmt(agg["mean_degradation"], suffix="x"),
-            fmt(agg["max_degradation"], suffix="x"),
-            fmt(agg["mean_recovery_lag"], scale=1e3, suffix="ms", digits=1),
-            agg["violations"],
-            agg.get("slo_violations", 0),
-            agg.get("decisions_explained", 0),
-            share(agg, "fault_recovery"),
-            share(agg, "rework"),
-            share(agg, "idle"),
-            ",".join(
-                f"{k}={v}"
-                for k, v in agg.get("fallback_stages_used", {}).items()
-            )
-            or "-",
+            *row(agg),
         ]
         for name, agg in scorecard["policies"].items()
     ]
     print(
         format_table(
-            ["policy", "survived", "rate", "mean_deg", "max_deg",
-             "recovery_lag", "violations", "slo_viol", "decisions",
-             "fault_rec", "rework", "idle",
-             "fallbacks"],
-            rows,
-            title=f"Chaos campaign: {args.app} size={args.size} "
-            f"machines={args.machines} runs={args.runs} seed={args.seed}",
+            ["policy", "survived", "rate", *columns], rows, title=title
         )
     )
     ok = scorecard["all_invariants_ok"]

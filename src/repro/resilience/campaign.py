@@ -1,31 +1,35 @@
-"""The chaos campaign runner.
+"""The chaos campaign runner, for batch runs and service episodes.
 
-One campaign = a seeded grid of randomized fault schedules over
-scenario × policy combinations, executed through the parallel sweep
-engine in two phases:
+One campaign = a seeded grid of randomized fault schedules dealt
+round-robin over a config's policies, executed through the parallel
+sweep engine in two phases:
 
-1. **Baselines** — every (scenario, policy, seed) combination runs
-   fault-free.  The baseline makespans both anchor the degradation
-   scores and set each run's fault-schedule horizon (fault times are
-   fractions of the fault-free makespan, so schedules stay meaningful
-   across applications and sizes).
-2. **Chaos** — the same runs re-execute under their generated fault
-   schedules with ``tolerate_errors`` on: a crash is scored as a lost
-   run, not a campaign abort.
+1. **Baselines** — every slot runs fault-free.  The baselines anchor
+   the degradation scores and bound each slot's fault-schedule horizon.
+2. **Chaos** — the same slots re-execute under their generated fault
+   schedules with ``tolerate_errors`` on: a
+   :class:`~repro.errors.ReproError` is scored as a lost run, not a
+   campaign abort (any other exception is a bug and propagates).
 
-Every surviving run is checked against the work-conservation and
-fault-isolation invariants of :mod:`repro.resilience.invariants`; the
-result is a JSON-serialisable *scorecard* with per-run records and
-per-policy aggregates (survival rate, makespan degradation, recovery
-lag).  The whole campaign is a pure function of its config — rerunning
-with the same seed reproduces it bit-identically, and the sweep cache
-applies to baseline and chaos runs alike.
+The episode kind is configuration, not a second runner: a batch run is
+one arrival at t=0.  :class:`ChaosConfig` runs batch applications,
+checked against the work-conservation and fault-isolation invariants of
+:mod:`repro.resilience.invariants`;
+:class:`repro.service.campaign.ServeChaosConfig` runs service episodes,
+checked against the service invariants.  A config supplies its slot's
+:class:`PointSpec` (``point``), its schedule horizon (``horizon``), its
+per-run record (``score``) and its own per-policy columns
+(``policy_columns``); :func:`run_campaign` deals the slots, draws the
+schedules and builds the shared columns of the JSON-serialisable
+*scorecard*.  The whole campaign is a pure function of its config —
+rerunning with the same seed reproduces it bit-identically, and the
+sweep cache applies to baseline and chaos runs alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import PointSpec, SweepStats, run_sweep
@@ -36,7 +40,10 @@ from repro.resilience.invariants import check_makespan
 from repro.sim.random import RandomStreams
 from repro.util.logging import get_logger
 
-__all__ = ["ChaosConfig", "run_campaign"]
+if TYPE_CHECKING:
+    from repro.service.campaign import ServeChaosConfig
+
+__all__ = ["ChaosConfig", "Slot", "mean", "run_campaign"]
 
 _log = get_logger("resilience.campaign")
 _events = EventLog("resilience.campaign")
@@ -46,9 +53,22 @@ _events = EventLog("resilience.campaign")
 _FIXED_OVERHEAD_S = 0.002
 
 
+class Slot(NamedTuple):
+    """One campaign slot: its index, policy and derived seed."""
+
+    index: int
+    policy: str
+    seed: int
+
+
+def mean(values: list) -> float | None:
+    """The arithmetic mean of ``values``, or None when there are none."""
+    return sum(values) / len(values) if values else None
+
+
 @dataclass(frozen=True)
 class ChaosConfig:
-    """What one chaos campaign runs.
+    """What one batch chaos campaign runs.
 
     ``runs`` fault schedules are dealt round-robin over the
     scenario × policy grid: run ``i`` uses application
@@ -66,6 +86,9 @@ class ChaosConfig:
     noise_sigma: float = 0.005
     max_faults: int = 2
     anomaly_tolerance: float = 0.25
+
+    #: run ``i`` draws its fault schedule from stream ``chaos/run{i}``
+    stream = "chaos"
 
     def __post_init__(self) -> None:
         if not self.apps or not self.sizes or not self.policies:
@@ -97,110 +120,47 @@ class ChaosConfig:
             "anomaly_tolerance": self.anomaly_tolerance,
         }
 
-
-@dataclass
-class _RunPlan:
-    """One campaign slot: its scenario, policy, and derived seed."""
-
-    index: int
-    app: str
-    size: int
-    policy: str
-    seed: int
-    faults: tuple = ()
-
-
-def _plan_runs(config: ChaosConfig) -> list[_RunPlan]:
-    return [
-        _RunPlan(
-            index=i,
-            app=config.apps[i % len(config.apps)],
-            size=config.sizes[i % len(config.sizes)],
-            policy=config.policies[i % len(config.policies)],
-            seed=config.seed * 1000 + i,
-        )
-        for i in range(config.runs)
-    ]
-
-
-def _point(plan: _RunPlan, config: ChaosConfig, faults: tuple) -> PointSpec:
-    return PointSpec(
-        app_name=plan.app,
-        size=plan.size,
-        num_machines=config.machines,
-        policies=(plan.policy,),
-        replications=1,
-        # PointSpec.expand derives run_seed = seed * 1000; distinct
-        # per-plan seeds keep every campaign slot on its own noise stream
-        seed=plan.seed,
-        noise_sigma=config.noise_sigma,
-        fixed_overhead_s=_FIXED_OVERHEAD_S,
-        faults=faults,
-        tolerate_errors=bool(faults),
-        # auto-interval telemetry: deterministic (ground-truth derived),
-        # so the scorecard's SLO column stays bit-identical per config
-        sample_interval=0.0,
-    )
-
-
-def run_campaign(
-    config: ChaosConfig,
-    *,
-    jobs: int | None = None,
-    device_ids: Sequence[str] | None = None,
-) -> dict:
-    """Execute one chaos campaign and return its scorecard.
-
-    ``device_ids`` overrides the fault-target pool (default: the
-    devices of the first scenario's cluster at ``config.machines``).
-    """
-    from repro.cluster import paper_cluster
-
-    plans = _plan_runs(config)
-    registry = get_registry()
-
-    # ---- phase 1: fault-free baselines -------------------------------
-    # A barrier is required: every fault schedule is scaled by its
-    # run's baseline makespan, so generation cannot start earlier.
-    baseline_stats = SweepStats()
-    run_sweep(
-        [_point(p, config, ()) for p in plans],
-        jobs=jobs,
-        stats=baseline_stats,
-    )
-    baselines = [p["makespan"] for p in baseline_stats.payloads]
-
-    # ---- generate the fault schedules --------------------------------
-    if device_ids is None:
-        device_ids = tuple(
-            d.device_id for d in paper_cluster(config.machines).devices()
-        )
-    streams = RandomStreams(config.seed)
-    for plan, baseline in zip(plans, baselines):
-        rng = streams.stream(f"chaos/run{plan.index}")
-        plan.faults = generate_schedule(
-            rng,
-            device_ids,
-            baseline,
-            max_faults=config.max_faults,
+    def _scenario(self, slot: Slot) -> tuple[str, int]:
+        return (
+            self.apps[slot.index % len(self.apps)],
+            self.sizes[slot.index % len(self.sizes)],
         )
 
-    # ---- phase 2: the chaos runs -------------------------------------
-    chaos_stats = SweepStats()
-    run_sweep(
-        [_point(p, config, p.faults) for p in plans],
-        jobs=jobs,
-        stats=chaos_stats,
-    )
+    def point(self, slot: Slot, faults: tuple) -> PointSpec:
+        """The batch run one slot executes under ``faults``."""
+        app, size = self._scenario(slot)
+        return PointSpec(
+            app_name=app,
+            size=size,
+            num_machines=self.machines,
+            policies=(slot.policy,),
+            replications=1,
+            # PointSpec.expand derives run_seed = seed * 1000; distinct
+            # per-slot seeds keep every campaign slot on its own noise
+            # stream
+            seed=slot.seed,
+            noise_sigma=self.noise_sigma,
+            fixed_overhead_s=_FIXED_OVERHEAD_S,
+            faults=faults,
+            tolerate_errors=bool(faults),
+            # auto-interval telemetry: deterministic (ground-truth
+            # derived), so the scorecard's SLO column stays
+            # bit-identical per config
+            sample_interval=0.0,
+        )
 
-    # ---- score -------------------------------------------------------
-    run_records: list[dict] = []
-    for plan, baseline, payload in zip(
-        plans, baselines, chaos_stats.payloads
-    ):
-        error = payload.get("error")
+    def horizon(self, baseline: dict) -> float:
+        """Fault times are fractions of the fault-free makespan, so
+        schedules stay meaningful across applications and sizes."""
+        return baseline["makespan"]
+
+    def score(
+        self, slot: Slot, baseline: dict, payload: dict, survived: bool
+    ) -> dict:
+        """The batch columns of one run's record."""
+        app, size = self._scenario(slot)
+        base = baseline["makespan"]
         makespan = payload.get("makespan")
-        survived = error is None and makespan is not None
         resilience = payload.get("resilience") or {}
         violations = list(resilience.get("violations", []))
         if survived:
@@ -208,8 +168,8 @@ def run_campaign(
                 {"name": v.name, "message": v.message}
                 for v in check_makespan(
                     makespan,
-                    baseline,
-                    anomaly_tolerance=config.anomaly_tolerance,
+                    base,
+                    anomaly_tolerance=self.anomaly_tolerance,
                 )
             ]
         ledger = payload.get("ledger") or {}
@@ -238,20 +198,14 @@ def run_campaign(
             from repro.obs.critpath import category_shares
 
             attribution = category_shares(critpath)
-        record = {
-            "run": plan.index,
-            "app": plan.app,
-            "size": plan.size,
-            "policy": plan.policy,
-            "seed": plan.seed,
-            "faults": [fault_to_dict(f) for f in plan.faults],
-            "baseline_makespan": baseline,
+        return {
+            "app": app,
+            "size": size,
+            "baseline_makespan": base,
             "makespan": makespan,
             "degradation": (
-                makespan / baseline if survived and baseline > 0 else None
+                makespan / base if survived and base > 0 else None
             ),
-            "survived": survived,
-            "error": error,
             "violations": violations,
             "recovery_lags": list(resilience.get("recovery_lags", [])),
             "lost_units": resilience.get("lost_units", 0),
@@ -261,18 +215,11 @@ def run_campaign(
             "slo_violations": slo_violations,
             "attribution": attribution,
         }
-        run_records.append(record)
 
-    policies: dict[str, dict] = {}
-    for policy in config.policies:
-        rows = [r for r in run_records if r["policy"] == policy]
-        if not rows:
-            continue
-        survived_rows = [r for r in rows if r["survived"]]
+    def policy_columns(self, rows: list[dict], survived: list[dict]) -> dict:
+        """The batch aggregates over one policy's run records."""
         degradations = [
-            r["degradation"]
-            for r in survived_rows
-            if r["degradation"] is not None
+            r["degradation"] for r in survived if r["degradation"] is not None
         ]
         lags = [lag for r in rows for lag in r["recovery_lags"]]
         fallback_stages: dict[str, int] = {}
@@ -281,27 +228,105 @@ def run_campaign(
                 fallback_stages[stage] = fallback_stages.get(stage, 0) + count
         # mean makespan-attribution shares over the surviving runs, so
         # the scorecard says *where* each policy's time went under chaos
-        attributed = [r["attribution"] for r in survived_rows if r["attribution"]]
-        mean_attribution = {}
-        if attributed:
-            for category in sorted(attributed[0]):
-                mean_attribution[category] = sum(
-                    a.get(category, 0.0) for a in attributed
-                ) / len(attributed)
-        policies[policy] = {
-            "runs": len(rows),
-            "survived": len(survived_rows),
-            "survival_rate": len(survived_rows) / len(rows),
-            "mean_degradation": (
-                sum(degradations) / len(degradations) if degradations else None
-            ),
+        attributed = [r["attribution"] for r in survived if r["attribution"]]
+        mean_attribution = {
+            category: mean([a.get(category, 0.0) for a in attributed])
+            for category in (sorted(attributed[0]) if attributed else ())
+        }
+        return {
+            "mean_degradation": mean(degradations),
             "max_degradation": max(degradations) if degradations else None,
-            "mean_recovery_lag": sum(lags) / len(lags) if lags else None,
-            "violations": sum(len(r["violations"]) for r in rows),
+            "mean_recovery_lag": mean(lags),
             "decisions_explained": sum(r.get("decisions", 0) for r in rows),
             "fallback_stages_used": dict(sorted(fallback_stages.items())),
             "slo_violations": sum(r.get("slo_violations", 0) for r in rows),
             "mean_attribution": mean_attribution,
+        }
+
+
+def run_campaign(
+    config: ChaosConfig | ServeChaosConfig, *, jobs: int | None = None
+) -> dict:
+    """Execute one chaos campaign and return its scorecard.
+
+    ``config`` is a :class:`ChaosConfig` (batch runs) or a
+    :class:`~repro.service.campaign.ServeChaosConfig` (service
+    episodes); the fault targets are the devices of its cluster at
+    ``config.machines``.
+    """
+    from repro.cluster import paper_cluster
+
+    policies = config.policies
+    slots = [
+        Slot(i, policies[i % len(policies)], config.seed * 1000 + i)
+        for i in range(config.runs)
+    ]
+
+    # ---- phase 1: fault-free baselines -------------------------------
+    # A barrier is required: a batch schedule is scaled by its run's
+    # baseline makespan, so generation cannot start earlier.
+    baseline_stats = SweepStats()
+    run_sweep(
+        [config.point(slot, ()) for slot in slots],
+        jobs=jobs,
+        stats=baseline_stats,
+    )
+    baselines = baseline_stats.payloads
+
+    # ---- generate the fault schedules --------------------------------
+    device_ids = tuple(
+        d.device_id for d in paper_cluster(config.machines).devices()
+    )
+    streams = RandomStreams(config.seed)
+    schedules = [
+        generate_schedule(
+            streams.stream(f"{config.stream}/run{slot.index}"),
+            device_ids,
+            config.horizon(baseline),
+            max_faults=config.max_faults,
+        )
+        for slot, baseline in zip(slots, baselines)
+    ]
+
+    # ---- phase 2: the chaos runs -------------------------------------
+    chaos_stats = SweepStats()
+    run_sweep(
+        [config.point(s, f) for s, f in zip(slots, schedules)],
+        jobs=jobs,
+        stats=chaos_stats,
+    )
+
+    # ---- score -------------------------------------------------------
+    run_records: list[dict] = []
+    for slot, faults, baseline, payload in zip(
+        slots, schedules, baselines, chaos_stats.payloads
+    ):
+        error = payload.get("error")
+        survived = error is None and payload.get("makespan") is not None
+        run_records.append(
+            {
+                "run": slot.index,
+                "policy": slot.policy,
+                "seed": slot.seed,
+                "faults": [fault_to_dict(f) for f in faults],
+                "survived": survived,
+                "error": error,
+                **config.score(slot, baseline, payload, survived),
+            }
+        )
+
+    per_policy: dict[str, dict] = {}
+    for policy in policies:
+        rows = [r for r in run_records if r["policy"] == policy]
+        if not rows:
+            continue
+        survived_rows = [r for r in rows if r["survived"]]
+        per_policy[policy] = {
+            "runs": len(rows),
+            "survived": len(survived_rows),
+            "survival_rate": len(survived_rows) / len(rows),
+            "violations": sum(len(r["violations"]) for r in rows),
+            **config.policy_columns(rows, survived_rows),
         }
 
     total_violations = sum(len(r["violations"]) for r in run_records)
@@ -309,7 +334,7 @@ def run_campaign(
     scorecard = {
         "config": config.to_dict(),
         "runs": run_records,
-        "policies": policies,
+        "policies": per_policy,
         "total_runs": len(run_records),
         "survived_runs": survivors,
         "total_violations": total_violations,
@@ -323,6 +348,7 @@ def run_campaign(
         baseline_stats.cache_hits,
         chaos_stats.cache_hits,
     )
+    registry = get_registry()
     registry.inc("chaos.campaigns")
     registry.inc("chaos.runs", len(run_records))
     registry.inc("chaos.violations", total_violations)

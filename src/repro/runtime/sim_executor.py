@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 from repro.cluster.perfmodel import GroundTruth, KernelCharacteristics
 from repro.cluster.topology import Cluster
@@ -41,6 +42,8 @@ __all__ = [
     "TransientFailure",
     "TransferFault",
     "SimulatedExecutor",
+    "slowdown_at",
+    "transfer_fault_at",
 ]
 
 
@@ -159,6 +162,31 @@ class TransferFault:
             )
 
 
+def slowdown_at(
+    perturbations: Sequence[Perturbation], device_id: str, now: float
+) -> float:
+    """The execution-time factor of ``device_id`` at ``now``: the
+    product of every perturbation of it that has started."""
+    factor = 1.0
+    for p in perturbations:
+        if p.device_id == device_id and now >= p.start_time:
+            factor *= p.factor
+    return factor
+
+
+def transfer_fault_at(
+    transfer_faults: Sequence[TransferFault], device_id: str, now: float
+) -> TransferFault | None:
+    """The first transfer-fault window on ``device_id`` open at ``now``."""
+    for tf in transfer_faults:
+        if (
+            tf.device_id == device_id
+            and tf.time <= now < tf.time + tf.duration
+        ):
+            return tf
+    return None
+
+
 class SimulatedExecutor:
     """Runs one policy over one workload on a simulated cluster.
 
@@ -221,13 +249,6 @@ class SimulatedExecutor:
             {f.device_id for f in self.failures}
         ) == len(device_ids):
             raise ConfigurationError("cannot fail every device in the cluster")
-
-    def _slowdown(self, device_id: str, now: float) -> float:
-        factor = 1.0
-        for p in self.perturbations:
-            if p.device_id == device_id and now >= p.start_time:
-                factor *= p.factor
-        return factor
 
     def suggest_sample_interval(self, total_units: int) -> float:
         """A deterministic telemetry interval: ~1/128th of the predicted run.
@@ -356,14 +377,7 @@ class SimulatedExecutor:
             retries = 0
             t = begin
             while True:
-                fault = None
-                for tf in self.transfer_faults:
-                    if (
-                        tf.device_id == worker_id
-                        and tf.time <= t < tf.time + tf.duration
-                    ):
-                        fault = tf
-                        break
+                fault = transfer_fault_at(self.transfer_faults, worker_id, t)
                 if fault is None:
                     return retry_time, retries, False
                 # master-local devices have zero transfer time; scale the
@@ -430,7 +444,7 @@ class SimulatedExecutor:
                     decision=policy.decision_tag(worker_id) or "",
                 )
                 begin = max(engine.now, stall_until)
-                slow = self._slowdown(worker_id, begin)
+                slow = slowdown_at(self.perturbations, worker_id, begin)
                 transfer = self.ground_truth.transfer_time(worker_id, granted)
                 exec_s = self.ground_truth.exec_time(worker_id, granted) * slow
                 if noisy:

@@ -1,21 +1,17 @@
-"""Chaos against the living cluster: fault campaigns over service episodes.
+"""Chaos against the living cluster: the service-episode campaign kind.
 
-The batch chaos campaign (:mod:`repro.resilience.campaign`) injects
-faults into single application runs; this one injects them into a
-*serving loop* that must keep admitting, shedding and completing jobs
-while devices die under it.  Two phases, both through the parallel
-sweep engine (service payloads cache like batch payloads):
-
-1. **Baselines** — every (policy, seed) slot runs its arrival trace
-   fault-free; the baseline goodput anchors each run's degradation.
-2. **Chaos** — the same episodes re-run under seeded randomized fault
-   schedules scaled to the arrival horizon, with ``tolerate_errors``
-   on: a crashed episode is a lost run, not a campaign abort.
+:func:`repro.resilience.campaign.run_campaign` runs a
+:class:`ServeChaosConfig` through the same two phases as a batch
+campaign, with service episodes in place of batch runs: every
+(policy, seed) slot plays its arrival trace fault-free, then again
+under a seeded fault schedule scaled to the arrival horizon, while the
+cluster keeps admitting, shedding and completing jobs.  The baseline
+episode's goodput anchors the chaos episode's degradation.
 
 Each surviving run must hold the service invariants — every submitted
 job in exactly one terminal state, shedding only under pressure, no
 block completing on a downed device — which the scorecard carries in
-``invariant_errors``.  The campaign is a pure function of its config.
+``invariant_errors``.
 """
 
 from __future__ import annotations
@@ -23,19 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import PointSpec, SweepStats, run_sweep
-from repro.obs.metrics import get_registry
-from repro.resilience.faults import fault_to_dict, generate_schedule
+from repro.experiments.parallel import PointSpec
+from repro.resilience.campaign import Slot, mean
 from repro.service.arrivals import ArrivalSpec
 from repro.service.balancer import BALANCER_FLAVORS
 from repro.service.scorecard import validate_scorecard
 from repro.service.server import ServiceConfig
-from repro.sim.random import RandomStreams
-from repro.util.logging import get_logger
 
-__all__ = ["ServeChaosConfig", "run_serve_campaign"]
-
-_log = get_logger("service.campaign")
+__all__ = ["ServeChaosConfig"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +50,10 @@ class ServeChaosConfig:
     deadline_factor: float = 30.0
     retry_budget: int = 4
     max_faults: int = 2
+
+    #: run ``i`` draws its fault schedule from stream
+    #: ``serve-chaos/run{i}``
+    stream = "serve-chaos"
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -102,157 +97,72 @@ class ServeChaosConfig:
             faults=faults,
         )
 
-
-def _point(config: ServeChaosConfig, policy: str, seed: int, faults: tuple) -> PointSpec:
-    service = config.service_config(policy, faults)
-    return PointSpec(
-        app_name="serve",
-        size=0,
-        num_machines=config.machines,
-        policies=(policy,),
-        replications=1,
-        seed=seed,
-        noise_sigma=0.0,
-        tolerate_errors=bool(faults),
-        service_json=service.to_sweep_json(),
-    )
-
-
-def run_serve_campaign(
-    config: ServeChaosConfig, *, jobs: int | None = None
-) -> dict:
-    """Execute one serve chaos campaign and return its scorecard."""
-    from repro.cluster import paper_cluster
-
-    plans = [
-        {
-            "index": i,
-            "policy": config.policies[i % len(config.policies)],
-            "seed": config.seed * 1000 + i,
-        }
-        for i in range(config.runs)
-    ]
-
-    # ---- phase 1: fault-free baselines -------------------------------
-    baseline_stats = SweepStats()
-    run_sweep(
-        [_point(config, p["policy"], p["seed"], ()) for p in plans],
-        jobs=jobs,
-        stats=baseline_stats,
-    )
-
-    # ---- seeded fault schedules over the arrival horizon -------------
-    device_ids = tuple(
-        d.device_id for d in paper_cluster(config.machines).devices()
-    )
-    streams = RandomStreams(config.seed)
-    for plan in plans:
-        rng = streams.stream(f"serve-chaos/run{plan['index']}")
-        plan["faults"] = generate_schedule(
-            rng, device_ids, config.duration, max_faults=config.max_faults
+    def point(self, slot: Slot, faults: tuple) -> PointSpec:
+        """The service episode one slot plays under ``faults``."""
+        service = self.service_config(slot.policy, faults)
+        return PointSpec(
+            app_name="serve",
+            size=0,
+            num_machines=self.machines,
+            policies=(slot.policy,),
+            replications=1,
+            seed=slot.seed,
+            noise_sigma=0.0,
+            tolerate_errors=bool(faults),
+            service_json=service.to_sweep_json(),
         )
 
-    # ---- phase 2: chaos ----------------------------------------------
-    chaos_stats = SweepStats()
-    run_sweep(
-        [
-            _point(config, p["policy"], p["seed"], p["faults"])
-            for p in plans
-        ],
-        jobs=jobs,
-        stats=chaos_stats,
-    )
+    def horizon(self, baseline: dict) -> float:
+        """Faults land within the arrival horizon of every episode."""
+        return self.duration
 
-    # ---- score -------------------------------------------------------
-    run_records = []
-    for plan, base_payload, chaos_payload in zip(
-        plans, baseline_stats.payloads, chaos_stats.payloads
-    ):
-        error = chaos_payload.get("error")
-        card = chaos_payload.get("serve")
-        base_card = base_payload.get("serve") or {}
-        survived = error is None and card is not None
+    def score(
+        self, slot: Slot, baseline: dict, payload: dict, survived: bool
+    ) -> dict:
+        """The service columns of one run's record."""
+        card = payload.get("serve")
         violations: list[str] = []
         if survived:
             violations += validate_scorecard(card)
             violations += list(card.get("invariant_errors", ()))
+        base_card = baseline.get("serve") or {}
         base_goodput = (base_card.get("goodput") or {}).get("jobs_per_s")
-        chaos_goodput = (
+        goodput = (
             (card.get("goodput") or {}).get("jobs_per_s") if card else None
         )
         goodput_ratio = None
-        if base_goodput and chaos_goodput is not None:
-            goodput_ratio = chaos_goodput / base_goodput
-        jobs_row = (card or {}).get("jobs", {})
-        run_records.append(
-            {
-                "run": plan["index"],
-                "policy": plan["policy"],
-                "seed": plan["seed"],
-                "faults": [fault_to_dict(f) for f in plan["faults"]],
-                "survived": survived,
-                "error": error,
-                "violations": violations,
-                "baseline_goodput": base_goodput,
-                "goodput": chaos_goodput,
-                "goodput_ratio": goodput_ratio,
-                "completed": jobs_row.get("completed"),
-                "shed": jobs_row.get("shed"),
-                "timeout": jobs_row.get("timeout"),
-                "failed": jobs_row.get("failed"),
-                "breaker_opens": sum(
-                    b["opens"] for b in (card or {}).get("breakers", {}).values()
-                ),
-                "fallback_counts": (
-                    ((card or {}).get("balancer") or {}).get("fallback_counts")
-                ),
-            }
-        )
-
-    policies = {}
-    for policy in config.policies:
-        rows = [r for r in run_records if r["policy"] == policy]
-        if not rows:
-            continue
-        survived_rows = [r for r in rows if r["survived"]]
-        ratios = [
-            r["goodput_ratio"]
-            for r in survived_rows
-            if r["goodput_ratio"] is not None
-        ]
-        policies[policy] = {
-            "runs": len(rows),
-            "survived": len(survived_rows),
-            "survival_rate": len(survived_rows) / len(rows),
-            "mean_goodput_ratio": (
-                sum(ratios) / len(ratios) if ratios else None
+        if base_goodput and goodput is not None:
+            goodput_ratio = goodput / base_goodput
+        card = card or {}
+        jobs_row = card.get("jobs", {})
+        return {
+            "violations": violations,
+            "baseline_goodput": base_goodput,
+            "goodput": goodput,
+            "goodput_ratio": goodput_ratio,
+            "completed": jobs_row.get("completed"),
+            "shed": jobs_row.get("shed"),
+            "timeout": jobs_row.get("timeout"),
+            "failed": jobs_row.get("failed"),
+            "breaker_opens": sum(
+                b["opens"] for b in card.get("breakers", {}).values()
             ),
-            "violations": sum(len(r["violations"]) for r in rows),
-            "shed": sum(r["shed"] or 0 for r in survived_rows),
-            "timeout": sum(r["timeout"] or 0 for r in survived_rows),
-            "failed": sum(r["failed"] or 0 for r in survived_rows),
-            "breaker_opens": sum(r["breaker_opens"] for r in survived_rows),
+            "fallback_counts": (
+                (card.get("balancer") or {}).get("fallback_counts")
+            ),
         }
 
-    total_violations = sum(len(r["violations"]) for r in run_records)
-    survivors = sum(1 for r in run_records if r["survived"])
-    scorecard = {
-        "config": config.to_dict(),
-        "runs": run_records,
-        "policies": policies,
-        "total_runs": len(run_records),
-        "survived_runs": survivors,
-        "total_violations": total_violations,
-        "all_invariants_ok": total_violations == 0,
-    }
-    registry = get_registry()
-    registry.inc("serve.chaos_campaigns")
-    registry.inc("serve.chaos_runs", len(run_records))
-    registry.inc("serve.chaos_violations", total_violations)
-    _log.info(
-        "serve chaos campaign complete: %d/%d survived, %d violation(s)",
-        survivors,
-        len(run_records),
-        total_violations,
-    )
-    return scorecard
+    def policy_columns(self, rows: list[dict], survived: list[dict]) -> dict:
+        """The service aggregates over one policy's run records."""
+        ratios = [
+            r["goodput_ratio"]
+            for r in survived
+            if r["goodput_ratio"] is not None
+        ]
+        return {
+            "mean_goodput_ratio": mean(ratios),
+            "shed": sum(r["shed"] or 0 for r in survived),
+            "timeout": sum(r["timeout"] or 0 for r in survived),
+            "failed": sum(r["failed"] or 0 for r in survived),
+            "breaker_opens": sum(r["breaker_opens"] for r in survived),
+        }

@@ -38,6 +38,8 @@ from repro.runtime.sim_executor import (
     Perturbation,
     TransferFault,
     TransientFailure,
+    slowdown_at,
+    transfer_fault_at,
 )
 from repro.service.admission import SHED_POLICIES, AdmissionQueue
 from repro.service.arrivals import ArrivalSpec, generate_arrivals
@@ -386,19 +388,6 @@ class ClusterService:
 
     # ---- dispatch & completion ---------------------------------------
 
-    def _perturb_factor(self, device_id: str, now: float) -> float:
-        factor = 1.0
-        for p in self._perturb:
-            if p.device_id == device_id and now >= p.start_time:
-                factor *= p.factor
-        return factor
-
-    def _transfer_fault_at(self, device_id: str, now: float):
-        for tf in self._transfer_faults:
-            if tf.device_id == device_id and tf.time <= now < tf.time + tf.duration:
-                return tf
-        return None
-
     def _dispatch(self, now: float) -> None:
         if self._finished:
             return
@@ -419,8 +408,8 @@ class ClusterService:
             )
             gt = self.templates[job.template]["gt"]
             transfer = gt.transfer_time(device_id, units)
-            exec_s = gt.exec_time(device_id, units) * self._perturb_factor(
-                device_id, now
+            exec_s = gt.exec_time(device_id, units) * slowdown_at(
+                self._perturb, device_id, now
             )
             if self.config.noise_sigma > 0.0:
                 exec_s *= self.streams.lognormal_factor(
@@ -428,7 +417,7 @@ class ClusterService:
                     self.config.noise_sigma,
                 )
             job.remaining -= units
-            fault = self._transfer_fault_at(device_id, now)
+            fault = transfer_fault_at(self._transfer_faults, device_id, now)
             if fault is not None:
                 # the window eats the dispatch: charge the timeout, then
                 # count the block as lost on this device

@@ -11,10 +11,11 @@ import pytest
 
 from repro import HDSS, Acosta, Greedy, Oracle, PLBHeC, Runtime
 from repro.apps import MatMul
-from repro.cluster import GroundTruth
+from repro.cluster import GroundTruth, paper_cluster
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.experiments.runner import make_policy
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.resilience import check_conservation
 from repro.runtime.sim_executor import (
     DeviceFailure,
     SimulatedExecutor,
@@ -236,6 +237,48 @@ class TestTransientRecovery:
         transient_res, _ = self._run(small_cluster, transient=True)
         permanent_res, _ = self._run(small_cluster, transient=False)
         assert transient_res.makespan < permanent_res.makespan
+
+
+#: Every name make_policy accepts.
+EVERY_POLICY = ALL_POLICIES + ("plb-hec-free", "oracle")
+
+#: Fault-free makespans of the paper-cluster recovery matrix, per policy.
+_RECOVERY_BASELINES: dict[str, float] = {}
+
+
+def _paper_run(name, transients=()):
+    cluster = paper_cluster(2)
+    app = MatMul(n=2048)
+    policy = make_policy(
+        name,
+        ground_truth=GroundTruth(cluster, app.kernel_characteristics()),
+        fixed_overhead_s=0.002,
+    )
+    rt = Runtime(cluster, app.codelet(), seed=1, transients=transients)
+    return rt.run(policy, app.total_units, app.default_initial_block_size())
+
+
+class TestTransientRecoveryMatrix:
+    """Every policy takes a transiently failed device back.
+
+    A 2-machine matmul-2048 run loses A.cpu or B.gpu0 for 20 % of its
+    fault-free makespan, early (5 %) or mid-run (50 %), and must still
+    tile its domain exactly once — HDSS used to raise ``KeyError`` on
+    the first poll of the recovered device.
+    """
+
+    @pytest.mark.parametrize("at", (0.05, 0.5))
+    @pytest.mark.parametrize("device", ("A.cpu", "B.gpu0"))
+    @pytest.mark.parametrize("name", EVERY_POLICY)
+    def test_recovered_device_is_taken_back(self, name, device, at):
+        if name not in _RECOVERY_BASELINES:
+            _RECOVERY_BASELINES[name] = _paper_run(name).makespan
+        base = _RECOVERY_BASELINES[name]
+        res = _paper_run(
+            name, (TransientFailure(device, at * base, 0.2 * base),)
+        )
+        assert res.trace.recoveries
+        assert check_conservation(res.trace, MatMul(n=2048).total_units) == []
 
 
 class TestSolverFallbackChain:

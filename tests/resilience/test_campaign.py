@@ -91,6 +91,22 @@ class TestDeterminism:
         ]
 
 
+class TestRecoveringDevices:
+    def test_default_grid_survives_hdss_recoveries(self):
+        """Seed 1's default grid hands HDSS recovered devices; every
+        HDSS run must survive instead of aborting the campaign."""
+        card = run_campaign(ChaosConfig(runs=16, seed=1), jobs=1)
+        assert card["total_runs"] == 16
+        hdss = card["policies"]["hdss"]
+        assert hdss["survived"] == hdss["runs"] == 4
+        assert any(
+            f["type"] == "transient"
+            for r in card["runs"]
+            if r["policy"] == "hdss"
+            for f in r["faults"]
+        )
+
+
 class TestConfigValidation:
     def test_apps_sizes_must_pair(self):
         with pytest.raises(ConfigurationError, match="pair up"):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.campaign import ServeChaosConfig, run_serve_campaign
+from repro.resilience import run_campaign
+from repro.service.campaign import ServeChaosConfig
 
 QUICK = dict(
     policies=("plb-hec", "fair"),
@@ -35,7 +36,7 @@ class TestConfig:
 
 class TestCampaign:
     def test_quick_campaign_survives_with_invariants(self):
-        scorecard = run_serve_campaign(
+        scorecard = run_campaign(
             ServeChaosConfig(**QUICK, seed=0), jobs=1
         )
         assert scorecard["total_runs"] == 2
@@ -49,7 +50,7 @@ class TestCampaign:
             assert agg["survival_rate"] == 1.0
 
     def test_campaign_is_deterministic(self):
-        one = run_serve_campaign(ServeChaosConfig(**QUICK, seed=7), jobs=1)
-        two = run_serve_campaign(ServeChaosConfig(**QUICK, seed=7), jobs=1)
+        one = run_campaign(ServeChaosConfig(**QUICK, seed=7), jobs=1)
+        two = run_campaign(ServeChaosConfig(**QUICK, seed=7), jobs=1)
         assert (json.dumps(one, sort_keys=True)
                 == json.dumps(two, sort_keys=True))

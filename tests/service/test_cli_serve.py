@@ -123,7 +123,9 @@ class TestTopOnServeSeries:
 
 
 class TestServeChaosCommand:
-    def test_quick_campaign_exits_zero(self, tmp_path, capsys):
+    def test_quick_campaign_exits_zero(self, tmp_path, monkeypatch, capsys):
+        # the default history store is relative to the working directory
+        monkeypatch.chdir(tmp_path)
         out_path = tmp_path / "serve_chaos.json"
         code = main([
             "chaos", "--serve", "--quick", "--runs", "2", "--seed", "0",
@@ -136,3 +138,21 @@ class TestServeChaosCommand:
         assert card["all_invariants_ok"]
         assert card["total_runs"] == 2
         assert set(card["config"]["policies"]) == {"plb-hec", "greedy"}
+
+    def test_history_and_dashboard(self, tmp_path, monkeypatch, capsys):
+        from repro.obs.history import HistoryStore, validate_entry
+
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "chaos", "--serve", "--quick", "--runs", "2", "--seed", "0",
+            "--history", "hist", "--dashboard", "x.html",
+        ])
+        assert code == 0
+        entries = HistoryStore(tmp_path / "hist").entries(kind="chaos")
+        assert len(entries) == 1
+        assert validate_entry(entries[0]) == []
+        card = json.loads((tmp_path / "chaos_scorecard.json").read_text())
+        assert entries[0]["config"] == card["config"]
+        assert entries[0]["summary"]["survived_runs"] == 2
+        html = (tmp_path / "x.html").read_text()
+        assert "<h2>Resilience</h2>" in html

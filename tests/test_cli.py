@@ -668,7 +668,10 @@ class TestExplainCommand:
         assert marks, "plb-hec runs must export decision instants"
         assert all(m["ph"] == "i" for m in marks)
 
-    def test_chaos_table_has_decision_columns(self, capsys, tmp_path):
+    def test_chaos_table_has_decision_columns(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # keep the default history store out
         assert main(
             ["chaos", "--app", "matmul", "--size", "1024",
              "--machines", "2", "--runs", "2", "--seed", "0",
@@ -792,7 +795,8 @@ class TestTelemetryCommands:
         ) == 1
         assert "repro run --series-out" in capsys.readouterr().err
 
-    def test_chaos_table_has_slo_column(self, capsys, tmp_path):
+    def test_chaos_table_has_slo_column(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # keep the default history store out
         assert main(
             ["chaos", "--app", "matmul", "--size", "1024",
              "--machines", "2", "--runs", "2", "--seed", "0",

@@ -1,26 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test bench bench-fast check dashboard clean
+.PHONY: test bench-fast dashboard clean
 
 test:
 	$(PYTHON) -m pytest -x -q
-
-# Regenerate BENCH_wallclock.json (serial vs parallel vs cached sweeps).
-# Each run also appends to the .repro_history/ trend store.
-bench:
-	$(PYTHON) -m repro bench
 
 bench-fast:
 	REPRO_BENCH_FAST=1 $(PYTHON) -m pytest benchmarks/ -q -s \
 		-p no:cacheprovider --override-ini addopts=
 
-# Gate the current bench run against local history (exit 2 on regression).
-check:
-	$(PYTHON) -m repro bench --check
-
-# Self-contained HTML observability dashboard (policies, trends, solver,
-# Gantt, anomalies) at dashboard.html.
+# Self-contained HTML observability dashboard (policies, solver, Gantt,
+# anomalies) at dashboard.html.
 dashboard:
 	$(PYTHON) -m repro dashboard
 

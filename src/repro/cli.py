@@ -61,17 +61,10 @@ Commands
     Time the block-size solver (the Sec. V.a statistic).
 ``ablations``
     Run the three DESIGN.md ablation studies.
-``bench``
-    Benchmark the sweep engine (serial vs parallel vs cached) and write
-    ``BENCH_wallclock.json``.  Every run is also appended to the
-    benchmark history store (``.repro_history/``, see ``REPRO_HISTORY``);
-    ``--check`` compares the fresh laps against the recorded baseline
-    with the statistical gate in :mod:`repro.obs.regress` and exits
-    non-zero on a regression.
 ``dashboard``
     Write the self-contained HTML observability dashboard (policy
-    comparison, benchmark trend, solver convergence, Gantt timeline,
-    CPU profile, resilience scorecard, anomaly findings) — no external
+    comparison, solver convergence, Gantt timeline, CPU profile,
+    resilience scorecard, anomaly findings) — no external
     requests, open it anywhere.  ``--scorecard chaos_scorecard.json``
     feeds the resilience section from a previous ``chaos`` run.
 ``chaos``
@@ -80,10 +73,12 @@ Commands
     work-conservation and fault-isolation invariants on every run, and
     write the resilience scorecard JSON.  Exits non-zero when any
     invariant is violated.  Same seed → bit-identical scorecard; see
-    docs/TUTORIAL.md §9.  ``--serve`` runs the same campaign and flags
-    over *service episodes* instead of batch runs: seeded fault
-    schedules are injected while the cluster keeps admitting, shedding
-    and completing jobs; see docs/TUTORIAL.md §13.
+    docs/TUTORIAL.md §9.  The campaign summary is appended to the
+    history store (``.repro_history/``, see ``REPRO_HISTORY``;
+    ``--history -`` disables it).  ``--serve`` runs the same campaign
+    and flags over *service episodes* instead of batch runs: seeded
+    fault schedules are injected while the cluster keeps admitting,
+    shedding and completing jobs; see docs/TUTORIAL.md §13.
 ``serve``
     Host the cluster as an online service: seeded open-loop Poisson
     arrivals (``--pattern constant|diurnal|bursty``) flow through a
@@ -100,9 +95,8 @@ Commands
     profiler and write a flamegraph SVG (``--flame``), a collapsed-stack
     file for flamegraph.pl / speedscope (``--collapsed``), the raw
     snapshot (``--json``) and/or profile slices merged into a Perfetto
-    timeline (``--trace-out``).  ``run``/``compare``/``bench`` accept a
-    ``--profile`` flag for the same capture in passing; profiled bench
-    laps are tagged in history and never drive the regression gate.
+    timeline (``--trace-out``).  ``run``/``compare`` accept a
+    ``--profile`` flag for the same capture in passing.
 
 Sweep-driving commands accept ``--jobs N`` (default: the ``REPRO_JOBS``
 environment variable, else the CPU count) and honour ``REPRO_CACHE``
@@ -173,16 +167,19 @@ from repro.util.tables import format_table
 
 __all__ = ["main", "build_parser", "EXIT_CODE_TABLE"]
 
+#: Exit code of a failed gate (``run``/``serve --slo``,
+#: ``why --assert-bound``).
+EXIT_GATE_FAILED = 2
+
 #: The one authoritative exit-code contract, rendered into ``repro
 #: --help`` (epilog) and mirrored by the README table (a test asserts
-#: the two agree).  Codes follow the regression gate's convention:
-#: 2 is :data:`repro.obs.regress.EXIT_CODES`'s ``"regressed"``.
+#: the two agree).
 EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
     (0, "ok", "command completed and every gate it ran passed"),
     (1, "error", "usage or data error: bad configuration, missing "
      "artifact (top without a series), policy without a ledger (explain)"),
-    (2, "regressed", "a gate failed: bench --check regression, "
-     "run/serve --slo objective violation, or why --assert-bound breach "
+    (EXIT_GATE_FAILED, "regressed", "a gate failed: run/serve --slo "
+     "objective violation, or why --assert-bound breach "
      "(attribution != makespan, bound > makespan, empty path, "
      "busy-overlap)"),
     (3, "chaos", "chaos campaign (batch or --serve) finished with "
@@ -545,50 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--replications", type=int, default=3)
     p_report.add_argument("--fast", action="store_true")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the sweep engine and write BENCH_wallclock.json",
-    )
-    p_bench.add_argument("--replications", type=int, default=2)
-    p_bench.add_argument(
-        "--output",
-        default="BENCH_wallclock.json",
-        help="report path ('-' to skip writing)",
-    )
-    p_bench.add_argument(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="history store to append to ('-' disables; default: "
-        "REPRO_HISTORY, else .repro_history/)",
-    )
-    p_bench.add_argument(
-        "--check",
-        action="store_true",
-        help="gate this run against the recorded baseline laps; "
-        "exits 2 on a statistically significant regression",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="history file/dir to compare against (default: the "
-        "history store itself)",
-    )
-    p_bench.add_argument(
-        "--rel-threshold",
-        type=float,
-        default=0.50,
-        help="relative slowdown that counts as a regression (default 0.50)",
-    )
-    p_bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the serial/parallel laps and record the hot-function "
-        "table into history; profiled laps are tagged and never gate",
-    )
-    add_jobs_arg(p_bench)
-
     p_dash = sub.add_parser(
         "dashboard",
         help="write the self-contained HTML observability dashboard",
@@ -600,13 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default="dashboard.html",
         help="output path (default: dashboard.html)",
-    )
-    p_dash.add_argument(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="history store for the trend section (default: REPRO_HISTORY, "
-        "else .repro_history/)",
     )
     p_dash.add_argument(
         "--scorecard",
@@ -1057,7 +1003,7 @@ def _run_telemetry(
     """``run``'s post-run telemetry: series artifact, SLO gate, alerts.
 
     Returns ``(exit_code, alerts)`` where ``exit_code`` is 2 when an
-    SLO objective failed (the regression gate's code) and ``alerts``
+    SLO objective failed (the gate-failed code) and ``alerts``
     are the instant markers to stamp into a ``--trace-out`` timeline.
     """
     from repro.obs.timeseries import publish_windowed_gauges, write_series
@@ -1091,7 +1037,7 @@ def _slo_gate(
     telemetry): prints the verdict table, emits alerts, optionally
     writes the report, and returns exit 2 when an objective failed.
     """
-    from repro.obs.regress import EXIT_CODES, detect_slo_anomalies
+    from repro.obs.regress import detect_slo_anomalies
     from repro.obs.slo import (
         DEFAULT_SLO_SPEC,
         emit_slo_alerts,
@@ -1135,7 +1081,7 @@ def _slo_gate(
         path = write_slo_report(report_out, report)
         print(f"slo report written to {path}")
     return (
-        0 if report["ok"] else EXIT_CODES["regressed"],
+        0 if report["ok"] else EXIT_GATE_FAILED,
         slo_alerts(report) or None,
     )
 
@@ -1397,9 +1343,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
         path = write_chrome_trace(doc, args.trace_out)
         print(f"trace written to {path}")
     if args.assert_bound and problems:
-        from repro.obs.regress import EXIT_CODES
-
-        return EXIT_CODES["regressed"]
+        return EXIT_GATE_FAILED
     return 0
 
 
@@ -1558,125 +1502,9 @@ def _resolve_history(flag: str | None):
     return HistoryStore(DEFAULT_HISTORY_DIR)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.wallclock import run_wallclock_bench
-    from repro.obs.history import HistoryStore, bench_entry
-
-    output = None if args.output == "-" else args.output
-    report = run_wallclock_bench(
-        replications=args.replications,
-        jobs=args.jobs,
-        output=output,
-        profile=args.profile,
-    )
-    timings = report["timings_s"]
-    meta = report["meta"]
-    print(
-        format_table(
-            ["phase", "wall_s"],
-            [[phase, seconds] for phase, seconds in timings.items()],
-            title="Sweep-engine wall clock (Fig. 4 MM fast grid)",
-        )
-    )
-    speedup = meta.get("parallel_speedup")
-    speedup_text = (
-        f"{speedup:.2f}x"
-        if speedup is not None
-        else f"n/a ({meta.get('parallel_speedup_reason', 'not measured')})"
-    )
-    print(
-        f"jobs={meta['jobs']} effective_jobs={meta.get('effective_jobs')} "
-        f"parallel_speedup={speedup_text} "
-        f"warm/cold={meta['warm_over_cold_fraction']:.1%} "
-        f"identical={meta['parallel_matches_serial']}"
-    )
-    if output is not None:
-        print(f"report written to {output}")
-    if args.profile:
-        hot = meta.get("hot_functions", [])
-        print(
-            format_table(
-                ["function", "phase", "self_ms", "share"],
-                [
-                    [
-                        h["function"],
-                        h.get("phase", ""),
-                        h["self_s"] * 1e3,
-                        f"{h['share'] * 100:.1f}%",
-                    ]
-                    for h in hot
-                ],
-                title="Hot functions (merged serial+parallel profile)",
-            )
-        )
-
-    history = _resolve_history(args.history)
-    exit_code = 0
-    if args.check:
-        from repro.obs.regress import check_bench_report
-
-        baseline = HistoryStore(args.baseline) if args.baseline else history
-        if baseline is None:
-            print("check: no baseline available (history disabled) -> "
-                  "insufficient-data")
-        else:
-            # Check BEFORE appending, so a run never gates against itself.
-            check = check_bench_report(
-                report, baseline, rel_threshold=args.rel_threshold
-            )
-            rows = [
-                [c.metric, c.verdict,
-                 "-" if c.rel_change is None else f"{c.rel_change:+.1%}",
-                 "-" if c.p_value is None else f"{c.p_value:.3f}",
-                 c.baseline_n, c.reason]
-                for c in check.comparisons
-            ]
-            print(
-                format_table(
-                    ["lap", "verdict", "change", "p", "n", "reason"],
-                    rows,
-                    title=f"Regression gate vs {baseline.path}",
-                )
-            )
-            print(f"check: {check.verdict} ({check.reason})")
-            exit_code = check.exit_code
-            if args.profile and meta.get("hot_functions"):
-                # Advisory hot-path drift vs matched profiled history —
-                # same config-hash + host-fingerprint rules as the gate,
-                # but never contributes to the exit code.
-                from repro.obs.history import fingerprint_hash
-                from repro.obs.report import config_hash as _config_hash
-                from repro.obs.regress import detect_hot_path_drift
-
-                cfg_hash = _config_hash(
-                    {"grid": meta.get("grid", {}), "jobs": meta.get("jobs")}
-                )
-                shares = baseline.hot_function_shares(
-                    config_hash=cfg_hash,
-                    host_hash=fingerprint_hash(report.get("host")),
-                    last=20,
-                )
-                drift = detect_hot_path_drift(meta["hot_functions"], shares)
-                if drift:
-                    for finding in drift:
-                        print(f"hot-path drift: {finding.message}")
-                else:
-                    print(
-                        f"hot-path drift: none over {len(shares)} matched "
-                        "profiled entr"
-                        + ("y" if len(shares) == 1 else "ies")
-                    )
-    if history is not None:
-        stored = history.append(bench_entry(report))
-        print(f"history: appended to {history.path} "
-              f"(config {stored['config_hash'][:12]})")
-    return exit_code
-
-
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import collect_dashboard_data, write_dashboard
 
-    history = _resolve_history(args.history)
     scorecard = None
     if args.scorecard:
         scorecard = json.loads(
@@ -1690,14 +1518,12 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         noise=args.noise,
         replications=args.replications,
         jobs=args.jobs,
-        history=history,
         scorecard=scorecard,
     )
     path = write_dashboard(args.out, data)
     print(
         f"dashboard written to {path} "
-        f"({len(data.bench_trend)} trend entries, "
-        f"{len(data.anomalies)} anomalies); open it in any browser"
+        f"({len(data.anomalies)} anomalies); open it in any browser"
     )
     return 0
 
@@ -2004,8 +1830,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             render_fig7(run_fig7(replications=args.replications, jobs=args.jobs))
         )
         return 0
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "dashboard":
         return _cmd_dashboard(args)
     if args.command == "chaos":

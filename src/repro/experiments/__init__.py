@@ -24,8 +24,8 @@ artefact reports, as plain data structures plus an ASCII rendering:
 Shared machinery lives in :mod:`repro.experiments.runner`; the parallel
 sweep engine (process fan-out + content-addressed result cache, the
 ``REPRO_JOBS`` / ``REPRO_CACHE`` knobs) in
-:mod:`repro.experiments.parallel`; wall-clock benchmarking of the
-engine itself in :mod:`repro.experiments.wallclock`.
+:mod:`repro.experiments.parallel`; the bitwise sweep comparison in
+:mod:`repro.experiments.wallclock`.
 """
 
 from repro.experiments.parallel import (

@@ -13,15 +13,14 @@ The legs every experiment stands on:
   of :class:`~repro.sim.trace.ExecutionTrace` objects
   (``python -m repro trace ... --out trace.json``);
 * :mod:`repro.obs.profiler` — deterministic phase-attributed CPU
-  profiling (``repro profile``, ``--profile`` on run/bench/compare):
+  profiling (``repro profile``, ``--profile`` on run/compare):
   collapsed stacks, flamegraph SVGs, hot-function tables;
 * :mod:`repro.obs.report` — the per-run :class:`RunReport` manifest
   cached alongside sweep results;
-* :mod:`repro.obs.history` — the append-only JSONL benchmark/run
+* :mod:`repro.obs.history` — the append-only JSONL run/campaign
   history store (``.repro_history/``, ``REPRO_HISTORY``);
-* :mod:`repro.obs.regress` — the statistical perf-regression gate
-  (``repro bench --check``), built-in anomaly detectors, and the
-  hot-path drift detector over recorded profiles;
+* :mod:`repro.obs.regress` — built-in anomaly detectors over a run's
+  telemetry, SLO report and critical path;
 * :mod:`repro.obs.ledger` — the scheduler decision ledger: one record
   per partition decision (trigger, model state, solver outcome,
   allocation, predictions) with per-block attribution, serialized as
@@ -74,7 +73,6 @@ from repro.obs.events import (
 )
 from repro.obs.history import (
     HistoryStore,
-    bench_entry,
     calibration_entry,
     fingerprint_hash,
     git_rev,
@@ -119,17 +117,10 @@ from repro.obs.profiler import (
 )
 from repro.obs.regress import (
     Anomaly,
-    BenchCheck,
-    Comparison,
-    check_bench_report,
-    compare_samples,
     detect_anomalies,
     detect_critpath_anomalies,
-    detect_hot_path_drift,
     detect_report_anomalies,
     detect_slo_anomalies,
-    mann_whitney_u,
-    overall_verdict,
 )
 from repro.obs.report import RunReport, config_hash
 from repro.obs.slo import (
@@ -168,11 +159,9 @@ from repro.obs.trace_export import (
 
 __all__ = [
     "Anomaly",
-    "BenchCheck",
     "CATEGORIES",
     "CRITPATH_SCHEMA",
     "ClusterSampler",
-    "Comparison",
     "Counter",
     "DEFAULT_SLO_SPEC",
     "DashboardData",
@@ -195,20 +184,16 @@ __all__ = [
     "active_profiler",
     "analyze_trace",
     "attach_jsonl_sink",
-    "bench_entry",
     "calibration_entry",
     "category_shares",
-    "check_bench_report",
     "collapsed_stacks",
     "collect_dashboard_data",
-    "compare_samples",
     "config_hash",
     "current_run_id",
     "decision_rows",
     "detach_sink",
     "detect_anomalies",
     "detect_critpath_anomalies",
-    "detect_hot_path_drift",
     "detect_report_anomalies",
     "detect_slo_anomalies",
     "diff_snapshots",
@@ -222,12 +207,10 @@ __all__ = [
     "host_fingerprint",
     "jain_fairness",
     "load_slo_spec",
-    "mann_whitney_u",
     "mape",
     "merge_profiles",
     "merge_snapshots",
     "new_run_id",
-    "overall_verdict",
     "payload_from_analysis",
     "phase_breakdown",
     "profile_phase",

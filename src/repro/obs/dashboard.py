@@ -2,10 +2,10 @@
 
 One static file that answers "what changed and why" for a run of the
 reproduction: per-policy makespan and idleness (the shape of the
-paper's Figs. 4-7), the benchmark trend from the history store, solver
-convergence (KKT error per interior-point iteration), a per-worker
-Gantt strip rendered from the :class:`~repro.sim.trace.ExecutionTrace`,
-and the anomaly findings from :mod:`repro.obs.regress`.
+paper's Figs. 4-7), solver convergence (KKT error per interior-point
+iteration), a per-worker Gantt strip rendered from the
+:class:`~repro.sim.trace.ExecutionTrace`, and the anomaly findings from
+:mod:`repro.obs.regress`.
 
 Constraints, enforced by the tests:
 
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from xml.sax.saxutils import escape
 
-from repro.obs.history import HistoryStore, git_rev, host_fingerprint
+from repro.obs.history import git_rev, host_fingerprint
 from repro.obs.ledger import decision_rows
 from repro.obs.regress import Anomaly
 
@@ -138,7 +138,6 @@ class DashboardData:
     host: dict = field(default_factory=dict)
     git_rev: str | None = None
     point: SweepPoint | None = None
-    bench_trend: list[dict] = field(default_factory=list)
     convergence: ConvergenceReport | None = None
     convergence_history: list[dict] = field(default_factory=list)
     trace: ExecutionTrace | None = None
@@ -168,8 +167,6 @@ def collect_dashboard_data(
     noise: float = 0.005,
     replications: int = 2,
     jobs: int | None = None,
-    history: HistoryStore | None = None,
-    trend_last: int = 30,
     scorecard: Mapping[str, Any] | None = None,
 ) -> DashboardData:
     """Run the workload and gather every section's inputs.
@@ -281,9 +278,6 @@ def collect_dashboard_data(
     ipm_result = solver.solve(nlp, x0)
     data.convergence = analyze_convergence(ipm_result)
     data.convergence_history = list(ipm_result.history)
-
-    if history is not None:
-        data.bench_trend = history.entries(kind="bench", last=trend_last)
     return data
 
 
@@ -435,7 +429,6 @@ def _line_chart(
     width: int = 860,
     height: int = 240,
     log_y: bool = False,
-    y_unit: str = "",
     x_label: str = "",
 ) -> str:
     """2px lines with ringed >=8px markers, hairline grid, end labels."""
@@ -472,7 +465,7 @@ def _line_chart(
             return margin_t + plot_h * (1.0 - (v - ticks[0]) / (ticks[-1] - ticks[0]))
 
         def tick_label(t: float) -> str:
-            return f"{_fmt_value(t)}{y_unit}"
+            return _fmt_value(t)
 
     def tx(v: float) -> float:
         return margin_l + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -501,7 +494,7 @@ def _line_chart(
             parts.append(
                 f'<circle cx="{tx(x):.1f}" cy="{ty(y):.1f}" r="4" fill="{color}" '
                 f'stroke="var(--surface-1)" stroke-width="2">'
-                f"<title>{escape(name)}: {y:.5g}{y_unit} (x={x:.6g})</title></circle>"
+                f"<title>{escape(name)}: {y:.5g} (x={x:.6g})</title></circle>"
             )
         ex, ey = pts[-1]
         parts.append(
@@ -672,45 +665,6 @@ def _section_policies(point: SweepPoint | None) -> str:
         + "<h2 style='margin-top:18px'>Idleness per device</h2>"
         + _grouped_columns(devices, idle_series, percent=True)
         + table
-        + "</section>"
-    )
-
-
-def _section_trend(entries: Sequence[Mapping[str, Any]]) -> str:
-    if not entries:
-        return (
-            "<section><h2>Benchmark trend</h2><p class='empty'>no history yet — "
-            "run <code>python -m repro bench</code> to start recording "
-            "(see docs/TUTORIAL.md §7)</p></section>"
-        )
-    laps = sorted({lap for e in entries for lap in e.get("laps", {})})
-    lap_colors = {
-        lap: f"var({_SERIES_VARS[i % len(_SERIES_VARS)]})"
-        for i, lap in enumerate(laps)
-    }
-    series = []
-    for lap in laps:
-        pts = [
-            (float(i), float(e["laps"][lap]))
-            for i, e in enumerate(entries)
-            if lap in e.get("laps", {})
-        ]
-        series.append((lap, lap_colors[lap], pts))
-    rows = [
-        [
-            e.get("recorded_at", "?"),
-            e.get("git_rev") or "-",
-        ]
-        + [e.get("laps", {}).get(lap, float("nan")) for lap in laps]
-        for e in entries
-    ]
-    return (
-        "<section><h2>Benchmark trend</h2>"
-        f"<p class='sub'>{len(entries)} recorded <code>repro bench</code> "
-        "entries from the history store (log scale; lower is better)</p>"
-        + _legend([(lap, lap_colors[lap]) for lap in laps])
-        + _line_chart(series, log_y=True, y_unit="s", x_label="history entry")
-        + _table(["recorded", "git rev"] + laps, rows)
         + "</section>"
     )
 
@@ -1340,7 +1294,6 @@ def render_dashboard(data: DashboardData) -> str:
     meta_bits.append(escape(data.generated_at))
     sections = [
         _section_policies(data.point),
-        _section_trend(data.bench_trend),
         _section_convergence(data.convergence, data.convergence_history),
         _section_gantt(data.trace, data.trace_policy),
         _section_critpath(data.critpath),

@@ -1,23 +1,20 @@
-"""Append-only benchmark/run history store (JSONL).
+"""Append-only run/campaign history store (JSONL).
 
-``BENCH_wallclock.json`` is a single overwritten snapshot: it tells you
-where the repo is, never where it came from.  This module gives every
-``repro bench`` invocation and every sweep execution a *trajectory*: one
-JSON line per event, appended to ``.repro_history/history.jsonl`` (or
-wherever ``REPRO_HISTORY`` points), carrying everything a later
-comparison needs to decide whether two measurements are comparable at
-all:
+Every sweep execution (with ``REPRO_HISTORY`` set) and every ``repro
+chaos`` campaign leaves a *trajectory*: one JSON line per event,
+appended to ``.repro_history/history.jsonl`` (or wherever
+``REPRO_HISTORY`` points).  The ``kind`` field says what an entry is:
+``run`` (a run's outcome samples), ``calibration`` (a run's per-device
+prediction accuracy) or ``chaos`` (a campaign's survival summary).
+Each entry also carries what a later comparison needs to decide whether
+two entries are comparable at all:
 
 * a **host fingerprint** (platform, python, cpu count) plus its hash —
   black-box performance numbers do not transfer across machines
-  (Stevens & Klöckner, arXiv:1904.09538), so the regression gate in
-  :mod:`repro.obs.regress` refuses to compare entries whose
-  fingerprints differ;
+  (Stevens & Klöckner, arXiv:1904.09538);
 * the **config hash** of what ran (grid/app/policy/seed), so only
   like-for-like samples are pooled;
-* the **git revision**, so a trend line can be mapped back to commits;
-* the measured **laps** (bench entries) or outcome **samples** (run
-  entries) and an optional metrics snapshot.
+* the **git revision**, so a trend line can be mapped back to commits.
 
 The store is deliberately dumb: append-only JSON lines, no index, no
 locking beyond O_APPEND atomicity for the line sizes involved.  Query
@@ -44,7 +41,6 @@ __all__ = [
     "HISTORY_SCHEMA",
     "DEFAULT_HISTORY_DIR",
     "HistoryStore",
-    "bench_entry",
     "run_entry",
     "chaos_entry",
     "calibration_entry",
@@ -57,22 +53,19 @@ __all__ = [
 _log = get_logger("obs.history")
 
 #: Bump when the entry layout changes incompatibly.
-#: ("2": bench entries gained the ``profiled`` flag and the optional
-#: ``hot_functions`` table; schema-1 entries read back as unprofiled.
-#: "3": the ``chaos`` kind records campaign scorecards; the perf gate
-#: pools bench laps only, so chaos entries are excluded by construction.
-#: "4": the ``calibration`` kind records per-device prediction-accuracy
-#: summaries from scheduler decision ledgers; like chaos entries they
-#: carry an explicit marker and are excluded from the perf gate.)
+#: ("2": a profiled flag on the since-retired ``bench`` kind; "3": the
+#: ``chaos`` kind records campaign scorecards; "4": the ``calibration``
+#: kind records per-device prediction-accuracy summaries from scheduler
+#: decision ledgers.)
 HISTORY_SCHEMA = 4
 
 #: Default store location, relative to the working directory.
 DEFAULT_HISTORY_DIR = ".repro_history"
 
 #: Entry kinds the store understands.
-_KINDS = ("bench", "run", "chaos", "calibration")
+_KINDS = ("run", "chaos", "calibration")
 
-#: Keys every entry must carry to be usable by the regression gate.
+#: Keys every entry must carry.
 _REQUIRED_KEYS = ("schema", "kind", "recorded_at", "host", "host_hash", "config_hash")
 
 
@@ -125,14 +118,6 @@ def validate_entry(entry: Mapping[str, Any]) -> list[str]:
         problems.append("schema must be an integer")
     if not isinstance(entry["host"], dict):
         problems.append("host must be a fingerprint dict")
-    if entry["kind"] == "bench":
-        laps = entry.get("laps")
-        if not isinstance(laps, dict) or not laps:
-            problems.append("bench entry needs a non-empty 'laps' dict")
-        else:
-            for name, value in laps.items():
-                if not isinstance(value, (int, float)) or value != value or value < 0:
-                    problems.append(f"lap {name!r} must be a non-negative number")
     if entry["kind"] == "run":
         samples = entry.get("samples")
         if not isinstance(samples, dict) or "makespan" not in samples:
@@ -156,21 +141,6 @@ def validate_entry(entry: Mapping[str, Any]) -> list[str]:
                         f"calibration device {device!r} needs a dict with 'mape'"
                     )
                     break
-    # Schema-2 additions: both optional so schema-1 lines (and minimal
-    # hand-written entries) stay readable, but malformed when present.
-    if not isinstance(entry.get("profiled", False), bool):
-        problems.append("'profiled' must be a boolean when present")
-    hot = entry.get("hot_functions")
-    if hot is not None:
-        if not isinstance(hot, list):
-            problems.append("'hot_functions' must be a list when present")
-        else:
-            for i, row in enumerate(hot):
-                if not isinstance(row, dict) or "function" not in row:
-                    problems.append(
-                        f"hot_functions[{i}] must be a dict with 'function'"
-                    )
-                    break
     return problems
 
 
@@ -182,46 +152,6 @@ def _stamp(entry: dict[str, Any]) -> dict[str, Any]:
     entry.setdefault("host_hash", fingerprint_hash(entry["host"]))
     entry.setdefault("git_rev", git_rev())
     return entry
-
-
-def bench_entry(report: Mapping[str, Any]) -> dict[str, Any]:
-    """Build a history entry from a :func:`repro.util.timing.perf_report`.
-
-    The config hash covers the grid *and* the job count: a ``jobs=1``
-    parallel lap is a different experiment from a ``jobs=8`` one.
-
-    Benchmarks taken under ``--profile`` carry ``profiled: true`` plus
-    their ``hot_functions`` table.  The profiled flag is deliberately
-    *outside* the config hash: a profiled lap measures the same
-    experiment (just with tracer overhead), so the perf gate finds the
-    entry via the same hash and excludes it explicitly — hiding it
-    behind a different hash would make the exclusion untestable.
-    """
-    meta = dict(report.get("meta", {}))
-    config = {"grid": meta.get("grid", {}), "jobs": meta.get("jobs")}
-    entry: dict[str, Any] = {
-        "kind": "bench",
-        "config": config,
-        "config_hash": config_hash(config),
-        "laps": dict(report["timings_s"]),
-        "profiled": bool(meta.get("profiled", False)),
-        "meta": {
-            k: meta.get(k)
-            for k in (
-                "parallel_speedup",
-                "parallel_speedup_reason",
-                "effective_jobs",
-                "warm_over_cold_fraction",
-                "parallel_matches_serial",
-            )
-            if k in meta
-        },
-    }
-    if meta.get("hot_functions"):
-        entry["hot_functions"] = [dict(row) for row in meta["hot_functions"]]
-    if "host" in report:
-        entry["host"] = dict(report["host"])
-    return _stamp(entry)
 
 
 def run_entry(report: Mapping[str, Any], *, wall_s: float | None = None) -> dict[str, Any]:
@@ -247,10 +177,7 @@ def chaos_entry(scorecard: Mapping[str, Any]) -> dict[str, Any]:
 
     The config hash covers the campaign grid (apps, sizes, policies,
     seed, fault budget), so survival-rate trends pool like-for-like
-    campaigns only.  Mirroring the bench ``profiled`` pattern, the
-    ``chaos: true`` marker is *outside* the hash: the perf-regression
-    gate pools bench laps exclusively, and the explicit marker keeps
-    that exclusion assertable instead of incidental.
+    campaigns only.
     """
     config = dict(scorecard.get("config", {}))
     policies = {
@@ -266,7 +193,6 @@ def chaos_entry(scorecard: Mapping[str, Any]) -> dict[str, Any]:
     survived = int(scorecard.get("survived_runs", 0) or 0)
     entry: dict[str, Any] = {
         "kind": "chaos",
-        "chaos": True,
         "config": config,
         "config_hash": config_hash(config),
         "summary": {
@@ -287,11 +213,9 @@ def calibration_entry(
     """Build a history entry from a run's decision-ledger calibration.
 
     ``report`` is the RunReport dict the ledger belongs to (supplies the
-    config/config-hash/run-id identity); ``ledger`` is the ledger's
-    ``to_dict`` form.  Mirroring the chaos pattern, the
-    ``calibration: true`` marker sits *outside* the config hash: the
-    perf-regression gate pools bench laps only, and the explicit marker
-    keeps that exclusion assertable instead of incidental.
+    config/config-hash/run-id identity, so the entry joins the run's
+    ``run`` entry on its config hash); ``ledger`` is the ledger's
+    ``to_dict`` form.
     """
     devices = {
         device: {
@@ -311,7 +235,6 @@ def calibration_entry(
         stages[stage] = stages.get(stage, 0) + 1
     entry: dict[str, Any] = {
         "kind": "calibration",
-        "calibration": True,
         "run_id": report.get("run_id") or ledger.get("run_id"),
         "config": dict(report.get("config", {})),
         "config_hash": report["config_hash"],
@@ -331,8 +254,7 @@ class HistoryStore:
     """The append-only JSONL store with filtering query helpers.
 
     ``root`` may be a directory (entries live in ``<root>/history.jsonl``)
-    or a path ending in ``.jsonl`` (used verbatim — how CI points the
-    gate at a committed baseline file).
+    or a path ending in ``.jsonl`` (used verbatim).
     """
 
     def __init__(self, root: str | os.PathLike[str] = DEFAULT_HISTORY_DIR) -> None:
@@ -383,15 +305,14 @@ class HistoryStore:
         config_hash: str | None = None,
         host_hash: str | None = None,
         last: int | None = None,
-        profiled: bool | None = None,
     ) -> list[dict[str, Any]]:
         """Entries in append order, filtered; corrupt lines are skipped.
 
-        ``profiled=False`` keeps only entries recorded without the
-        profiler (schema-1 entries predate the flag and count as
-        unprofiled); ``profiled=True`` keeps only profiled ones;
-        ``None`` disables the filter.
+        ``last`` keeps only the newest ``last`` matching entries (none
+        for 0); a negative ``last`` raises :class:`ConfigurationError`.
         """
+        if last is not None and last < 0:
+            raise ConfigurationError(f"last must be >= 0, got {last}")
         out: list[dict[str, Any]] = []
         try:
             lines: Iterable[str] = self.path.read_text(encoding="utf-8").splitlines()
@@ -415,98 +336,7 @@ class HistoryStore:
                 continue
             if host_hash is not None and entry.get("host_hash") != host_hash:
                 continue
-            if profiled is not None and bool(entry.get("profiled", False)) != profiled:
-                continue
             out.append(entry)
         if last is not None:
-            out = out[-last:]
+            out = out[max(len(out) - last, 0):]
         return out
-
-    # ------------------------------------------------------------------
-    def lap_samples(
-        self,
-        lap: str,
-        *,
-        config_hash: str | None = None,
-        host_hash: str | None = None,
-        last: int | None = None,
-        profiled: bool | None = None,
-    ) -> list[float]:
-        """The trajectory of one bench lap, oldest first."""
-        return [
-            float(e["laps"][lap])
-            for e in self.entries(
-                kind="bench",
-                config_hash=config_hash,
-                host_hash=host_hash,
-                last=last,
-                profiled=profiled,
-            )
-            if lap in e.get("laps", {})
-        ]
-
-    def hot_function_shares(
-        self,
-        *,
-        config_hash: str | None = None,
-        host_hash: str | None = None,
-        last: int | None = None,
-    ) -> list[dict[str, float]]:
-        """Per-entry ``{function: share}`` maps from profiled benches.
-
-        One dict per matched profiled bench entry, oldest first — the
-        baseline samples for the hot-path drift detector in
-        :mod:`repro.obs.regress`.
-        """
-        out: list[dict[str, float]] = []
-        for e in self.entries(
-            kind="bench",
-            config_hash=config_hash,
-            host_hash=host_hash,
-            last=last,
-            profiled=True,
-        ):
-            rows = e.get("hot_functions") or []
-            shares = {
-                str(row["function"]): float(row.get("share", 0.0))
-                for row in rows
-                if isinstance(row, dict) and "function" in row
-            }
-            if shares:
-                out.append(shares)
-        return out
-
-    def survival_samples(
-        self,
-        config_hash: str,
-        *,
-        host_hash: str | None = None,
-        last: int | None = None,
-    ) -> list[float]:
-        """Survival-rate trajectory of one campaign config, oldest first."""
-        return [
-            float(e["summary"]["survival_rate"])
-            for e in self.entries(
-                kind="chaos",
-                config_hash=config_hash,
-                host_hash=host_hash,
-                last=last,
-            )
-            if e.get("summary", {}).get("survival_rate") is not None
-        ]
-
-    def makespan_samples(
-        self,
-        config_hash: str,
-        *,
-        host_hash: str | None = None,
-        last: int | None = None,
-    ) -> list[float]:
-        """Recorded makespans of one run configuration, oldest first."""
-        return [
-            float(e["samples"]["makespan"])
-            for e in self.entries(
-                kind="run", config_hash=config_hash, host_hash=host_hash, last=last
-            )
-            if e.get("samples", {}).get("makespan") is not None
-        ]

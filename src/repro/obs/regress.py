@@ -1,64 +1,26 @@
-"""Statistical performance-regression gate and anomaly detectors.
+"""Built-in anomaly detectors over a run's telemetry.
 
-Point-comparing two wall-clock numbers cannot tell a regression from
-scheduler jitter; the gate here compares the *distribution* of matched
-history samples (same config hash, same host fingerprint — see
-:mod:`repro.obs.history`) against the current measurement and issues one
-of four documented verdicts:
-
-``regressed``
-    The change is statistically significant *and* practically
-    significant (relative change beyond the threshold) in the slow
-    direction.  CI exit code 2.
-``improved``
-    Same evidence bar, fast direction.  Exit code 0.
-``no-change``
-    Enough data, no significant difference.  Exit code 0.
-``insufficient-data``
-    Too few matched baseline samples — including the case where history
-    exists but only from *other* hosts, which is never compared (exit
-    code 0; CI stays neutral, it does not guess).
-
-Significance is two-layered: with at least four samples on both sides a
-two-sided Mann-Whitney U test (normal approximation with tie
-correction) at ``alpha``; with fewer, a conservative threshold rule that
-also requires the change to exceed 1.5x the baseline's own relative
-spread, so a noisy baseline cannot trip the gate.
-
-The second half of the module is a set of built-in **anomaly
-detectors** over a run's telemetry (phase summary, metrics snapshot,
-idle fractions) encoding the paper's own health criteria: probing must
-stay a small fraction of the application data (Sec. IV), per-device
-model fits should reach R2 >= 0.7 before the solver trusts them,
-interior-point restorations should be rare, and the whole point of
-PLB-HeC is a *balanced* load (Fig. 7).  Each finding is emitted as a
-structured warning through the event log and rendered by the
-dashboard.
+The detectors read a run's phase summary, metrics snapshot, idle
+fractions, SLO report or critical-path analysis and encode the paper's
+own health criteria: probing must stay a small fraction of the
+application data (Sec. IV), per-device model fits should reach
+R2 >= 0.7 before the solver trusts them, interior-point restorations
+should be rare, and the whole point of PLB-HeC is a *balanced* load
+(Fig. 7).  Each finding is emitted as a structured warning through the
+event log and rendered by the dashboard.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.obs.events import EventLog
-from repro.obs.history import HistoryStore, fingerprint_hash
-from repro.obs.report import config_hash
 
 __all__ = [
-    "VERDICTS",
-    "EXIT_CODES",
-    "Comparison",
-    "BenchCheck",
     "Anomaly",
-    "mann_whitney_u",
-    "compare_samples",
-    "overall_verdict",
-    "check_bench_report",
     "detect_anomalies",
-    "detect_hot_path_drift",
     "detect_report_anomalies",
     "detect_slo_anomalies",
     "detect_critpath_anomalies",
@@ -66,22 +28,8 @@ __all__ = [
 
 _events = EventLog("obs.regress", level=logging.WARNING)
 
-#: The documented verdicts, in severity order.
-VERDICTS = ("regressed", "improved", "no-change", "insufficient-data")
-
-#: Process exit code per overall verdict (CI gates on non-zero).
-EXIT_CODES = {
-    "regressed": 2,
-    "improved": 0,
-    "no-change": 0,
-    "insufficient-data": 0,
-}
-
-#: Fewest baseline samples a comparison will accept.
+#: Fewest baseline samples a drift comparison will accept.
 MIN_BASELINE_SAMPLES = 2
-
-#: Both sides need this many samples before Mann-Whitney is meaningful.
-_MW_MIN_SAMPLES = 4
 
 
 def _median(values: Sequence[float]) -> float:
@@ -90,310 +38,6 @@ def _median(values: Sequence[float]) -> float:
     mid = n // 2
     return ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
 
-
-def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
-    """Two-sided Mann-Whitney U test (normal approximation, tie-corrected).
-
-    Returns ``(U, p_value)`` where ``U`` is the statistic of sample
-    ``a``.  The normal approximation is adequate from about four samples
-    per side, which is where the gate starts using it.
-    """
-    n1, n2 = len(a), len(b)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("mann_whitney_u needs non-empty samples")
-    pooled = sorted((v, 0) for v in a)
-    pooled += sorted((v, 1) for v in b)
-    pooled.sort(key=lambda t: t[0])
-    # midranks with tie groups
-    ranks = [0.0] * len(pooled)
-    tie_term = 0.0
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[j + 1][0] == pooled[i][0]:
-            j += 1
-        rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[k] = rank
-        t = j - i + 1
-        if t > 1:
-            tie_term += t**3 - t
-        i = j + 1
-    r1 = sum(rank for rank, (_, which) in zip(ranks, pooled) if which == 0)
-    u1 = r1 - n1 * (n1 + 1) / 2.0
-    mu = n1 * n2 / 2.0
-    n = n1 + n2
-    sigma_sq = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if sigma_sq <= 0.0:  # all values identical
-        return (u1, 1.0)
-    z = (u1 - mu - (0.5 if u1 > mu else -0.5 if u1 < mu else 0.0)) / math.sqrt(sigma_sq)
-    p = 2.0 * 0.5 * math.erfc(abs(z) / math.sqrt(2.0))
-    return (u1, min(p, 1.0))
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """Verdict of one metric's baseline-vs-current comparison."""
-
-    metric: str
-    verdict: str
-    rel_change: float | None
-    p_value: float | None
-    baseline_n: int
-    current_n: int
-    reason: str = ""
-
-
-def compare_samples(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    *,
-    metric: str = "metric",
-    rel_threshold: float = 0.30,
-    alpha: float = 0.05,
-    min_baseline: int = MIN_BASELINE_SAMPLES,
-) -> Comparison:
-    """Compare current measurements against a matched baseline.
-
-    Parameters
-    ----------
-    baseline / current:
-        Samples of the same metric under the same config on the same
-        host.  Lower is better (wall-clock semantics).
-    rel_threshold:
-        Practical-significance floor on ``|median change| / baseline``.
-    alpha:
-        Mann-Whitney significance level (used when both sides have
-        at least four samples).
-    min_baseline:
-        Below this many baseline samples the verdict is
-        ``insufficient-data``.
-    """
-    baseline = [float(v) for v in baseline]
-    current = [float(v) for v in current]
-    if len(baseline) < min_baseline or not current:
-        return Comparison(
-            metric=metric,
-            verdict="insufficient-data",
-            rel_change=None,
-            p_value=None,
-            baseline_n=len(baseline),
-            current_n=len(current),
-            reason=f"need >= {min_baseline} baseline and >= 1 current sample(s)",
-        )
-    med_b = _median(baseline)
-    med_c = _median(current)
-    if med_b <= 0.0:
-        return Comparison(
-            metric=metric,
-            verdict="insufficient-data",
-            rel_change=None,
-            p_value=None,
-            baseline_n=len(baseline),
-            current_n=len(current),
-            reason="baseline median is not positive",
-        )
-    rel_change = (med_c - med_b) / med_b
-    p_value: float | None = None
-    if len(baseline) >= _MW_MIN_SAMPLES and len(current) >= _MW_MIN_SAMPLES:
-        _, p_value = mann_whitney_u(baseline, current)
-        significant = p_value < alpha
-        reason = f"mann-whitney p={p_value:.4f}"
-    else:
-        # Conservative small-sample rule: the shift must clear the
-        # baseline's own relative spread with margin, so two noisy
-        # baseline entries cannot flag noise as a regression.
-        noise_band = (max(baseline) - min(baseline)) / med_b
-        significant = abs(rel_change) > 1.5 * noise_band
-        reason = f"threshold rule (baseline spread {noise_band:.1%})"
-    practical = abs(rel_change) > rel_threshold
-    if significant and practical:
-        verdict = "regressed" if rel_change > 0 else "improved"
-    else:
-        verdict = "no-change"
-    return Comparison(
-        metric=metric,
-        verdict=verdict,
-        rel_change=rel_change,
-        p_value=p_value,
-        baseline_n=len(baseline),
-        current_n=len(current),
-        reason=reason,
-    )
-
-
-def overall_verdict(comparisons: Sequence[Comparison]) -> str:
-    """Fold per-metric verdicts into one: worst wins, data permitting."""
-    verdicts = {c.verdict for c in comparisons}
-    if "regressed" in verdicts:
-        return "regressed"
-    if not verdicts or verdicts == {"insufficient-data"}:
-        return "insufficient-data"
-    if "improved" in verdicts:
-        return "improved"
-    return "no-change"
-
-
-@dataclass(frozen=True)
-class BenchCheck:
-    """The regression gate's full answer for one bench report."""
-
-    verdict: str
-    comparisons: tuple[Comparison, ...]
-    baseline_entries: int
-    reason: str = ""
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODES[self.verdict]
-
-
-#: Laps whose baseline median is below this many seconds are too
-#: noise-dominated for relative comparison (a warm-cache lap of ~2ms
-#: can jitter 60% on a loaded host without meaning anything).
-MIN_MEASURABLE_S = 0.05
-
-
-def check_bench_report(
-    report: Mapping[str, Any],
-    baseline: HistoryStore,
-    *,
-    rel_threshold: float = 0.50,
-    alpha: float = 0.05,
-    min_baseline: int = MIN_BASELINE_SAMPLES,
-    last: int | None = 20,
-    min_abs_s: float = MIN_MEASURABLE_S,
-) -> BenchCheck:
-    """Gate one ``repro bench`` report against a history store.
-
-    Matching is strict: only bench entries with the same config hash
-    (grid + job count) *and* the same host fingerprint hash are pooled
-    as baseline.  Entries from other hosts are counted and reported but
-    never compared — a different machine is a different experiment.
-
-    ``rel_threshold`` defaults higher than :func:`compare_samples`'s
-    generic 0.30: single-shot wall clocks on shared machines routinely
-    swing 30-40% without any code change, and a real regression worth
-    gating on (the acceptance case is a 2x slowdown, +100%) clears 0.50
-    easily.  Laps whose baseline median is under ``min_abs_s`` are
-    reported but never gated — relative change of a 2ms measurement is
-    noise by construction.
-
-    Profiling is excluded on both sides: a report measured under
-    ``--profile`` carries tracer overhead and is never gated (verdict
-    ``insufficient-data``), and baseline entries tagged ``profiled``
-    are never pooled as comparison samples.
-    """
-    meta = dict(report.get("meta", {}))
-    if meta.get("profiled"):
-        comparisons = tuple(
-            Comparison(
-                metric=lap,
-                verdict="insufficient-data",
-                rel_change=None,
-                p_value=None,
-                baseline_n=0,
-                current_n=1,
-                reason="measured under the profiler; tracer overhead is not comparable",
-            )
-            for lap in report["timings_s"]
-        )
-        return BenchCheck(
-            verdict="insufficient-data",
-            comparisons=comparisons,
-            baseline_entries=0,
-            reason=(
-                "report was measured with --profile; profiled laps carry "
-                "deterministic-tracer overhead and never gate"
-            ),
-        )
-    cfg = {"grid": meta.get("grid", {}), "jobs": meta.get("jobs")}
-    cfg_hash = config_hash(cfg)
-    host = fingerprint_hash(report.get("host"))
-    matched = baseline.entries(
-        kind="bench",
-        config_hash=cfg_hash,
-        host_hash=host,
-        last=last,
-        profiled=False,
-    )
-    any_config = baseline.entries(kind="bench", config_hash=cfg_hash, profiled=False)
-    if not matched and any_config:
-        comparisons = tuple(
-            Comparison(
-                metric=lap,
-                verdict="insufficient-data",
-                rel_change=None,
-                p_value=None,
-                baseline_n=0,
-                current_n=1,
-                reason="host fingerprint mismatch",
-            )
-            for lap in report["timings_s"]
-        )
-        return BenchCheck(
-            verdict="insufficient-data",
-            comparisons=comparisons,
-            baseline_entries=0,
-            reason=(
-                f"{len(any_config)} baseline entr{'y' if len(any_config) == 1 else 'ies'} "
-                "exist for this config but none from this host; refusing "
-                "cross-host comparison"
-            ),
-        )
-    comparisons = []
-    for lap, value in report["timings_s"].items():
-        samples = [float(e["laps"][lap]) for e in matched if lap in e.get("laps", {})]
-        if samples and _median(samples) < min_abs_s:
-            comparisons.append(
-                Comparison(
-                    metric=lap,
-                    verdict="no-change",
-                    rel_change=None,
-                    p_value=None,
-                    baseline_n=len(samples),
-                    current_n=1,
-                    reason=(
-                        f"baseline median {_median(samples) * 1e3:.1f}ms is "
-                        f"below the {min_abs_s * 1e3:.0f}ms measurement floor"
-                    ),
-                )
-            )
-            continue
-        comparisons.append(
-            compare_samples(
-                samples,
-                [float(value)],
-                metric=lap,
-                rel_threshold=rel_threshold,
-                alpha=alpha,
-                min_baseline=min_baseline,
-            )
-        )
-    verdict = overall_verdict(comparisons)
-    check = BenchCheck(
-        verdict=verdict,
-        comparisons=tuple(comparisons),
-        baseline_entries=len(matched),
-        reason="" if matched else "no matched baseline entries",
-    )
-    if verdict == "regressed":
-        worst = max(
-            (c for c in comparisons if c.verdict == "regressed"),
-            key=lambda c: c.rel_change or 0.0,
-        )
-        _events.instant(
-            "regression.detected",
-            metric=worst.metric,
-            rel_change=round(worst.rel_change or 0.0, 4),
-            baseline_n=worst.baseline_n,
-        )
-    return check
-
-
-# ----------------------------------------------------------------------
-# anomaly detectors
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Anomaly:
@@ -599,92 +243,6 @@ def detect_anomalies(
     return findings
 
 
-#: A hot function's share of total profiled time moving by more than
-#: this many percentage points against matched history is drift worth
-#: flagging (5pp absorbs tracer jitter; a real hot-path regression —
-#: a new O(n^2) loop, a lost cache — moves double digits).
-HOT_PATH_DRIFT_PP = 5.0
-
-
-def detect_hot_path_drift(
-    hot_functions: Sequence[Mapping[str, Any]],
-    baseline_shares: Sequence[Mapping[str, float]],
-    *,
-    drift_pp: float = HOT_PATH_DRIFT_PP,
-    min_samples: int = MIN_BASELINE_SAMPLES,
-    emit: bool = True,
-) -> list[Anomaly]:
-    """Flag hot functions whose time share drifted against history.
-
-    Parameters
-    ----------
-    hot_functions:
-        The current profile's top-N table (rows with ``function`` and
-        ``share``, as produced by :func:`repro.obs.profiler.hot_functions`
-        and recorded into history by ``repro bench --profile``).
-    baseline_shares:
-        One ``{function: share}`` map per matched historical profile —
-        :meth:`repro.obs.history.HistoryStore.hot_function_shares`
-        applies the same config-hash + host-fingerprint matching rules
-        as the wall-clock gate, so call it with those filters.
-    drift_pp:
-        Flag when ``|current - median(baseline)|`` exceeds this many
-        percentage points.  A function absent from a baseline sample
-        counts as 0% there (new hot paths are drift too).
-    min_samples:
-        Fewer matched baseline profiles than this yields no findings —
-        the detector stays neutral rather than guessing.
-
-    Findings are advisory (``severity="warning"``): profiled laps never
-    drive the exit-code gate, drift tells you *where* to look when the
-    unprofiled gate says something got slower.
-    """
-    if len(baseline_shares) < min_samples:
-        return []
-    findings: list[Anomaly] = []
-    for row in hot_functions:
-        function = str(row.get("function", ""))
-        if not function:
-            continue
-        current = float(row.get("share", 0.0))
-        history = sorted(float(s.get(function, 0.0)) for s in baseline_shares)
-        base = _median(history)
-        delta_pp = (current - base) * 100.0
-        if abs(delta_pp) > drift_pp:
-            direction = "grew" if delta_pp > 0 else "shrank"
-            findings.append(
-                Anomaly(
-                    name="hot-path-drift",
-                    severity="warning",
-                    message=(
-                        f"{function} {direction} from {base:.1%} to "
-                        f"{current:.1%} of profiled time "
-                        f"({delta_pp:+.1f}pp, threshold "
-                        f"±{drift_pp:.1f}pp over "
-                        f"{len(baseline_shares)} matched profiles)"
-                    ),
-                    value=delta_pp,
-                    threshold=drift_pp,
-                    context={
-                        "function": function,
-                        "current_share": current,
-                        "baseline_median": base,
-                        "samples": len(baseline_shares),
-                    },
-                )
-            )
-    if emit:
-        for finding in findings:
-            _events.instant(
-                "anomaly.hot-path-drift",
-                severity=finding.severity,
-                value=round(finding.value, 3),
-                threshold=finding.threshold,
-                message=finding.message,
-            )
-    return findings
-
-
 def detect_report_anomalies(report: Mapping[str, Any], **kwargs: Any) -> list[Anomaly]:
     """Run the detectors over a RunReport dict (as stored by sweeps)."""
     return detect_anomalies(
@@ -768,8 +326,8 @@ CRITPATH_SOLVER_SHARE_THRESHOLD = 0.25
 
 #: A critical-path category share moving by more than this many
 #: percentage points against matched history is drift worth flagging
-#: (same rationale as HOT_PATH_DRIFT_PP: jitter stays in single
-#: digits, structural shifts — a new barrier, a lost overlap — don't).
+#: (jitter stays in single digits, structural shifts — a new barrier, a
+#: lost overlap — don't).
 CRITPATH_DRIFT_PP = 5.0
 
 
@@ -797,12 +355,11 @@ def detect_critpath_anomalies(
     When ``baseline_shares`` carries at least ``min_samples`` prior
     ``{category: share}`` maps, every category whose share moved more
     than ``drift_pp`` percentage points off the baseline median is
-    flagged as ``critpath.drift`` — the same neutral-below-min-samples,
-    median-compare contract as :func:`detect_hot_path_drift`.
+    flagged as ``critpath.drift``; below ``min_samples`` the drift check
+    stays neutral.
 
     Findings are advisory (``severity="warning"``): attribution tells
-    you *where* the makespan went, the wall-clock gate decides whether
-    that is a regression.
+    you *where* the makespan went, not whether that is a regression.
     """
     findings: list[Anomaly] = []
     makespan = float(analysis.get("makespan", 0.0))

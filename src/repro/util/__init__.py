@@ -1,5 +1,5 @@
-"""Small shared utilities: validation, statistics, ASCII tables, logging,
-wall-clock timing."""
+"""Small shared utilities: validation, statistics, ASCII tables, Gantt
+charts, logging."""
 
 from repro.util.validation import (
     check_finite,
@@ -12,7 +12,6 @@ from repro.util.stats import RunningStats, mean_std, relative_error, summarize
 from repro.util.tables import format_table, format_series
 from repro.util.gantt import render_gantt
 from repro.util.logging import get_logger
-from repro.util.timing import Stopwatch, perf_report
 
 __all__ = [
     "check_finite",
@@ -28,6 +27,4 @@ __all__ = [
     "format_series",
     "render_gantt",
     "get_logger",
-    "Stopwatch",
-    "perf_report",
 ]

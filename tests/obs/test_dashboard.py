@@ -11,14 +11,12 @@ from repro.obs.dashboard import (
     render_dashboard,
     write_dashboard,
 )
-from repro.obs.history import HistoryStore, bench_entry
 from repro.obs.regress import Anomaly
 from repro.sim.trace import ExecutionTrace, TaskRecord
 from repro.solver.diagnostics import ConvergenceReport
 
 SECTIONS = (
     "Policy comparison",
-    "Benchmark trend",
     "Solver convergence",
     "Execution timeline",
     "Critical path",
@@ -124,23 +122,6 @@ class TestRenderDashboard:
         assert "#2a78d6" in html  # light series-1
         assert "#3987e5" in html  # dark series-1 step
 
-    def test_trend_section_with_entries(self):
-        entries = [
-            bench_entry({
-                "timings_s": {"serial": 1.0 + 0.01 * i, "parallel": 0.5},
-                "host": {"platform": "t", "python": "3", "cpu_count": 1},
-                "meta": {"grid": {}, "jobs": 1},
-            })
-            for i in range(3)
-        ]
-        html = render_dashboard(make_data(bench_trend=entries))
-        assert "3 recorded" in html
-        assert "history entry" in html
-
-    def test_trend_section_empty_placeholder(self):
-        html = render_dashboard(make_data(bench_trend=[]))
-        assert "no history yet" in html
-
     def test_convergence_tiles(self):
         html = render_dashboard(make_data())
         assert "interior-point iteration" in html
@@ -196,22 +177,15 @@ class TestWriteDashboard:
 
 
 class TestCollectDashboardData:
-    def test_collects_every_section_input(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry({
-            "timings_s": {"serial": 1.0},
-            "meta": {"grid": {}, "jobs": 1},
-        }))
+    def test_collects_every_section_input(self):
         data = collect_dashboard_data(
-            app="matmul", size=2048, machines=1, replications=1,
-            jobs=1, history=store,
+            app="matmul", size=2048, machines=1, replications=1, jobs=1,
         )
         assert data.point is not None and "plb-hec" in data.point.outcomes
         assert data.trace is not None and data.trace.makespan > 0
         assert data.critpath and data.critpath["path"]
         assert data.convergence is not None and data.convergence.iterations > 0
         assert data.convergence_history
-        assert len(data.bench_trend) == 1
         assert data.config["size"] == 2048
         html = render_dashboard(data)
         for section in SECTIONS:
@@ -257,10 +231,9 @@ class TestProfileSection:
         assert "<img" not in html
         assert "url(" not in html
 
-    def test_collect_populates_profile(self, tmp_path):
+    def test_collect_populates_profile(self):
         data = collect_dashboard_data(
-            app="matmul", size=2048, machines=1, replications=1,
-            jobs=1, history=HistoryStore(tmp_path),
+            app="matmul", size=2048, machines=1, replications=1, jobs=1,
         )
         assert data.profile.get("phases")
         from repro.obs.profiler import phase_breakdown

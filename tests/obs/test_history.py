@@ -9,7 +9,6 @@ from repro.obs.history import (
     DEFAULT_HISTORY_DIR,
     HISTORY_SCHEMA,
     HistoryStore,
-    bench_entry,
     chaos_entry,
     fingerprint_hash,
     git_rev,
@@ -19,25 +18,12 @@ from repro.obs.history import (
 )
 
 
-def make_bench_report(laps=None, jobs=2):
-    return {
-        "timings_s": dict(laps or {"serial": 1.0, "parallel": 0.5}),
-        "host": {"platform": "test-os", "python": "3.12.0", "cpu_count": 8},
-        "meta": {
-            "grid": {"app": "matmul", "sizes": [4096]},
-            "jobs": jobs,
-            "parallel_speedup": 2.0,
-            "effective_jobs": jobs,
-        },
-    }
-
-
-def make_run_report():
+def make_run_report(makespan=1.25, config_hash="f" * 64):
     return {
         "run_id": "run-abc",
         "config": {"app": "matmul", "size": 4096, "policy": "plb-hec"},
-        "config_hash": "f" * 64,
-        "makespan": 1.25,
+        "config_hash": config_hash,
+        "makespan": makespan,
         "solver_overhead_s": 0.01,
         "rebalances": 2,
     }
@@ -89,26 +75,25 @@ class TestFingerprint:
 
 
 class TestValidateEntry:
-    def test_valid_bench_entry(self):
-        entry = bench_entry(make_bench_report())
-        assert validate_entry(entry) == []
+    def test_schema_version_is_four(self):
+        # 2: profiled flag (bench kind, since retired), 3: chaos kind,
+        # 4: calibration kind
+        assert HISTORY_SCHEMA == 4
 
     def test_valid_run_entry(self):
         entry = run_entry(make_run_report())
         assert validate_entry(entry) == []
 
     def test_missing_keys_reported(self):
-        problems = validate_entry({"kind": "bench"})
+        problems = validate_entry({"kind": "run"})
         assert any("config_hash" in p for p in problems)
 
     def test_unknown_kind(self):
-        entry = bench_entry(make_bench_report())
+        entry = run_entry(make_run_report())
         entry["kind"] = "mystery"
         assert any("unknown kind" in p for p in validate_entry(entry))
-
-    def test_negative_lap_rejected(self):
-        entry = bench_entry(make_bench_report(laps={"serial": -1.0}))
-        assert any("non-negative" in p for p in validate_entry(entry))
+        entry["kind"] = "bench"  # retired: kind alone says what an entry is
+        assert any("unknown kind" in p for p in validate_entry(entry))
 
     def test_run_entry_needs_makespan(self):
         entry = run_entry(make_run_report())
@@ -118,18 +103,12 @@ class TestValidateEntry:
 
 
 class TestEntryBuilders:
-    def test_bench_entry_carries_schema_and_host(self):
-        entry = bench_entry(make_bench_report())
+    def test_run_entry_carries_schema_and_host(self):
+        entry = run_entry(make_run_report())
         assert entry["schema"] == HISTORY_SCHEMA
-        assert entry["kind"] == "bench"
-        assert entry["host"]["platform"] == "test-os"
+        assert entry["kind"] == "run"
+        assert entry["host"] == host_fingerprint()
         assert entry["host_hash"] == fingerprint_hash(entry["host"])
-        assert entry["laps"] == {"serial": 1.0, "parallel": 0.5}
-
-    def test_bench_config_hash_covers_jobs(self):
-        one = bench_entry(make_bench_report(jobs=1))
-        four = bench_entry(make_bench_report(jobs=4))
-        assert one["config_hash"] != four["config_hash"]
 
     def test_run_entry_samples(self):
         entry = run_entry(make_run_report(), wall_s=0.8)
@@ -141,7 +120,7 @@ class TestEntryBuilders:
         entry = chaos_entry(make_scorecard())
         assert validate_entry(entry) == []
         assert entry["kind"] == "chaos"
-        assert entry["chaos"] is True
+        assert "chaos" not in entry  # kind is the one marker
         assert entry["summary"]["survival_rate"] == 7 / 8
         assert entry["summary"]["all_invariants_ok"] is True
         assert entry["summary"]["policies"]["plb-hec"]["violations"] == 0
@@ -168,89 +147,73 @@ class TestHistoryStore:
 
     def test_append_and_read_back(self, tmp_path):
         store = HistoryStore(tmp_path)
-        stored = store.append(bench_entry(make_bench_report()))
+        stored = store.append(run_entry(make_run_report()))
         assert stored["schema"] == HISTORY_SCHEMA
         entries = store.entries()
         assert len(entries) == 1
-        assert entries[0]["laps"]["serial"] == 1.0
+        assert entries[0]["samples"]["makespan"] == 1.25
 
     def test_append_is_append_only(self, tmp_path):
         store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report()))
-        store.append(bench_entry(make_bench_report()))
+        store.append(run_entry(make_run_report()))
+        store.append(run_entry(make_run_report()))
         assert len(store.path.read_text().splitlines()) == 2
 
     def test_append_rejects_malformed(self, tmp_path):
         store = HistoryStore(tmp_path)
         with pytest.raises(ConfigurationError):
-            store.append({"kind": "bench", "config_hash": "x", "laps": {}})
+            store.append({"kind": "run", "config_hash": "x", "samples": {}})
 
     def test_entries_filter_by_kind_and_config(self, tmp_path):
         store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report(jobs=1)))
-        store.append(bench_entry(make_bench_report(jobs=2)))
-        store.append(run_entry(make_run_report()))
-        assert len(store.entries(kind="bench")) == 2
-        assert len(store.entries(kind="run")) == 1
-        target = bench_entry(make_bench_report(jobs=1))["config_hash"]
-        assert len(store.entries(config_hash=target)) == 1
+        store.append(run_entry(make_run_report(config_hash="a" * 64)))
+        store.append(run_entry(make_run_report(config_hash="b" * 64)))
+        store.append(chaos_entry(make_scorecard()))
+        assert len(store.entries(kind="run")) == 2
+        assert len(store.entries(kind="chaos")) == 1
+        assert len(store.entries(config_hash="a" * 64)) == 1
 
     def test_entries_filter_by_host(self, tmp_path):
         store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report()))
-        other = bench_entry(make_bench_report())
+        store.append(run_entry(make_run_report()))
+        other = run_entry(make_run_report())
         other["host"] = {"platform": "other", "python": "3.11", "cpu_count": 2}
         other["host_hash"] = fingerprint_hash(other["host"])
         store.append(other)
-        here = fingerprint_hash({"platform": "test-os", "python": "3.12.0", "cpu_count": 8})
-        assert len(store.entries(host_hash=here)) == 1
+        assert len(store.entries(host_hash=fingerprint_hash())) == 1
+        assert len(store.entries(host_hash=other["host_hash"])) == 1
 
     def test_entries_last_n(self, tmp_path):
         store = HistoryStore(tmp_path)
         for i in range(5):
-            store.append(bench_entry(make_bench_report(laps={"serial": float(i + 1)})))
-        tail = store.entries(last=2)
-        assert [e["laps"]["serial"] for e in tail] == [4.0, 5.0]
+            store.append(run_entry(make_run_report(makespan=float(i + 1))))
+
+        def makespans(last):
+            return [e["samples"]["makespan"] for e in store.entries(last=last)]
+
+        assert makespans(2) == [4.0, 5.0]
+        assert makespans(1) == [5.0]
+        assert makespans(0) == []
+        assert makespans(9) == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert makespans(None) == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_entries_negative_last_rejected(self, tmp_path):
+        store = HistoryStore(tmp_path)
+        store.append(run_entry(make_run_report()))
+        with pytest.raises(ConfigurationError, match="last"):
+            store.entries(last=-1)
 
     def test_corrupt_lines_skipped(self, tmp_path):
         store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report()))
+        store.append(run_entry(make_run_report()))
         with store.path.open("a") as fh:
             fh.write("{not json\n")
             fh.write(json.dumps([1, 2, 3]) + "\n")
-        store.append(bench_entry(make_bench_report()))
+        store.append(run_entry(make_run_report()))
         assert len(store.entries()) == 2
 
     def test_missing_file_is_empty(self, tmp_path):
         assert HistoryStore(tmp_path / "nowhere").entries() == []
-
-    def test_lap_samples(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        for value in (1.0, 1.1, 1.2):
-            store.append(bench_entry(make_bench_report(laps={"serial": value})))
-        assert store.lap_samples("serial") == [1.0, 1.1, 1.2]
-        assert store.lap_samples("missing") == []
-
-    def test_makespan_samples(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        entry = run_entry(make_run_report())
-        store.append(entry)
-        assert store.makespan_samples(entry["config_hash"]) == [1.25]
-
-    def test_survival_samples(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        entry = store.append(chaos_entry(make_scorecard(survived=6)))
-        store.append(chaos_entry(make_scorecard(survived=8)))
-        assert store.survival_samples(entry["config_hash"]) == [0.75, 1.0]
-
-    def test_chaos_entries_never_feed_the_perf_gate(self, tmp_path):
-        """Campaign laps are kind='chaos'; the gate pools kind='bench'."""
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report(laps={"serial": 1.0})))
-        store.append(chaos_entry(make_scorecard()))
-        assert store.lap_samples("serial") == [1.0]
-        assert len(store.entries(kind="bench")) == 1
-        assert len(store.entries(kind="chaos")) == 1
 
 
 class TestFromEnv:
@@ -272,89 +235,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_HISTORY", str(tmp_path / "h"))
         store = HistoryStore.from_env()
         assert store.root == tmp_path / "h"
-
-
-def make_profiled_report(shares=(0.3, 0.2), jobs=2):
-    report = make_bench_report(jobs=jobs)
-    report["meta"]["profiled"] = True
-    report["meta"]["hot_functions"] = [
-        {"function": f"mod.func{i}", "calls": 10, "self_s": s,
-         "cum_s": s, "share": s, "phase": "fit"}
-        for i, s in enumerate(shares)
-    ]
-    return report
-
-
-class TestProfiledEntries:
-    """Schema 2: the profiled flag + hot-function table."""
-
-    def test_schema_version_is_four(self):
-        # 2: profiled flag, 3: chaos kind, 4: calibration kind
-        assert HISTORY_SCHEMA == 4
-
-    def test_unprofiled_entry_has_false_flag(self):
-        entry = bench_entry(make_bench_report())
-        assert entry["profiled"] is False
-        assert "hot_functions" not in entry
-
-    def test_profiled_entry_round_trips(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_profiled_report()))
-        (entry,) = store.entries()
-        assert entry["profiled"] is True
-        assert entry["hot_functions"][0]["function"] == "mod.func0"
-
-    def test_schema1_lines_read_as_unprofiled(self, tmp_path):
-        # A pre-profiler entry (schema 1, no profiled key) must still
-        # load, and count as unprofiled for filtering.
-        store = HistoryStore(tmp_path)
-        legacy = bench_entry(make_bench_report())
-        legacy["schema"] = 1
-        del legacy["profiled"]
-        store.path.parent.mkdir(parents=True, exist_ok=True)
-        store.path.write_text(json.dumps(legacy) + "\n")
-        entries = store.entries(profiled=False)
-        assert len(entries) == 1
-        assert store.entries(profiled=True) == []
-        assert store.lap_samples("serial", profiled=False) == [1.0]
-
-    def test_entries_profiled_filter(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report()))
-        store.append(bench_entry(make_profiled_report()))
-        assert len(store.entries()) == 2
-        assert len(store.entries(profiled=False)) == 1
-        assert len(store.entries(profiled=True)) == 1
-
-    def test_validate_rejects_bad_profiled_type(self):
-        entry = bench_entry(make_bench_report())
-        entry["profiled"] = "yes"
-        assert any("boolean" in p for p in validate_entry(entry))
-
-    def test_validate_rejects_bad_hot_functions(self):
-        entry = bench_entry(make_profiled_report())
-        entry["hot_functions"] = [{"no_function_key": 1}]
-        assert any("hot_functions" in p for p in validate_entry(entry))
-        entry["hot_functions"] = "lots"
-        assert any("must be a list" in p for p in validate_entry(entry))
-
-    def test_hot_function_shares(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report()))  # unprofiled: skipped
-        store.append(bench_entry(make_profiled_report(shares=(0.3, 0.2))))
-        store.append(bench_entry(make_profiled_report(shares=(0.4, 0.1))))
-        shares = store.hot_function_shares()
-        assert shares == [
-            {"mod.func0": 0.3, "mod.func1": 0.2},
-            {"mod.func0": 0.4, "mod.func1": 0.1},
-        ]
-
-    def test_hot_function_shares_respects_filters(self, tmp_path):
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_profiled_report(jobs=1)))
-        store.append(bench_entry(make_profiled_report(jobs=2)))
-        target = bench_entry(make_profiled_report(jobs=1))["config_hash"]
-        assert len(store.hot_function_shares(config_hash=target)) == 1
 
 
 def make_ledger_dict(mape=0.05):
@@ -385,7 +265,7 @@ class TestCalibrationEntries:
         entry = calibration_entry(make_run_report(), make_ledger_dict())
         assert validate_entry(entry) == []
         assert entry["kind"] == "calibration"
-        assert entry["calibration"] is True
+        assert "calibration" not in entry  # kind is the one marker
         assert entry["schema"] == HISTORY_SCHEMA
         assert entry["devices"]["A.gpu0"]["mape"] == 0.05
         assert entry["devices"]["A.gpu0"]["blocks"] == 9
@@ -393,7 +273,7 @@ class TestCalibrationEntries:
         assert entry["summary"]["attributed"] == 11
         assert entry["summary"]["fallback_stages"] == {"last-good": 1}
 
-    def test_config_hash_excludes_calibration_marker(self):
+    def test_config_hash_matches_run_entry(self):
         """Same config ⇒ same hash as the run entry: the kinds join."""
         from repro.obs.history import calibration_entry
 
@@ -414,16 +294,6 @@ class TestCalibrationEntries:
         entry = calibration_entry(make_run_report(), make_ledger_dict())
         entry["devices"] = {}
         assert validate_entry(entry)
-
-    def test_calibration_entries_never_feed_the_perf_gate(self, tmp_path):
-        from repro.obs.history import calibration_entry
-
-        store = HistoryStore(tmp_path)
-        store.append(bench_entry(make_bench_report(laps={"serial": 1.0})))
-        store.append(calibration_entry(make_run_report(), make_ledger_dict()))
-        assert store.lap_samples("serial") == [1.0]
-        assert len(store.entries(kind="bench")) == 1
-        assert len(store.entries(kind="calibration")) == 1
 
     def test_fallback_stages_counted_from_list(self):
         from repro.obs.history import calibration_entry

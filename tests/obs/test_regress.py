@@ -1,209 +1,14 @@
-"""Tests for repro.obs.regress (the statistical perf-regression gate).
-
-The verdict matrix the satellite task asks for — each synthetic
-trajectory maps to a documented verdict and exit code:
-
-==========================  ==================  =========
-trajectory                  verdict             exit code
-==========================  ==================  =========
-clear regression (2x)       regressed           2
-clear improvement (2x)      improved            0
-pure noise                  no-change           0
-insufficient samples        insufficient-data   0
-mismatched host             insufficient-data   0
-==========================  ==================  =========
-"""
+"""Tests for repro.obs.regress (the built-in anomaly detectors)."""
 
 import logging
 
 import pytest
 
-from repro.obs.history import HistoryStore, bench_entry, fingerprint_hash
 from repro.obs.regress import (
-    EXIT_CODES,
-    VERDICTS,
     Anomaly,
-    BenchCheck,
-    check_bench_report,
-    compare_samples,
     detect_anomalies,
     detect_report_anomalies,
-    mann_whitney_u,
-    overall_verdict,
 )
-
-
-def report_with(laps, host=None, jobs=2):
-    return {
-        "timings_s": dict(laps),
-        "host": host or {"platform": "host-a", "python": "3.12.0", "cpu_count": 8},
-        "meta": {"grid": {"app": "matmul", "sizes": [4096]}, "jobs": jobs},
-    }
-
-
-def seeded_store(tmp_path, lap_values, host=None):
-    """A store holding one bench entry per value in ``lap_values``."""
-    store = HistoryStore(tmp_path / "hist")
-    for value in lap_values:
-        store.append(bench_entry(report_with({"serial": value}, host=host)))
-    return store
-
-
-class TestMannWhitney:
-    def test_identical_samples_not_significant(self):
-        _, p = mann_whitney_u([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0])
-        assert p == 1.0
-
-    def test_separated_samples_significant(self):
-        a = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0]
-        b = [2.0, 2.01, 1.99, 2.02, 1.98, 2.0]
-        _, p = mann_whitney_u(a, b)
-        assert p < 0.01
-
-    def test_symmetry(self):
-        a, b = [1.0, 1.1, 1.2, 1.3], [1.4, 1.5, 1.6, 1.7]
-        _, p_ab = mann_whitney_u(a, b)
-        _, p_ba = mann_whitney_u(b, a)
-        assert p_ab == pytest.approx(p_ba)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mann_whitney_u([], [1.0])
-
-
-class TestCompareSamples:
-    def test_clear_regression(self):
-        c = compare_samples([1.0, 1.02, 0.98], [2.0], metric="serial")
-        assert c.verdict == "regressed"
-        assert c.rel_change == pytest.approx(1.0, abs=0.05)
-
-    def test_clear_improvement(self):
-        c = compare_samples([2.0, 2.02, 1.98], [1.0])
-        assert c.verdict == "improved"
-
-    def test_pure_noise_within_spread(self):
-        c = compare_samples([1.0, 1.1, 0.9], [1.05])
-        assert c.verdict == "no-change"
-
-    def test_insufficient_baseline(self):
-        c = compare_samples([1.0], [2.0])
-        assert c.verdict == "insufficient-data"
-
-    def test_no_current_samples(self):
-        c = compare_samples([1.0, 1.1], [])
-        assert c.verdict == "insufficient-data"
-
-    def test_nonpositive_baseline(self):
-        c = compare_samples([0.0, 0.0], [1.0])
-        assert c.verdict == "insufficient-data"
-
-    def test_mann_whitney_path_used_with_enough_samples(self):
-        base = [1.0, 1.01, 0.99, 1.02, 0.98]
-        cur = [1.6, 1.61, 1.59, 1.62]
-        c = compare_samples(base, cur)
-        assert c.p_value is not None
-        assert c.verdict == "regressed"
-
-    def test_small_shift_with_enough_samples_not_practical(self):
-        # Statistically significant but below the practical threshold.
-        base = [1.0, 1.001, 0.999, 1.002, 0.998]
-        cur = [1.05, 1.051, 1.049, 1.052]
-        c = compare_samples(base, cur, rel_threshold=0.30)
-        assert c.verdict == "no-change"
-
-    def test_noisy_baseline_guards_threshold_rule(self):
-        # 40% shift, but the two baseline points are 50% apart: the
-        # 1.5x-spread guard must refuse to call it.
-        c = compare_samples([1.0, 1.5], [1.7], rel_threshold=0.30)
-        assert c.verdict == "no-change"
-
-
-class TestOverallVerdict:
-    def test_regression_wins(self):
-        cs = [
-            compare_samples([1.0, 1.0], [1.0]),
-            compare_samples([1.0, 1.0], [3.0]),
-        ]
-        assert overall_verdict(cs) == "regressed"
-
-    def test_empty_is_insufficient(self):
-        assert overall_verdict([]) == "insufficient-data"
-
-    def test_exit_codes_documented_for_every_verdict(self):
-        assert set(EXIT_CODES) == set(VERDICTS)
-        assert EXIT_CODES["regressed"] != 0
-        assert EXIT_CODES["improved"] == 0
-        assert EXIT_CODES["no-change"] == 0
-        assert EXIT_CODES["insufficient-data"] == 0
-
-
-class TestCheckBenchReport:
-    def test_clear_regression_exits_nonzero(self, tmp_path):
-        store = seeded_store(tmp_path, [1.0, 1.02, 0.98])
-        check = check_bench_report(report_with({"serial": 2.0}), store)
-        assert check.verdict == "regressed"
-        assert check.exit_code == 2
-
-    def test_clear_improvement_exits_zero(self, tmp_path):
-        store = seeded_store(tmp_path, [2.0, 2.02, 1.98])
-        check = check_bench_report(report_with({"serial": 0.8}), store)
-        assert check.verdict == "improved"
-        assert check.exit_code == 0
-
-    def test_pure_noise_is_no_change(self, tmp_path):
-        store = seeded_store(tmp_path, [1.0, 1.1, 0.9])
-        check = check_bench_report(report_with({"serial": 1.05}), store)
-        assert check.verdict == "no-change"
-        assert check.exit_code == 0
-
-    def test_insufficient_samples(self, tmp_path):
-        store = seeded_store(tmp_path, [1.0])
-        check = check_bench_report(report_with({"serial": 9.0}), store)
-        assert check.verdict == "insufficient-data"
-        assert check.exit_code == 0
-
-    def test_empty_store_is_insufficient(self, tmp_path):
-        store = HistoryStore(tmp_path / "empty")
-        check = check_bench_report(report_with({"serial": 1.0}), store)
-        assert check.verdict == "insufficient-data"
-        assert check.exit_code == 0
-
-    def test_mismatched_host_refuses_comparison(self, tmp_path):
-        other_host = {"platform": "host-b", "python": "3.11.0", "cpu_count": 2}
-        store = seeded_store(tmp_path, [1.0, 1.0, 1.0], host=other_host)
-        check = check_bench_report(report_with({"serial": 9.0}), store)
-        assert check.verdict == "insufficient-data"
-        assert check.exit_code == 0
-        assert "cross-host" in check.reason
-        assert all(c.verdict == "insufficient-data" for c in check.comparisons)
-        assert all("host fingerprint" in c.reason for c in check.comparisons)
-
-    def test_different_jobs_do_not_pool(self, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for value in (1.0, 1.0, 1.0):
-            store.append(bench_entry(report_with({"serial": value}, jobs=8)))
-        check = check_bench_report(report_with({"serial": 9.0}, jobs=1), store)
-        assert check.verdict == "insufficient-data"
-
-    def test_micro_laps_never_gate(self, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for value in (0.002, 0.002):
-            store.append(bench_entry(report_with({"serial": value})))
-        check = check_bench_report(report_with({"serial": 0.02}), store)
-        assert check.verdict == "no-change"
-        assert "measurement floor" in check.comparisons[0].reason
-
-    def test_regression_emits_structured_event(self, tmp_path, caplog):
-        store = seeded_store(tmp_path, [1.0, 1.02, 0.98])
-        with caplog.at_level(logging.WARNING, logger="repro.obs.regress"):
-            check_bench_report(report_with({"serial": 2.0}), store)
-        assert any("regression.detected" in r.getMessage() for r in caplog.records)
-
-    def test_is_benchcheck(self, tmp_path):
-        store = seeded_store(tmp_path, [1.0, 1.0])
-        assert isinstance(
-            check_bench_report(report_with({"serial": 1.0}), store), BenchCheck
-        )
 
 
 class TestAnomalyDetectors:
@@ -261,151 +66,6 @@ class TestAnomalyDetectors:
             emit=False,
         )
         assert findings and isinstance(findings[0], Anomaly)
-
-
-def profiled_report(laps, host=None, hot=None):
-    report = report_with(laps, host=host)
-    report["meta"]["profiled"] = True
-    report["meta"]["hot_functions"] = hot or [
-        {"function": "repro.solver.ipm._solve_impl", "share": 0.30},
-        {"function": "repro.modeling.least_squares.fit_basis_model", "share": 0.25},
-    ]
-    return report
-
-
-class TestProfiledLapExclusion:
-    """Satellite regress test: a profiled lap must never gate."""
-
-    def test_profiled_report_never_gates(self, tmp_path):
-        # A 50x slowdown that would gate hard unprofiled...
-        store = seeded_store(tmp_path, [1.0, 1.02, 0.98])
-        check = check_bench_report(profiled_report({"serial": 50.0}), store)
-        # ...is neutral under the profiler: tracer overhead is not
-        # comparable to unprofiled baselines.
-        assert check.verdict == "insufficient-data"
-        assert check.exit_code == 0
-        assert "--profile" in check.reason
-        assert all(c.verdict == "insufficient-data" for c in check.comparisons)
-        assert all("profiler" in c.reason for c in check.comparisons)
-
-    def test_profiled_baselines_never_used(self, tmp_path):
-        store = HistoryStore(tmp_path / "hist")
-        for value in (1.0, 1.0, 1.0):
-            store.append(bench_entry(profiled_report({"serial": value})))
-        check = check_bench_report(report_with({"serial": 9.0}), store)
-        assert check.verdict == "insufficient-data"
-        assert check.exit_code == 0
-
-    def test_mixed_history_gates_on_unprofiled_only(self, tmp_path):
-        store = seeded_store(tmp_path, [1.0, 1.02, 0.98])
-        # Interleaved profiled entries are slower (tracer overhead); they
-        # must not contaminate the unprofiled baseline.
-        for value in (1.6, 1.7):
-            store.append(bench_entry(profiled_report({"serial": value})))
-        check = check_bench_report(report_with({"serial": 1.01}), store)
-        assert check.verdict == "no-change"
-
-    def test_profiled_share_same_config_hash(self, tmp_path):
-        # The profiled flag is deliberately outside the config hash —
-        # that is what makes the exclusion above observable.
-        plain = bench_entry(report_with({"serial": 1.0}))
-        profiled = bench_entry(profiled_report({"serial": 1.0}))
-        assert plain["config_hash"] == profiled["config_hash"]
-
-
-class TestHotPathDrift:
-    BASELINE = [
-        {"repro.solver.ipm._solve_impl": 0.30, "f.g": 0.10},
-        {"repro.solver.ipm._solve_impl": 0.32, "f.g": 0.11},
-        {"repro.solver.ipm._solve_impl": 0.28, "f.g": 0.09},
-    ]
-
-    def test_matched_history_stays_clean(self):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [
-            {"function": "repro.solver.ipm._solve_impl", "share": 0.31},
-            {"function": "f.g", "share": 0.105},
-        ]
-        assert detect_hot_path_drift(current, self.BASELINE, emit=False) == []
-
-    def test_synthetic_regression_flagged(self):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [{"function": "repro.solver.ipm._solve_impl", "share": 0.55}]
-        findings = detect_hot_path_drift(current, self.BASELINE, emit=False)
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.name == "hot-path-drift"
-        assert f.severity == "warning"
-        assert f.value == pytest.approx(25.0)  # 30% -> 55% = +25pp
-        assert f.context["function"] == "repro.solver.ipm._solve_impl"
-        assert "grew" in f.message
-
-    def test_shrinking_hot_path_also_flagged(self):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [{"function": "repro.solver.ipm._solve_impl", "share": 0.05}]
-        findings = detect_hot_path_drift(current, self.BASELINE, emit=False)
-        assert findings and "shrank" in findings[0].message
-
-    def test_new_hot_function_counts_from_zero(self):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [{"function": "brand.new_hotspot", "share": 0.20}]
-        findings = detect_hot_path_drift(current, self.BASELINE, emit=False)
-        assert findings[0].value == pytest.approx(20.0)
-
-    def test_below_min_samples_stays_neutral(self):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [{"function": "repro.solver.ipm._solve_impl", "share": 0.99}]
-        assert detect_hot_path_drift(current, self.BASELINE[:1], emit=False) == []
-
-    def test_drift_threshold_configurable(self):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [{"function": "repro.solver.ipm._solve_impl", "share": 0.33}]
-        assert detect_hot_path_drift(current, self.BASELINE, emit=False) == []
-        findings = detect_hot_path_drift(
-            current, self.BASELINE, drift_pp=1.0, emit=False
-        )
-        assert len(findings) == 1
-
-    def test_emits_structured_event(self, caplog):
-        from repro.obs.regress import detect_hot_path_drift
-
-        current = [{"function": "repro.solver.ipm._solve_impl", "share": 0.80}]
-        with caplog.at_level(logging.WARNING, logger="repro.obs.regress"):
-            detect_hot_path_drift(current, self.BASELINE)
-        assert any(
-            "anomaly.hot-path-drift" in r.getMessage() for r in caplog.records
-        )
-
-    def test_end_to_end_through_history_store(self, tmp_path):
-        """Acceptance: drift flags a synthetic regression, clean stays clean."""
-        from repro.obs.regress import detect_hot_path_drift
-
-        store = HistoryStore(tmp_path / "hist")
-        for share in (0.30, 0.31, 0.29):
-            store.append(
-                bench_entry(
-                    profiled_report(
-                        {"serial": 1.0},
-                        hot=[{"function": "repro.solver.ipm._solve_impl",
-                              "share": share}],
-                    )
-                )
-            )
-        entry = bench_entry(profiled_report({"serial": 1.0}))
-        shares = store.hot_function_shares(config_hash=entry["config_hash"])
-        assert len(shares) == 3
-        clean = [{"function": "repro.solver.ipm._solve_impl", "share": 0.30}]
-        assert detect_hot_path_drift(clean, shares, emit=False) == []
-        regressed = [{"function": "repro.solver.ipm._solve_impl", "share": 0.60}]
-        findings = detect_hot_path_drift(regressed, shares, emit=False)
-        assert len(findings) == 1
-        assert findings[0].value == pytest.approx(30.0)
 
 
 class TestCalibrationAnomalies:

@@ -1,9 +1,10 @@
 """Executor fuzzing: random policies must never break the invariants.
 
 Hypothesis drives a policy that makes arbitrary (but protocol-legal)
-decisions — random block sizes, random parking — and the simulated
-executor must uphold its contract regardless: exact work conservation,
-causality, no double-booked devices, and termination.
+decisions — random block sizes, random parking — under random fault
+schedules, and the simulated executor must uphold its contract
+regardless: exact work conservation, causality, fault isolation, no
+double-booked devices, and termination.
 """
 
 import numpy as np
@@ -11,8 +12,69 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.resilience.invariants import (
+    check_busy_overlap,
+    check_conservation,
+    check_fault_isolation,
+)
 from repro.runtime.scheduler_api import SchedulingPolicy
-from repro.runtime.sim_executor import DeviceFailure, SimulatedExecutor
+from repro.runtime.sim_executor import (
+    DeviceFailure,
+    Perturbation,
+    SimulatedExecutor,
+    TransferFault,
+    TransientFailure,
+)
+
+#: One drawn fault: (kind, device index, start and length as fractions
+#: of the fault-free makespan, transfer jitter, perturbation factor).
+FAULT_SPECS = st.lists(
+    st.tuples(
+        st.sampled_from(("failure", "transient", "transfer", "perturbation")),
+        st.integers(0, 63),
+        st.floats(0.05, 0.95),
+        st.floats(0.02, 0.5),
+        st.one_of(st.just(0.0), st.floats(0.05, 0.9)),
+        st.floats(0.3, 3.0),
+    ),
+    max_size=6,
+)
+
+
+def fault_schedule(specs, device_ids, survivor, span):
+    """Executor fault kwargs from drawn specs, scaled to ``span``.
+
+    Permanent failures and transfer faults (which escalate to a
+    permanent failure when every retry lands in the window) never hit
+    ``survivor``, so some device always finishes the work.  A device
+    gets at most one transient outage: overlapping windows on one
+    device are not modelled.
+    """
+    killable = [d for d in device_ids if d != survivor]
+    faults = {"failures": [], "transients": [], "transfer_faults": [],
+              "perturbations": []}
+    down = set()
+    for kind, index, start, length, jitter, factor in specs:
+        t = start * span
+        if kind == "failure":
+            device = killable[index % len(killable)]
+            faults["failures"].append(DeviceFailure(device, t))
+        elif kind == "transfer":
+            device = killable[index % len(killable)]
+            faults["transfer_faults"].append(
+                TransferFault(device, t, length * span, jitter=jitter)
+            )
+        elif kind == "transient":
+            device = device_ids[index % len(device_ids)]
+            if device not in down:
+                down.add(device)
+                faults["transients"].append(
+                    TransientFailure(device, t, length * span)
+                )
+        else:
+            device = device_ids[index % len(device_ids)]
+            faults["perturbations"].append(Perturbation(device, t, factor))
+    return {kind: tuple(items) for kind, items in faults.items()}
 
 
 class RandomPolicy(SchedulingPolicy):
@@ -72,30 +134,34 @@ class TestExecutorInvariantsUnderFuzz:
         seed=st.integers(0, 10_000),
         total=st.integers(100, 3000),
         fail_frac=st.floats(0.05, 0.9),
+        survivor=st.integers(1, 63),
+        specs=FAULT_SPECS,
     )
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_invariants_with_failure(self, small_cluster_factory, seed, total, fail_frac):
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_invariants_with_failure(
+        self, small_cluster_factory, seed, total, fail_frac, survivor, specs
+    ):
         cluster = small_cluster_factory()
-        # estimate the undisturbed duration to place the failure inside it
+        device_ids = [d.device_id for d in cluster.devices()]
+        # estimate the undisturbed duration to place the faults inside it
         probe_exec = SimulatedExecutor(cluster, self.kernel(), seed=seed)
         base_trace, base_span = probe_exec.run(RandomPolicy(seed, 0.0, 64), total, 8)
-        executor = SimulatedExecutor(
-            cluster,
-            self.kernel(),
-            seed=seed,
-            failures=(
-                DeviceFailure(
-                    device_id=cluster.devices()[0].device_id,
-                    time=base_span * fail_frac,
-                ),
-            ),
+        faults = fault_schedule(
+            specs,
+            device_ids,
+            device_ids[1:][survivor % (len(device_ids) - 1)],
+            base_span,
         )
+        faults["failures"] += (
+            DeviceFailure(device_id=device_ids[0], time=base_span * fail_frac),
+        )
+        executor = SimulatedExecutor(cluster, self.kernel(), seed=seed, **faults)
         trace, makespan = executor.run(RandomPolicy(seed, 0.0, 64), total, 8)
-        assert trace.total_units() >= total  # lost blocks are replayed
-        for worker in trace.worker_ids:
-            intervals = trace.busy_intervals(worker)
-            for a, b in zip(intervals, intervals[1:]):
-                assert b.start >= a.end - 1e-9
+        # every unit completed exactly once (lost blocks are replayed), no
+        # dispatch to a down device, no worker running two blocks at once
+        assert check_conservation(trace, total) == []
+        assert check_fault_isolation(trace) == []
+        assert check_busy_overlap(trace) == []
 
     @staticmethod
     def kernel():

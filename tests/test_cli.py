@@ -24,12 +24,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--machines", "7"])
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.replications == 2
-        assert args.jobs is None
-        assert args.output == "BENCH_wallclock.json"
-
     def test_jobs_flag_on_sweep_commands(self):
         args = build_parser().parse_args(["fig4", "--jobs", "3"])
         assert args.jobs == 3
@@ -77,6 +71,12 @@ class TestParser:
         assert args.out == "chaos_scorecard.json"
         assert args.quick is False
         assert args.policies is None
+
+    def test_dashboard_defaults(self):
+        args = build_parser().parse_args(["dashboard"])
+        assert args.out == "dashboard.html"
+        assert args.app == "matmul"
+        assert args.replications == 2
 
     def test_dashboard_scorecard_flag(self):
         args = build_parser().parse_args(
@@ -140,16 +140,6 @@ class TestCommands:
         assert main(["overhead", "--repetitions", "3"]) == 0
         assert "solver overhead" in capsys.readouterr().out
 
-    def test_bench(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(
-            ["bench", "--jobs", "1", "--replications", "1",
-             "--output", "out.json"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "parallel_speedup" in out
-        assert (tmp_path / "out.json").exists()
-
     def test_run_gantt(self, capsys):
         assert main(
             ["run", "--app", "matmul", "--size", "4096", "--gantt"]
@@ -212,129 +202,39 @@ class TestCommands:
         assert sorted(names) == ["acosta", "greedy", "hdss", "plb-hec"]
 
 
-def fake_bench_report(serial=1.0):
-    return {
-        "timings_s": {
-            "serial": serial, "parallel": serial / 2,
-            "cache_cold": serial / 2, "cache_warm": 0.001,
-        },
-        "host": {"platform": "test-os", "python": "3.12.0", "cpu_count": 8},
-        "meta": {
-            "grid": {"app": "matmul", "sizes": [4096, 65536]},
-            "jobs": 2,
-            "effective_jobs": 2,
-            "parallel_speedup": 2.0,
-            "warm_over_cold_fraction": 0.01,
-            "parallel_matches_serial": True,
-        },
-    }
+class TestChaosHistory:
+    """``--history`` precedence, through the one command writing history."""
 
+    QUICK = ["chaos", "--quick", "--runs", "1", "--out", "-"]
 
-class TestBenchGateParser:
-    def test_bench_gate_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.check is False
-        assert args.baseline is None
-        assert args.history is None
-        assert args.rel_threshold == 0.50
-
-    def test_bench_gate_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--check", "--baseline", "b.jsonl",
-             "--history", "h", "--rel-threshold", "0.75"]
-        )
-        assert args.check is True
-        assert args.baseline == "b.jsonl"
-        assert args.history == "h"
-        assert args.rel_threshold == 0.75
-
-    def test_dashboard_defaults(self):
-        args = build_parser().parse_args(["dashboard"])
-        assert args.out == "dashboard.html"
-        assert args.app == "matmul"
-        assert args.replications == 2
-        assert args.history is None
-
-
-class TestBenchGateCommand:
-    @pytest.fixture(autouse=True)
-    def fast_bench(self, monkeypatch):
-        import repro.experiments.wallclock as wallclock
-
-        self.reports = [fake_bench_report()]
-        monkeypatch.setattr(
-            wallclock, "run_wallclock_bench",
-            lambda **kwargs: self.reports[-1],
-        )
-
-    def test_bench_appends_history(self, tmp_path, capsys):
+    def test_chaos_appends_history(self, tmp_path, capsys):
         hist = tmp_path / "h" / "history.jsonl"
-        assert main(["bench", "--output", "-", "--history", str(hist)]) == 0
+        assert main([*self.QUICK, "--history", str(hist)]) == 0
         assert "history: appended" in capsys.readouterr().out
         assert len(hist.read_text().splitlines()) == 1
 
-    def test_bench_history_dash_disables(self, tmp_path, monkeypatch, capsys):
+    def test_chaos_history_dash_disables(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--output", "-", "--history", "-"]) == 0
+        monkeypatch.delenv("REPRO_HISTORY", raising=False)
+        assert main([*self.QUICK, "--history", "-"]) == 0
         assert "history:" not in capsys.readouterr().out
         assert not (tmp_path / ".repro_history").exists()
 
-    def test_bench_defaults_to_repro_history_dir(self, tmp_path, monkeypatch):
+    def test_chaos_defaults_to_repro_history_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_HISTORY", raising=False)
-        assert main(["bench", "--output", "-"]) == 0
+        assert main(self.QUICK) == 0
         assert (tmp_path / ".repro_history" / "history.jsonl").exists()
 
-    def test_check_no_change_exits_zero(self, tmp_path, capsys):
-        hist = str(tmp_path / "history.jsonl")
-        assert main(["bench", "--output", "-", "--history", hist]) == 0
-        assert main(["bench", "--output", "-", "--history", hist]) == 0
-        code = main(["bench", "--output", "-", "--history", hist, "--check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no-change" in out
-
-    def test_check_regression_exits_nonzero(self, tmp_path, capsys):
-        hist = str(tmp_path / "history.jsonl")
-        assert main(["bench", "--output", "-", "--history", hist]) == 0
-        assert main(["bench", "--output", "-", "--history", hist]) == 0
-        self.reports.append(fake_bench_report(serial=2.5))  # injected slowdown
-        code = main(["bench", "--output", "-", "--history", hist, "--check"])
-        out = capsys.readouterr().out
-        assert code == 2
-        assert "regressed" in out
-
-    def test_check_without_baseline_is_neutral(self, tmp_path, capsys):
-        hist = str(tmp_path / "history.jsonl")
-        code = main(["bench", "--output", "-", "--history", hist, "--check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "insufficient-data" in out
-
-    def test_check_against_committed_baseline_file(self, tmp_path, capsys):
-        from repro.obs.history import HistoryStore, bench_entry
-
-        baseline = tmp_path / "BASELINE.jsonl"
-        store = HistoryStore(baseline)
-        for _ in range(2):
-            store.append(bench_entry(fake_bench_report()))
-        code = main(
-            ["bench", "--output", "-", "--history", "-",
-             "--check", "--baseline", str(baseline)]
-        )
-        assert code == 0
-        assert "no-change" in capsys.readouterr().out
-
-    def test_speedup_none_printed_gracefully(self, tmp_path, capsys):
-        report = fake_bench_report()
-        report["meta"]["parallel_speedup"] = None
-        report["meta"]["parallel_speedup_reason"] = "no parallelism available"
-        report["meta"]["effective_jobs"] = 1
-        self.reports.append(report)
-        assert main(["bench", "--output", "-", "--history", "-"]) == 0
-        out = capsys.readouterr().out
-        assert "n/a" in out
-        assert "no parallelism available" in out
+    @pytest.mark.parametrize("value", ["0", "off", "false", "no"])
+    def test_chaos_repro_history_off_disables(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_HISTORY", value)
+        assert main(self.QUICK) == 0
+        assert "history:" not in capsys.readouterr().out
+        assert not (tmp_path / ".repro_history").exists()
 
 
 class TestDashboardCommand:
@@ -347,20 +247,9 @@ class TestDashboardCommand:
             lambda **kwargs: make_data(),
         )
         out = tmp_path / "dash.html"
-        assert main(["dashboard", "--out", str(out), "--history", "-"]) == 0
+        assert main(["dashboard", "--out", str(out)]) == 0
         assert "dashboard written" in capsys.readouterr().out
         assert out.read_text().startswith("<!DOCTYPE html>")
-
-
-def fake_profiled_report(serial=1.0, shares=(0.30, 0.20)):
-    report = fake_bench_report(serial=serial)
-    report["meta"]["profiled"] = True
-    report["meta"]["hot_functions"] = [
-        {"function": f"mod.func{i}", "phase": "fit", "calls": 5,
-         "self_s": s, "cum_s": s, "share": s}
-        for i, s in enumerate(shares)
-    ]
-    return report
 
 
 class TestProfileParser:
@@ -385,7 +274,7 @@ class TestProfileParser:
         assert args.trace_out == "t.json"
         assert args.top == 5
 
-    @pytest.mark.parametrize("command", ["run", "compare", "bench"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
     def test_profile_flag_everywhere(self, command):
         assert build_parser().parse_args([command]).profile is False
         assert build_parser().parse_args([command, "--profile"]).profile is True
@@ -441,68 +330,6 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "CPU time by phase" in out
         assert "Top" in out and "hot functions" in out
-
-
-class TestBenchProfileCommand:
-    @pytest.fixture(autouse=True)
-    def fast_bench(self, monkeypatch):
-        import repro.experiments.wallclock as wallclock
-
-        self.reports = [fake_profiled_report()]
-        self.calls = []
-        def fake(**kwargs):
-            self.calls.append(kwargs)
-            return self.reports[-1]
-        monkeypatch.setattr(wallclock, "run_wallclock_bench", fake)
-
-    def test_bench_profile_flag_passed_through(self, capsys):
-        assert main(["bench", "--output", "-", "--history", "-",
-                     "--profile"]) == 0
-        assert self.calls[-1]["profile"] is True
-        assert "Hot functions" in capsys.readouterr().out
-
-    def test_profiled_lap_recorded_and_never_gates(self, tmp_path, capsys):
-        from repro.obs.history import HistoryStore
-
-        hist = str(tmp_path / "history.jsonl")
-        # Two profiled runs seed history; the third would "regress" 10x
-        # but profiled laps never gate.
-        for _ in range(2):
-            assert main(["bench", "--output", "-", "--history", hist,
-                         "--profile"]) == 0
-        self.reports.append(fake_profiled_report(serial=10.0))
-        code = main(["bench", "--output", "-", "--history", hist,
-                     "--profile", "--check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "insufficient-data" in out
-        assert "never gate" in out
-        entries = HistoryStore(hist).entries(kind="bench")
-        assert all(e["profiled"] for e in entries)
-        assert entries[0]["hot_functions"][0]["function"] == "mod.func0"
-
-    def test_drift_advisory_clean(self, tmp_path, capsys):
-        hist = str(tmp_path / "history.jsonl")
-        for _ in range(2):
-            assert main(["bench", "--output", "-", "--history", hist,
-                         "--profile"]) == 0
-        code = main(["bench", "--output", "-", "--history", hist,
-                     "--profile", "--check"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "hot-path drift: none over 2 matched" in out
-
-    def test_drift_advisory_flags_shifted_hot_path(self, tmp_path, capsys):
-        hist = str(tmp_path / "history.jsonl")
-        for _ in range(2):
-            assert main(["bench", "--output", "-", "--history", hist,
-                         "--profile"]) == 0
-        self.reports.append(fake_profiled_report(shares=(0.70, 0.05)))
-        code = main(["bench", "--output", "-", "--history", hist,
-                     "--profile", "--check"])
-        out = capsys.readouterr().out
-        assert code == 0  # advisory: never changes the exit code
-        assert "hot-path drift: mod.func0 grew" in out
 
 
 class TestFaultInjectionCommand:
@@ -845,12 +672,11 @@ class TestExitCodeContract:
             assert meaning in text
 
     def test_table_covers_exit_codes_in_use(self):
-        from repro.cli import EXIT_CODE_TABLE
-        from repro.obs.regress import EXIT_CODES
+        from repro.cli import EXIT_CODE_TABLE, EXIT_GATE_FAILED
 
         codes = {code for code, _, _ in EXIT_CODE_TABLE}
         assert {0, 1, 3} <= codes
-        assert EXIT_CODES["regressed"] in codes
+        assert EXIT_GATE_FAILED in codes
 
 
 class TestWhyParser:

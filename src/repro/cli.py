@@ -126,8 +126,8 @@ Examples
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -157,6 +157,7 @@ from repro.experiments.solver_overhead import run_solver_overhead
 from repro.experiments.table1 import render_table1
 from repro.cluster import GroundTruth, paper_cluster
 from repro.errors import ConfigurationError
+from repro.obs.artifact import check, read_json, write_json, write_text
 from repro.obs.events import new_run_id, push_run_id
 from repro.obs.metrics import get_registry
 from repro.obs.report import RunReport
@@ -176,8 +177,9 @@ EXIT_GATE_FAILED = 2
 #: the two agree).
 EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
     (0, "ok", "command completed and every gate it ran passed"),
-    (1, "error", "usage or data error: bad configuration, missing "
-     "artifact (top without a series), policy without a ledger (explain)"),
+    (1, "error", "usage or data error: bad configuration, missing or "
+     "malformed artifact (top without a series, a non-JSON or invalid file "
+     "read back), policy without a ledger (explain)"),
     (EXIT_GATE_FAILED, "regressed", "a gate failed: run/serve --slo "
      "objective violation, or why --assert-bound breach "
      "(attribution != makespan, bound > makespan, empty path, "
@@ -957,9 +959,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"trace written to {path}")
     if args.metrics_out:
         if args.metrics_format == "prom":
-            Path(args.metrics_out).write_text(
-                get_registry().to_prometheus(), encoding="utf-8"
-            )
+            write_text(args.metrics_out, get_registry().to_prometheus())
         else:
             report = RunReport.build(
                 config=_run_config(args, policy.name),
@@ -970,10 +970,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 metrics=get_registry().snapshot(),
                 run_id=run_id,
             )
-            Path(args.metrics_out).write_text(
-                json.dumps(report.to_dict(), indent=2, sort_keys=True),
-                encoding="utf-8",
-            )
+            write_json(args.metrics_out, report.to_dict())
         print(f"metrics written to {args.metrics_out} ({args.metrics_format})")
     if args.explain_out:
         if result.ledger is None:
@@ -1089,14 +1086,15 @@ def _slo_gate(
 def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
+    from repro.obs.slo import validate_slo_report
     from repro.obs.timeseries import read_series, render_top
 
     def frame() -> str:
         header, store = read_series(args.series)
         slo_report = None
         if args.slo_report:
-            slo_report = json.loads(
-                Path(args.slo_report).read_text(encoding="utf-8")
+            slo_report = read_json(
+                args.slo_report, validate=validate_slo_report, what="SLO report"
             )
         return render_top(
             header, store, width=args.width, slo_report=slo_report
@@ -1320,12 +1318,12 @@ def _cmd_why(args: argparse.Namespace) -> int:
             for d in top
         )
         print(f"decisions on the critical path: {blamed}")
-    problems = validate_critpath(analysis)
-    problems += [f"busy-overlap: {v.message}" for v in overlaps]
+    invalid = validate_critpath(analysis)
+    problems = invalid + [f"busy-overlap: {v.message}" for v in overlaps]
     for problem in problems:
         print(f"why: {problem}", file=sys.stderr)
     if args.out and args.out != "-":
-        if validate_critpath(analysis):
+        if invalid:
             print(
                 f"why: not writing {args.out} (analysis failed validation)",
                 file=sys.stderr,
@@ -1466,9 +1464,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "load at https://speedscope.app or pipe through flamegraph.pl"
         )
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        write_json(args.json_out, snapshot)
         print(f"profile snapshot written to {args.json_out}")
     if args.trace_out:
         doc = trace_to_chrome(
@@ -1504,11 +1500,14 @@ def _resolve_history(flag: str | None):
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import collect_dashboard_data, write_dashboard
+    from repro.resilience.campaign import SCORECARD_SPEC
 
     scorecard = None
     if args.scorecard:
-        scorecard = json.loads(
-            Path(args.scorecard).read_text(encoding="utf-8")
+        scorecard = read_json(
+            args.scorecard,
+            validate=partial(check, spec=SCORECARD_SPEC),
+            what="chaos scorecard",
         )
     data = collect_dashboard_data(
         app=args.app,
@@ -1747,10 +1746,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"-> {'OK' if ok else 'FAIL'}"
     )
     if args.out != "-":
-        Path(args.out).write_text(
-            json.dumps(scorecard, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(args.out, scorecard)
         print(f"scorecard written to {args.out}")
     if args.dashboard:
         from repro.obs.dashboard import chaos_dashboard_data, write_dashboard

@@ -55,6 +55,7 @@ from repro.cluster import paper_cluster
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError
 from repro.experiments.runner import PolicyOutcome, SweepPoint
+from repro.obs.artifact import write_json
 from repro.obs.events import EventLog, push_run_id
 from repro.obs.metrics import diff_snapshots, get_registry, merge_snapshots
 from repro.obs.profiler import merge_profiles, profiling
@@ -538,10 +539,7 @@ class ResultCache:
         """
         path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".json.tmp%d" % os.getpid())
-            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-            tmp.replace(path)
+            write_json(path, payload, "compact")
         except OSError as exc:
             _log.warning("cannot write cache entry %s: %s", path, exc)
 

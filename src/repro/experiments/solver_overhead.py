@@ -20,6 +20,7 @@ from repro.modeling import DeviceModel, PerfProfile
 from repro.sim.random import RandomStreams
 from repro.solver import solve_block_partition
 from repro.util.stats import mean_std
+from repro.util.validation import check_positive_int
 
 __all__ = ["OverheadStats", "fitted_models_for_scenario", "run_solver_overhead"]
 
@@ -77,16 +78,15 @@ def run_solver_overhead(
     **scenario_kwargs,
 ) -> OverheadStats:
     """Time repeated partition solves for the paper's scenario."""
+    check_positive_int("repetitions", repetitions)
     models = fitted_models_for_scenario(**scenario_kwargs)
     size = scenario_kwargs.get("size", 65536)
     q = quantum if quantum is not None else size * 0.9 / 5
     times = []
-    last = None
     for _ in range(repetitions):
         last = solve_block_partition(models, q)
         times.append(last.solve_time_s * 1e3)
     mean, std = mean_std(times)
-    assert last is not None
     return OverheadStats(
         mean_ms=float(mean),
         std_ms=float(std),

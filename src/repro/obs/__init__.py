@@ -37,7 +37,9 @@ The legs every experiment stands on:
   makespan attribution with what-if lower bounds (``repro why``,
   ``critpath.json``);
 * :mod:`repro.obs.dashboard` — the self-contained HTML dashboard
-  (``repro dashboard``).
+  (``repro dashboard``);
+* :mod:`repro.obs.artifact` — how every artifact above is written
+  (atomically), read back (checked) and validated (declarative specs).
 """
 
 from repro.obs.calibration import (

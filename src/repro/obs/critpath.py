@@ -49,11 +49,14 @@ summarised in the dashboard's "Critical path" section.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.obs.artifact import (
+    ANY, FINITE, NON_NEGATIVE, check, list_of, map_of, number, one_of, refuse,
+    write_json,
+)
 from repro.sim.trace import ExecutionTrace, TaskRecord
 
 __all__ = [
@@ -152,6 +155,9 @@ def analyze_trace(
     Returns the ``critpath.json`` document (see module docstring);
     :func:`validate_critpath` checks the shape and the invariants.
     """
+    # k < 1 would put a bound above the makespan; k = 0 divides by zero
+    where = f"speedup_factor {speedup_factor!r}"
+    refuse(check(speedup_factor, number(1), where), "invalid argument")
     makespan = float(trace.makespan)
     eps = 1e-12 * max(1.0, makespan)
     down = _down_windows(trace)
@@ -410,6 +416,21 @@ def payload_from_analysis(analysis: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+_BOUNDS = ("zero_transfer", "zero_scheduler", "perfect_balance")
+_SPEC = {
+    "schema": one_of(CRITPATH_SCHEMA),
+    "makespan": NON_NEGATIVE,
+    # fsum rounding may leave a category a hair below zero
+    "categories": dict.fromkeys(CATEGORIES, number(-ATTRIBUTION_TOLERANCE)),
+    "attributed": FINITE,
+    "path": list_of(ANY),
+    "bounds": {
+        **dict.fromkeys(_BOUNDS, NON_NEGATIVE),
+        "device_speedup": map_of(NON_NEGATIVE),
+    },
+}
+
+
 def validate_critpath(doc: Mapping[str, Any]) -> list[str]:
     """Schema-check an analysis document; returns problems (empty = ok).
 
@@ -417,30 +438,13 @@ def validate_critpath(doc: Mapping[str, Any]) -> list[str]:
     sum to the makespan within :data:`ATTRIBUTION_TOLERANCE`, and every
     what-if bound is at most the observed makespan.
     """
-    problems: list[str] = []
-    for key in ("schema", "makespan", "categories", "attributed", "path", "bounds"):
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
+    problems = check(doc, _SPEC)
     if problems:
         return problems
-    if doc["schema"] != CRITPATH_SCHEMA:
-        problems.append(
-            f"schema {doc['schema']!r} != expected {CRITPATH_SCHEMA}"
-        )
-    makespan = doc["makespan"]
-    if not isinstance(makespan, (int, float)) or makespan < 0:
-        problems.append("makespan must be a non-negative number")
-        return problems
-    cats = doc["categories"]
-    if not isinstance(cats, dict) or set(cats) != set(CATEGORIES):
-        problems.append(
-            f"categories must carry exactly {sorted(CATEGORIES)}"
-        )
-        return problems
-    for cat, value in cats.items():
-        if not isinstance(value, (int, float)) or value < -ATTRIBUTION_TOLERANCE:
-            problems.append(f"category {cat!r} must be a non-negative number")
-    total = math.fsum(float(v) for v in cats.values())
+    makespan, cats, bounds = doc["makespan"], doc["categories"], doc["bounds"]
+    if set(cats) != set(CATEGORIES):
+        problems.append(f"categories must carry exactly {sorted(CATEGORIES)}")
+    total = math.fsum(cats.values())
     if abs(total - makespan) >= ATTRIBUTION_TOLERANCE:
         problems.append(
             f"categories sum to {total!r}, not the makespan {makespan!r} "
@@ -448,29 +452,16 @@ def validate_critpath(doc: Mapping[str, Any]) -> list[str]:
         )
     if makespan > 0 and not doc["path"]:
         problems.append("non-zero makespan but empty critical path")
-    bounds = doc["bounds"]
-    if not isinstance(bounds, dict):
-        problems.append("bounds must be a dict")
-        return problems
-    tol = ATTRIBUTION_TOLERANCE
-    for name in ("zero_transfer", "zero_scheduler", "perfect_balance"):
-        value = bounds.get(name)
-        if not isinstance(value, (int, float)) or value < 0:
-            problems.append(f"bound {name!r} must be a non-negative number")
-        elif value > makespan + tol:
-            problems.append(
-                f"bound {name!r} = {value!r} exceeds the makespan {makespan!r}"
-            )
-    for device, value in dict(bounds.get("device_speedup", {})).items():
-        if not isinstance(value, (int, float)) or value < 0:
-            problems.append(
-                f"device_speedup[{device!r}] must be a non-negative number"
-            )
-        elif value > makespan + tol:
-            problems.append(
-                f"device_speedup[{device!r}] = {value!r} exceeds the "
-                f"makespan {makespan!r}"
-            )
+    limits = [(f"bound {name!r}", bounds[name]) for name in _BOUNDS]
+    limits += [
+        (f"device_speedup[{device!r}]", value)
+        for device, value in bounds["device_speedup"].items()
+    ]
+    problems += [
+        f"{name} = {value!r} exceeds the makespan {makespan!r}"
+        for name, value in limits
+        if value > makespan + ATTRIBUTION_TOLERANCE
+    ]
     return problems
 
 
@@ -479,19 +470,8 @@ def write_critpath(path: str | Path, analysis: Mapping[str, Any]) -> Path:
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         When the analysis fails :func:`validate_critpath` — a broken
         attribution artifact is worse than none.
     """
-    problems = validate_critpath(analysis)
-    if problems:
-        raise ValueError(
-            "refusing to write invalid critpath document: " + "; ".join(problems)
-        )
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(analysis, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp.replace(path)
-    return path
+    return write_json(path, analysis, validate=validate_critpath, what="critpath")

@@ -35,8 +35,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 from xml.sax.saxutils import escape
 
+from repro.obs.artifact import write_text
 from repro.obs.history import git_rev, host_fingerprint
 from repro.obs.ledger import decision_rows
+from repro.obs.metrics import _parse_series_key
 from repro.obs.regress import Anomaly
 
 if TYPE_CHECKING:  # the render stack is imported lazily: repro.obs is
@@ -1108,7 +1110,7 @@ def _section_telemetry(series: Mapping[str, Any], slo: Mapping[str, Any]) -> str
     utils = store.matching("device_util")
     rows = []
     for key in sorted(utils):
-        device = key.split("device=", 1)[-1].rstrip("}")
+        device = _parse_series_key(key)[1].get("device", key)
         values = [v for _, v in utils[key]]
         mean_util = sum(values) / len(values) if values else 0.0
         rows.append(
@@ -1318,9 +1320,4 @@ def render_dashboard(data: DashboardData) -> str:
 
 def write_dashboard(path: str | Path, data: DashboardData) -> Path:
     """Render and atomically write the dashboard file."""
-    target = Path(path)
-    html = render_dashboard(data)
-    tmp = target.with_suffix(target.suffix + ".tmp")
-    tmp.write_text(html, encoding="utf-8")
-    tmp.replace(target)
-    return target
+    return write_text(path, render_dashboard(data))

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import ANY, COUNT, OBJECT, check, map_of, one_of, refuse
 from repro.obs.report import config_hash
 from repro.util.logging import get_logger
 
@@ -62,11 +63,18 @@ HISTORY_SCHEMA = 4
 #: Default store location, relative to the working directory.
 DEFAULT_HISTORY_DIR = ".repro_history"
 
-#: Entry kinds the store understands.
-_KINDS = ("run", "chaos", "calibration")
-
-#: Keys every entry must carry.
-_REQUIRED_KEYS = ("schema", "kind", "recorded_at", "host", "host_hash", "config_hash")
+#: Each entry kind's own fields, and the fields every entry carries.
+_KIND_FIELDS = {
+    "run": {"samples": {"makespan": ANY}},
+    "chaos": {"summary": {"survival_rate": ANY}},
+    "calibration": {"devices": map_of({"mape": ANY}, nonempty=True)},
+}
+_ENTRY = {
+    "schema": COUNT,
+    "kind": one_of(*_KIND_FIELDS),
+    "host": OBJECT,
+    **dict.fromkeys(("recorded_at", "host_hash", "config_hash"), ANY),
+}
 
 
 def host_fingerprint() -> dict[str, Any]:
@@ -106,42 +114,7 @@ def git_rev(cwd: str | os.PathLike[str] | None = None) -> str | None:
 
 def validate_entry(entry: Mapping[str, Any]) -> list[str]:
     """Schema-check one entry; returns a list of problems (empty = ok)."""
-    problems: list[str] = []
-    for key in _REQUIRED_KEYS:
-        if key not in entry:
-            problems.append(f"missing key {key!r}")
-    if problems:
-        return problems
-    if entry["kind"] not in _KINDS:
-        problems.append(f"unknown kind {entry['kind']!r} (expected one of {_KINDS})")
-    if not isinstance(entry["schema"], int):
-        problems.append("schema must be an integer")
-    if not isinstance(entry["host"], dict):
-        problems.append("host must be a fingerprint dict")
-    if entry["kind"] == "run":
-        samples = entry.get("samples")
-        if not isinstance(samples, dict) or "makespan" not in samples:
-            problems.append("run entry needs a 'samples' dict with 'makespan'")
-    if entry["kind"] == "chaos":
-        summary = entry.get("summary")
-        if not isinstance(summary, dict) or "survival_rate" not in summary:
-            problems.append(
-                "chaos entry needs a 'summary' dict with 'survival_rate'"
-            )
-    if entry["kind"] == "calibration":
-        devices = entry.get("devices")
-        if not isinstance(devices, dict) or not devices:
-            problems.append(
-                "calibration entry needs a non-empty 'devices' dict"
-            )
-        else:
-            for device, summary in devices.items():
-                if not isinstance(summary, dict) or "mape" not in summary:
-                    problems.append(
-                        f"calibration device {device!r} needs a dict with 'mape'"
-                    )
-                    break
-    return problems
+    return check(entry, _ENTRY) or check(entry, _KIND_FIELDS[entry["kind"]])
 
 
 def _stamp(entry: dict[str, Any]) -> dict[str, Any]:
@@ -287,11 +260,7 @@ class HistoryStore:
             entry would silently poison every later comparison.
         """
         stored = _stamp(dict(entry))
-        problems = validate_entry(stored)
-        if problems:
-            raise ConfigurationError(
-                "refusing to append malformed history entry: " + "; ".join(problems)
-            )
+        refuse(validate_entry(stored), "refusing to append malformed history entry")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(stored, sort_keys=True, default=str)
         with self.path.open("a", encoding="utf-8") as fh:

@@ -27,14 +27,14 @@ ledgers, and the sweep engine can cache them next to the
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import (
+    COUNT, FINITE, OBJECT, STR, check, list_of, map_of, one_of, read_json, write_json,
+)
 from repro.obs.calibration import DRIFT_ALPHA, DeviceCalibration
 
 __all__ = [
@@ -330,106 +330,65 @@ def write_explain(ledger: "DecisionLedger | dict", path: str) -> int:
     decision (with its observed residuals), then one calibration
     summary line — the same run-id-correlated JSON-lines shape the
     structured event log uses, so the two artifacts join on ``run_id``.
-    The write is atomic (temp file + rename).
+    The write is atomic.
     """
     data = ledger.to_dict() if isinstance(ledger, DecisionLedger) else ledger
+    run_id, decisions = data["run_id"], data["decisions"]
+    keys = ("schema", "attribution", "triggers", "fallback_stages")
+    header = {key: data[key] for key in keys}
     lines = [
-        {
-            "type": "header",
-            "schema": data["schema"],
-            "run_id": data["run_id"],
-            "decisions": len(data["decisions"]),
-            "attribution": data["attribution"],
-            "triggers": data["triggers"],
-            "fallback_stages": data["fallback_stages"],
-        }
+        {"type": "header", "run_id": run_id, "decisions": len(decisions), **header},
+        *({"type": "decision", "run_id": run_id, **d} for d in decisions),
+        {"type": "calibration", "run_id": run_id, "devices": data["calibration"]},
     ]
-    for decision in data["decisions"]:
-        lines.append({"type": "decision", "run_id": data["run_id"], **decision})
-    lines.append(
-        {
-            "type": "calibration",
-            "run_id": data["run_id"],
-            "devices": data["calibration"],
-        }
-    )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_json(path, lines, "jsonl")
     return len(lines)
 
 
-def validate_explain(objs: Sequence[dict]) -> dict:
-    """Validate parsed ``explain.jsonl`` objects; returns a summary view.
+_LINES = list_of(OBJECT, nonempty=True)
+_HEADER = {
+    "type": one_of("header"), "schema": one_of(EXPLAIN_SCHEMA), "decisions": COUNT,
+}
+_DECISION = {
+    "type": one_of("decision"), "id": STR, "trigger": one_of(*TRIGGERS), "t": FINITE,
+    "phase": STR, "allocation": OBJECT, "solver": OBJECT, "observed": map_of(OBJECT),
+}
+_CALIBRATION = {"type": one_of("calibration"), "devices": map_of(OBJECT)}
 
-    Raises
-    ------
-    ConfigurationError
-        On a missing/misplaced header, an unsupported schema, a decision
-        line missing required keys, or a missing calibration line.
+
+def validate_explain(objs: Sequence[Any]) -> list[str]:
+    """Schema-check parsed ``explain.jsonl`` lines; returns problems.
+
+    Line 1 is the header, the last line the calibration summary, and
+    every line between them a decision — as many as the header promises.
     """
-    if not objs or objs[0].get("type") != "header":
-        raise ConfigurationError("explain artifact must start with a header line")
-    header = objs[0]
-    schema = header.get("schema")
-    if schema != EXPLAIN_SCHEMA:
-        raise ConfigurationError(
-            f"unsupported explain schema {schema!r} (expected {EXPLAIN_SCHEMA})"
+    problems = check(objs, _LINES, "explain")
+    if problems:
+        return problems
+    problems = check(objs[0], _HEADER, "line 1")
+    for i, obj in enumerate(objs[1:-1], start=2):
+        problems += check(obj, _DECISION, f"line {i}")
+    if len(objs) < 2:
+        return problems + ["explain artifact has no calibration line"]
+    problems += check(objs[-1], _CALIBRATION, f"line {len(objs)}")
+    if not problems and len(objs) - 2 != objs[0]["decisions"]:
+        problems.append(
+            f"header promises {objs[0]['decisions']} decisions, "
+            f"found {len(objs) - 2}"
         )
-    decisions = []
-    calibration = None
-    required = ("id", "trigger", "t", "phase", "allocation", "solver", "observed")
-    for i, obj in enumerate(objs[1:], start=2):
-        kind = obj.get("type")
-        if kind == "decision":
-            missing = [k for k in required if k not in obj]
-            if missing:
-                raise ConfigurationError(
-                    f"explain line {i}: decision missing keys {missing}"
-                )
-            if obj["trigger"] not in TRIGGERS:
-                raise ConfigurationError(
-                    f"explain line {i}: unknown trigger {obj['trigger']!r}"
-                )
-            decisions.append(obj)
-        elif kind == "calibration":
-            calibration = obj
-        else:
-            raise ConfigurationError(
-                f"explain line {i}: unknown line type {kind!r}"
-            )
-    if calibration is None:
-        raise ConfigurationError("explain artifact has no calibration line")
-    if len(decisions) != header.get("decisions"):
-        raise ConfigurationError(
-            f"header promises {header.get('decisions')} decisions, "
-            f"found {len(decisions)}"
-        )
-    return {
-        "header": header,
-        "decisions": decisions,
-        "calibration": calibration,
-    }
+    return problems
 
 
 def read_explain(path: str) -> dict:
-    """Parse and validate an ``explain.jsonl`` file."""
-    objs: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                objs.append(json.loads(line))
-    return validate_explain(objs)
+    """Parse and validate an ``explain.jsonl`` file into its summary view.
+
+    Returns ``{"header", "decisions", "calibration"}``; raises
+    :class:`ConfigurationError` on a malformed file.
+    """
+    objs = read_json(
+        path, lines=True, validate=validate_explain, what="explain artifact"
+    )
+    return {"header": objs[0], "decisions": objs[1:-1], "calibration": objs[-1]}
 
 
 def decision_rows(data: dict) -> Iterable[dict]:

@@ -70,6 +70,19 @@ def _series_key(name: str, labels: Mapping[str, str] | None) -> str:
     return f"{name}{{{inner}}}"
 
 
+def _parse_series_key(key: str) -> tuple[str, dict[str, str]]:
+    """Invert :func:`_series_key`: ``name{k=v,...}`` -> ``(name, labels)``.
+
+    A label value may contain ``=`` (the first one splits) but not
+    ``,``, which the key format cannot carry.
+    """
+    name, brace, body = key.partition("{")
+    if not brace:
+        return key, {}
+    pairs = (pair.partition("=") for pair in body[:-1].split(","))
+    return name, {k: v for k, sep, v in pairs if sep}
+
+
 class Counter:
     """A monotonically increasing value."""
 
@@ -407,26 +420,13 @@ def _prom_help(family: str, kind: str) -> str:
     return f"# HELP {family} {text}"
 
 
-def _prom_split(key: str) -> tuple[str, list[tuple[str, str]]]:
-    """Split a ``name{k=v,...}`` series key into name and label pairs."""
-    brace = key.find("{")
-    if brace < 0:
-        return key, []
-    name = key[:brace]
-    labels = []
-    body = key[brace + 1 :].rstrip("}")
-    for pair in body.split(","):
-        if "=" in pair:
-            k, v = pair.split("=", 1)
-            labels.append((k, v))
-    return name, labels
-
-
-def _prom_series(key: str, extra: list[tuple[str, str]] | None = None) -> str:
-    """Render one series reference: sanitized name plus label braces."""
-    name, labels = _prom_split(key)
-    labels = labels + (extra or [])
-    rendered = _prom_name(name)
+def _prom_series(
+    key: str, extra: list[tuple[str, str]] | None = None, suffix: str = ""
+) -> str:
+    """Render one series reference: sanitized name (+ suffix) and labels."""
+    name, label_map = _parse_series_key(key)
+    labels = [*label_map.items(), *(extra or [])]
+    rendered = _prom_name(name) + suffix
     if labels:
         body = ",".join(
             f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in labels
@@ -463,7 +463,7 @@ def snapshot_to_prometheus(snapshot: dict) -> str:
     def families(section: dict) -> dict[str, list[str]]:
         by_name: dict[str, list[str]] = {}
         for key in sorted(section):
-            name, _ = _prom_split(key)
+            name, _ = _parse_series_key(key)
             by_name.setdefault(_prom_name(name), []).append(key)
         return by_name
 
@@ -484,22 +484,17 @@ def snapshot_to_prometheus(snapshot: dict) -> str:
         lines.append(f"# TYPE {family} summary")
         for key in keys:
             summ = snapshot["histograms"][key]
-            name, labels = _prom_split(key)
             for stat, quantile in _PROM_QUANTILES:
                 if stat in summ:
                     lines.append(
                         f"{_prom_series(key, [('quantile', quantile)])} "
                         f"{_prom_value(summ[stat])}"
                     )
-            base = _prom_name(name)
-            suffix = ""
-            if labels:
-                body = ",".join(
-                    f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in labels
+            for stat, default in (("sum", 0.0), ("count", 0)):
+                lines.append(
+                    f"{_prom_series(key, suffix='_' + stat)} "
+                    f"{_prom_value(summ.get(stat, default))}"
                 )
-                suffix = "{" + body + "}"
-            lines.append(f"{base}_sum{suffix} {_prom_value(summ.get('sum', 0.0))}")
-            lines.append(f"{base}_count{suffix} {_prom_value(summ.get('count', 0))}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

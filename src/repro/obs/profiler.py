@@ -1,7 +1,7 @@
 """Deterministic phase-attributed CPU profiling (``repro profile``).
 
 The observability layer up to here can say *that* a run got slower
-(metrics, history, the Mann-Whitney gate in :mod:`repro.obs.regress`)
+(metrics, history, the paired perf gate in ``benchmarks/perf_gate.py``)
 but not *where*.  This module closes that gap with a zero-dependency
 profiling subsystem built on :mod:`cProfile`:
 
@@ -21,15 +21,15 @@ profiling subsystem built on :mod:`cProfile`:
   compatible collapsed-stack text), :func:`render_flamegraph_svg`
   (self-contained, dark-mode aware SVG, same conventions as
   :mod:`repro.obs.dashboard`), :func:`hot_functions` (the top-N table
-  recorded into history entries for the hot-path drift detector in
-  :mod:`repro.obs.regress`), and :func:`phase_breakdown`.
+  ``repro profile`` prints and the dashboard shows), and
+  :func:`phase_breakdown`.
 
 Determinism note: ``cProfile`` is a tracing (not sampling) profiler —
 call counts are exact and reproducible for a seeded simulation, which
 is what makes the multiprocess merge testable (serial and parallel
-sweeps must agree on every call count) and the drift detector
-meaningful.  Only the profiler-owning thread is traced; the simulated
-backend is single-threaded, which is the intended target.
+sweeps must agree on every call count).  Only the profiler-owning
+thread is traced; the simulated backend is single-threaded, which is
+the intended target.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import write_text
 
 __all__ = [
     "PROFILE_PHASES",
@@ -365,9 +366,7 @@ def hot_functions(snap: Mapping[str, Any], *, top: int = 10) -> list[dict[str, A
 
     Each row: ``{function, calls, self_s, cum_s, share, phase}`` where
     ``share`` is the function's fraction of total profiled self time and
-    ``phase`` is the phase it spent most of that time in.  This is the
-    table recorded into history entries and consumed by the hot-path
-    drift detector.
+    ``phase`` is the phase it spent most of that time in.
     """
     agg: dict[str, dict[str, Any]] = {}
     for phase, pdata in snap.get("phases", {}).items():
@@ -482,11 +481,7 @@ def collapsed_stacks(
 
 def write_collapsed(path, lines: Sequence[str]):
     """Write collapsed-stack lines to ``path`` (one stack per line)."""
-    from pathlib import Path
-
-    target = Path(path)
-    target.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    return target
+    return write_text(path, "".join(line + "\n" for line in lines))
 
 
 # ----------------------------------------------------------------------
@@ -650,8 +645,4 @@ def render_flamegraph_svg(
 
 def write_flamegraph(path, snap_or_lines, **kwargs):
     """Render and write a flamegraph SVG; returns the written path."""
-    from pathlib import Path
-
-    target = Path(path)
-    target.write_text(render_flamegraph_svg(snap_or_lines, **kwargs), encoding="utf-8")
-    return target
+    return write_text(path, render_flamegraph_svg(snap_or_lines, **kwargs))

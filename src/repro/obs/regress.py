@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.obs.events import EventLog
+from repro.obs.metrics import _parse_series_key
 
 __all__ = [
     "Anomaly",
@@ -78,13 +79,10 @@ CALIBRATION_MAPE_THRESHOLD = 0.25
 def _gauge_by_device(metrics: Mapping[str, Any], name: str) -> dict[str, float]:
     """Collect ``name{device=...}`` gauges into ``{device: value}``."""
     out: dict[str, float] = {}
-    prefix = name + "{"
     for key, value in metrics.get("gauges", {}).items():
-        if key.startswith(prefix) and "device=" in key:
-            label = key[len(prefix):-1]
-            for part in label.split(","):
-                if part.startswith("device="):
-                    out[part[len("device="):]] = float(value)
+        base, labels = _parse_series_key(key)
+        if base == name and "device" in labels:
+            out[labels["device"]] = float(value)
     return out
 
 

@@ -36,8 +36,6 @@ on the Chrome-trace scheduler track (via the ``alerts`` parameter of
 
 from __future__ import annotations
 
-import json
-import math
 import re
 import threading
 from dataclasses import dataclass
@@ -45,6 +43,10 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import (
+    ANY, BOOL, COUNT, STR, check, list_of, number, one_of, read_json, refuse,
+    write_json,
+)
 from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram
 from repro.obs.timeseries import TimeSeriesStore
@@ -195,6 +197,9 @@ class SLOSpec:
             raise ConfigurationError(f"duplicate objective names in {names}")
 
 
+_SPEC_SHAPE = {"objectives": list_of({"expr": ANY}, nonempty=True)}
+
+
 def spec_from_dict(doc: Mapping[str, Any]) -> SLOSpec:
     """Build an :class:`SLOSpec` from its JSON form.
 
@@ -205,15 +210,9 @@ def spec_from_dict(doc: Mapping[str, Any]) -> SLOSpec:
                          "budget": 0.05, "window": 0.5,
                          "severity": "warning"}, ...]}
     """
-    if not isinstance(doc, Mapping):
-        raise ConfigurationError("SLO spec must be a JSON object")
-    rows = doc.get("objectives")
-    if not isinstance(rows, list) or not rows:
-        raise ConfigurationError("SLO spec needs a non-empty 'objectives' list")
+    refuse(check(doc, _SPEC_SHAPE, "SLO spec"), "invalid SLO spec")
     objectives = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, Mapping) or "expr" not in row:
-            raise ConfigurationError(f"objective #{i} needs an 'expr' field")
+    for i, row in enumerate(doc["objectives"]):
         objectives.append(
             parse_objective(
                 str(row.get("name") or f"objective-{i}"),
@@ -232,11 +231,7 @@ def spec_from_dict(doc: Mapping[str, Any]) -> SLOSpec:
 
 def load_slo_spec(path: str | Path) -> SLOSpec:
     """Load and validate an SLO spec JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"SLO file {path} is not valid JSON: {exc}")
-    return spec_from_dict(doc)
+    return spec_from_dict(read_json(path, what="SLO spec"))
 
 
 #: The default objectives ``repro dashboard`` and chaos campaigns
@@ -416,58 +411,33 @@ def emit_slo_alerts(report: Mapping[str, Any]) -> list[dict[str, Any]]:
 # ----------------------------------------------------------------------
 def write_slo_report(path: str | Path, report: Mapping[str, Any]) -> Path:
     """Write ``slo_report.json`` (validated, atomic)."""
-    problems = validate_slo_report(report)
-    if problems:
-        raise ConfigurationError(f"refusing to write invalid SLO report: {problems}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp.replace(path)
-    return path
+    return write_json(path, report, validate=validate_slo_report, what="SLO report")
+
+
+_OBJECTIVE = {
+    **dict.fromkeys(("name", "expr", "series", "agg", "op"), STR),
+    "verdict": one_of("pass", "fail", "no-data"),
+    "measured": number(nullable=True),
+}
+_REPORT = {
+    "schema": one_of(SLO_REPORT_SCHEMA),
+    "ok": BOOL,
+    "objectives": list_of(_OBJECTIVE, nonempty=True),
+    "violations": COUNT,
+}
 
 
 def validate_slo_report(report: Mapping[str, Any]) -> list[str]:
     """Schema-check an SLO report dict; returns a list of problems."""
-    problems: list[str] = []
-    if not isinstance(report, Mapping):
-        return ["report must be a JSON object"]
-    if report.get("schema") != SLO_REPORT_SCHEMA:
-        problems.append(
-            f"unsupported schema {report.get('schema')!r} "
-            f"(expected {SLO_REPORT_SCHEMA})"
-        )
-    if not isinstance(report.get("ok"), bool):
-        problems.append("missing boolean 'ok'")
-    rows = report.get("objectives")
-    if not isinstance(rows, list) or not rows:
-        problems.append("'objectives' must be a non-empty list")
+    problems = check(report, _REPORT)
+    if problems:
         return problems
-    fails = 0
-    for i, row in enumerate(rows):
-        if not isinstance(row, Mapping):
-            problems.append(f"objective #{i} must be an object")
-            continue
-        for field_name in ("name", "expr", "series", "agg", "op"):
-            if not isinstance(row.get(field_name), str):
-                problems.append(f"objective #{i}: missing string {field_name!r}")
-        if row.get("verdict") not in ("pass", "fail", "no-data"):
-            problems.append(f"objective #{i}: bad verdict {row.get('verdict')!r}")
-        if row.get("verdict") == "fail":
-            fails += 1
-        measured = row.get("measured")
-        if measured is not None and (
-            not isinstance(measured, (int, float))
-            or (isinstance(measured, float) and not math.isfinite(measured))
-        ):
-            problems.append(f"objective #{i}: measured must be finite or null")
-    if isinstance(report.get("violations"), int) and report["violations"] != fails:
+    fails = sum(row["verdict"] == "fail" for row in report["objectives"])
+    if report["violations"] != fails:
         problems.append(
             f"'violations' says {report['violations']} but "
             f"{fails} objectives failed"
         )
-    if report.get("ok") is True and fails:
+    if report["ok"] and fails:
         problems.append("'ok' is true but objectives failed")
     return problems

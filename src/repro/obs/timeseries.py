@@ -34,14 +34,21 @@ on-disk artifact (:func:`write_series` / :func:`read_series` /
 from __future__ import annotations
 
 import json
-import math
 import threading
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import Histogram, _series_key, get_registry
+from repro.obs.artifact import (
+    FINITE, NAME, STR, check, list_of, map_of, one_of, read_json, write_json,
+)
+from repro.obs.metrics import (
+    Histogram,
+    _parse_series_key,
+    _series_key,
+    get_registry,
+)
 
 __all__ = [
     "SERIES_SCHEMA",
@@ -107,8 +114,8 @@ class TimeSeriesStore:
         self.max_points = int(max_points)
         self._series: dict[str, deque[tuple[float, float]]] = {}
 
-    def record(self, name: str, t: float, value: float, **labels: str) -> None:
-        """Append one sample to the named series."""
+    def record(self, name: str, t: float, value: float, /, **labels: str) -> None:
+        """Append one sample to the named series (any label names)."""
         if not name:
             raise ConfigurationError("series name must be non-empty")
         key = _series_key(name, labels)
@@ -129,8 +136,7 @@ class TimeSeriesStore:
         """All series whose base name is ``name``, keyed by full key."""
         out = {}
         for key, buf in self._series.items():
-            base = key.split("{", 1)[0]
-            if base == name:
+            if _parse_series_key(key)[0] == name:
                 out[key] = list(buf)
         return out
 
@@ -193,12 +199,7 @@ def store_from_payload(payload: Mapping[str, Any]) -> TimeSeriesStore:
     """Rebuild a :class:`TimeSeriesStore` from :meth:`~TimeSeriesStore.to_payload`."""
     store = TimeSeriesStore(max_points=int(payload.get("max_points", 4096)))
     for key, pts in payload.get("series", {}).items():
-        name, _, body = key.partition("{")
-        labels = {}
-        if body:
-            for pair in body.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v
+        name, labels = _parse_series_key(key)
         for t, v in pts:
             store.record(name, t, v, **labels)
     return store
@@ -403,12 +404,7 @@ def publish_windowed_gauges(
         agg = store.aggregate(key)
         if agg.get("count", 0) == 0:
             continue
-        name, _, body = key.partition("{")
-        labels = {}
-        if body:
-            for pair in body.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v
+        name, labels = _parse_series_key(key)
         for stat in ("mean", "max", "p50", "p95", "p99"):
             registry.set_gauge(f"{prefix}.{name}.{stat}", agg[stat], **labels)
             written += 1
@@ -433,45 +429,24 @@ def write_series(
     is one sample (``kind: sample``).  The writer validates its own
     output before moving it into place.
     """
-    path = Path(path)
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "schema": SERIES_SCHEMA,
-                "run_id": run_id,
-                "interval": interval,
-                "series": store.keys(),
-                "samples": len(store),
-                "meta": dict(meta) if meta else {},
-            },
-            sort_keys=True,
-        )
+    rows: list[dict[str, Any]] = [
+        {
+            "kind": "header",
+            "schema": SERIES_SCHEMA,
+            "run_id": run_id,
+            "interval": interval,
+            "series": store.keys(),
+            "samples": len(store),
+            "meta": dict(meta) if meta else {},
+        }
     ]
     for key in store.keys():
-        name, _, body = key.partition("{")
-        labels = {}
-        if body:
-            for pair in body.rstrip("}").split(","):
-                k, _, v = pair.partition("=")
-                labels[k] = v
-        for t, v in store.points(key):
-            lines.append(
-                json.dumps(
-                    {"kind": "sample", "series": name, "labels": labels,
-                     "t": t, "v": v},
-                    sort_keys=True,
-                )
-            )
-    text = "\n".join(lines) + "\n"
-    problems = validate_series(text.splitlines())
-    if problems:  # pragma: no cover - the writer emits what it validates
-        raise ConfigurationError(f"refusing to write invalid series: {problems}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-    return path
+        name, labels = _parse_series_key(key)
+        rows += [
+            {"kind": "sample", "series": name, "labels": labels, "t": t, "v": v}
+            for t, v in store.points(key)
+        ]
+    return write_json(path, rows, "jsonl", validate=_series_problems, what="series")
 
 
 def read_series(path: str | Path) -> tuple[dict[str, Any], TimeSeriesStore]:
@@ -480,82 +455,61 @@ def read_series(path: str | Path) -> tuple[dict[str, Any], TimeSeriesStore]:
     Validates before parsing; raises :class:`ConfigurationError` on a
     malformed file.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    problems = validate_series(lines)
-    if problems:
-        raise ConfigurationError(
-            f"invalid series file {path}: {'; '.join(problems[:5])}"
-        )
-    header = json.loads(lines[0])
+    rows = read_json(path, lines=True, validate=_series_problems, what="series")
     store = TimeSeriesStore()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        store.record(row["series"], row["t"], row["v"], **row.get("labels", {}))
-    return header, store
+    for row in rows[1:]:
+        store.record(row["series"], row["t"], row["v"], **row["labels"])
+    return rows[0], store
 
 
 def validate_series(lines: Iterable[str]) -> list[str]:
     """Schema-check ``series.jsonl`` content; returns a list of problems."""
-    problems: list[str] = []
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        return ["empty file (missing header line)"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"header is not JSON: {exc}"]
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        problems.append("first line must be a kind=header object")
-        return problems
-    if header.get("schema") != SERIES_SCHEMA:
-        problems.append(
-            f"unsupported schema {header.get('schema')!r} "
-            f"(expected {SERIES_SCHEMA})"
-        )
-    declared = header.get("series")
-    if not isinstance(declared, list):
-        problems.append("header.series must be a list of series keys")
-        declared = []
-    seen_last_t: dict[str, float] = {}
-    count = 0
-    for i, line in enumerate(lines[1:], 2):
+    rows, problems = [], []
+    for i, line in enumerate((ln for ln in lines if ln.strip()), 1):
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rows.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
             problems.append(f"line {i}: not JSON: {exc}")
+    return problems or _series_problems(rows)
+
+
+_HEADER = {
+    "kind": one_of("header"),
+    "schema": one_of(SERIES_SCHEMA),
+    "series": list_of(STR),
+}
+_SAMPLE = {
+    "kind": one_of("sample"),
+    "series": NAME,
+    "labels": map_of(STR),
+    "t": FINITE,
+    "v": FINITE,
+}
+
+
+def _series_problems(rows: Sequence[Any]) -> list[str]:
+    """Shape, declared keys, time order and count of parsed series rows."""
+    if not rows:
+        return ["empty file (missing header line)"]
+    problems = check(rows[0], _HEADER, "line 1")
+    if problems:
+        return problems
+    declared = set(rows[0]["series"])
+    last_t: dict[str, float] = {}
+    for i, row in enumerate(rows[1:], 2):
+        if row_problems := check(row, _SAMPLE, f"line {i}"):
+            problems += row_problems
             continue
-        if not isinstance(row, dict) or row.get("kind") != "sample":
-            problems.append(f"line {i}: expected a kind=sample object")
-            continue
-        name = row.get("series")
-        labels = row.get("labels", {})
-        if not isinstance(name, str) or not name:
-            problems.append(f"line {i}: missing series name")
-            continue
-        if not isinstance(labels, dict):
-            problems.append(f"line {i}: labels must be an object")
-            continue
-        for field in ("t", "v"):
-            value = row.get(field)
-            if not isinstance(value, (int, float)) or (
-                isinstance(value, float) and not math.isfinite(value)
-            ):
-                problems.append(f"line {i}: {field} must be a finite number")
-                break
-        else:
-            key = _series_key(name, {str(k): str(v) for k, v in labels.items()})
-            if declared and key not in declared:
-                problems.append(f"line {i}: undeclared series {key!r}")
-            t = float(row["t"])
-            if key in seen_last_t and t < seen_last_t[key]:
-                problems.append(f"line {i}: time goes backwards in {key!r}")
-            seen_last_t[key] = t
-            count += 1
-    samples = header.get("samples")
-    if isinstance(samples, int) and samples != count and not problems:
-        problems.append(f"header declares {samples} samples, found {count}")
+        key = _series_key(row["series"], row["labels"])
+        if declared and key not in declared:
+            problems.append(f"line {i}: undeclared series {key!r}")
+        if row["t"] < last_t.get(key, row["t"]):
+            problems.append(f"line {i}: time goes backwards in {key!r}")
+        last_t[key] = row["t"]
+    samples = rows[0].get("samples")
+    found = len(rows) - 1
+    if isinstance(samples, int) and samples != found and not problems:
+        problems.append(f"header declares {samples} samples, found {found}")
     return problems
 
 
@@ -634,13 +588,14 @@ def render_top(
     if not utils:
         lines.append("(no device_util samples in this series file)")
         return "\n".join(lines)
-    name_w = max(len(k.split("device=", 1)[-1].rstrip("}")) for k in utils)
+    devices = {key: _parse_series_key(key)[1].get("device", key) for key in utils}
+    name_w = max(len(device) for device in devices.values())
     busy_col = "busy" if serve_mode else "busy_s"
     lines.append(
         f"{'device'.ljust(name_w)}  util  {'timeline'.ljust(width)}  {busy_col}"
     )
     for key in sorted(utils):
-        device = key.split("device=", 1)[-1].rstrip("}")
+        device = devices[key]
         pts = utils[key]
         values = [v for _, v in pts]
         current = values[-1] if values else 0.0

@@ -28,11 +28,13 @@ The format reference is the "Trace Event Format" document (Google,
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import (
+    ANY, NON_NEGATIVE, OBJECT, check, list_of, one_of, write_json,
+)
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -445,16 +447,17 @@ def write_chrome_trace(
                 "keyword options only apply when passing a raw ExecutionTrace"
             )
         doc = doc_or_trace
-    errors = validate_chrome_trace(doc)
-    if errors:
-        raise ConfigurationError(
-            "refusing to write invalid trace document: " + "; ".join(errors[:5])
-        )
-    target = Path(path)
-    tmp = target.with_suffix(target.suffix + ".tmp%d" % os.getpid())
-    tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    tmp.replace(target)
-    return target
+    return write_json(
+        path, doc, "compact", validate=validate_chrome_trace, what="trace"
+    )
+
+
+_PHASES = ("X", "B", "E", "i", "I", "M", "C", "b", "e", "n", "s", "t", "f")
+_EVENTS = list_of(ANY, nonempty=True)
+_EVENT = {"ph": one_of(*_PHASES), "name": ANY, "pid": ANY}
+_TIMED_EVENT = {**_EVENT, "ts": NON_NEGATIVE}
+#: metadata events carry no timestamp, complete events a duration too
+_EVENT_BY_PHASE = {"M": _EVENT, "X": {**_TIMED_EVENT, "dur": NON_NEGATIVE}}
 
 
 def validate_chrome_trace(doc: dict) -> list[str]:
@@ -465,37 +468,13 @@ def validate_chrome_trace(doc: dict) -> list[str]:
     validator rather than an assertion so callers choose the failure
     mode.
     """
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["document must be a JSON object"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["traceEvents must be a list"]
-    if not events:
-        errors.append("traceEvents is empty")
-    for i, ev in enumerate(events):
-        where = f"traceEvents[{i}]"
-        if not isinstance(ev, dict):
-            errors.append(f"{where}: not an object")
-            continue
-        ph = ev.get("ph")
-        if ph not in ("X", "B", "E", "i", "I", "M", "C", "b", "e", "n", "s", "t", "f"):
-            errors.append(f"{where}: unknown phase {ph!r}")
-            continue
-        if "name" not in ev:
-            errors.append(f"{where}: missing name")
-        if "pid" not in ev:
-            errors.append(f"{where}: missing pid")
-        if ph == "M":
-            continue  # metadata events need no timestamp
-        ts = ev.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            errors.append(f"{where}: bad ts {ts!r}")
-        if ph == "X":
-            dur = ev.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                errors.append(f"{where}: complete event with bad dur {dur!r}")
-        if len(errors) >= 50:
-            errors.append("... (further problems suppressed)")
-            break
+    errors = check(doc, OBJECT) or check(doc.get("traceEvents"), _EVENTS, "traceEvents")
+    if errors:
+        return errors
+    for i, ev in enumerate(doc["traceEvents"]):
+        ph = ev.get("ph") if isinstance(ev, dict) else None
+        spec = _EVENT_BY_PHASE.get(ph, _TIMED_EVENT) if ph in _PHASES else _EVENT
+        errors += check(ev, spec, f"traceEvents[{i}]")
+        if len(errors) >= 50:  # enough to act on
+            return errors + ["... (further problems suppressed)"]
     return errors

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import PointSpec, SweepStats, run_sweep
+from repro.obs.artifact import BOOL, COUNT, OBJECT, map_of
 from repro.obs.events import EventLog
 from repro.obs.metrics import get_registry
 from repro.resilience.faults import fault_to_dict, generate_schedule
@@ -43,10 +44,20 @@ from repro.util.logging import get_logger
 if TYPE_CHECKING:
     from repro.service.campaign import ServeChaosConfig
 
-__all__ = ["ChaosConfig", "Slot", "mean", "run_campaign"]
+__all__ = ["SCORECARD_SPEC", "ChaosConfig", "Slot", "mean", "run_campaign"]
 
 _log = get_logger("resilience.campaign")
 _events = EventLog("resilience.campaign")
+
+#: The scorecard fields every campaign, batch or serve, carries and
+#: ``repro dashboard --scorecard`` reads.
+SCORECARD_SPEC = {
+    "total_runs": COUNT,
+    "survived_runs": COUNT,
+    "total_violations": COUNT,
+    "all_invariants_ok": BOOL,
+    "policies": map_of(OBJECT),
+}
 
 #: chaos runs pin the scheduler-overhead charge so campaigns are
 #: bit-reproducible (measured host time would jitter the makespans)

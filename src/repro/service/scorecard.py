@@ -9,10 +9,12 @@ the property the sweep cache and the serve chaos campaign rely on.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.obs.artifact import (
+    COUNT, NON_NEGATIVE, OBJECT, STR, check, list_of, number, one_of, write_json,
+)
 from repro.obs.timeseries import jain_fairness
 
 __all__ = [
@@ -111,72 +113,35 @@ def build_scorecard(service) -> dict:
     }
 
 
+_TERMINAL = ("completed", "rejected", "shed", "timeout", "failed")
+_LATENCY = number(0, nullable=True)
+_SPEC = {
+    "schema": one_of(SERVE_SCHEMA),
+    "duration_s": NON_NEGATIVE,
+    "jobs": dict.fromkeys(("submitted", *_TERMINAL), COUNT),
+    "latency_s": dict.fromkeys(("p50", "p95", "p99", "mean", "max"), _LATENCY),
+    "goodput": dict.fromkeys(("jobs_per_s", "units_per_s"), NON_NEGATIVE),
+    **dict.fromkeys(
+        ("config", "fairness", "retries", "breakers", "balancer", "admission"), OBJECT
+    ),
+    "invariant_errors": list_of(STR),
+}
+
+
 def validate_scorecard(card: Mapping[str, Any]) -> list[str]:
-    """Structural checks; returns problems (empty = valid)."""
-    problems: list[str] = []
-    if not isinstance(card, Mapping):
-        return ["scorecard must be a JSON object"]
-    if card.get("schema") != SERVE_SCHEMA:
-        problems.append(
-            f"schema must be {SERVE_SCHEMA}, got {card.get('schema')!r}"
-        )
-    for key in (
-        "config",
-        "duration_s",
-        "jobs",
-        "latency_s",
-        "goodput",
-        "fairness",
-        "retries",
-        "breakers",
-        "balancer",
-        "admission",
-        "invariant_errors",
-    ):
-        if key not in card:
-            problems.append(f"missing key {key!r}")
-    jobs = card.get("jobs")
-    if isinstance(jobs, Mapping):
-        for key in ("submitted", "completed", "rejected", "shed", "timeout", "failed"):
-            if not isinstance(jobs.get(key), int):
-                problems.append(f"jobs.{key} must be an integer")
-        if not problems:
-            terminal = sum(
-                jobs[k]
-                for k in ("completed", "rejected", "shed", "timeout", "failed")
+    """Structural checks plus job conservation; returns problems."""
+    problems = check(card, _SPEC)
+    if not problems:
+        jobs = card["jobs"]
+        terminal = sum(jobs[k] for k in _TERMINAL)
+        if terminal != jobs["submitted"]:
+            problems.append(
+                f"jobs do not conserve: submitted={jobs['submitted']} "
+                f"terminal={terminal}"
             )
-            if terminal != jobs["submitted"]:
-                problems.append(
-                    f"jobs do not conserve: submitted={jobs['submitted']} "
-                    f"terminal={terminal}"
-                )
-    else:
-        problems.append("jobs must be an object")
-    latency = card.get("latency_s")
-    if isinstance(latency, Mapping):
-        for key in ("p50", "p95", "p99", "mean", "max"):
-            value = latency.get(key, "absent")
-            if value is not None and not isinstance(value, (int, float)):
-                problems.append(f"latency_s.{key} must be a number or null")
-    else:
-        problems.append("latency_s must be an object")
-    goodput = card.get("goodput")
-    if isinstance(goodput, Mapping):
-        for key in ("jobs_per_s", "units_per_s"):
-            if not isinstance(goodput.get(key), (int, float)):
-                problems.append(f"goodput.{key} must be a number")
-    else:
-        problems.append("goodput must be an object")
-    errors = card.get("invariant_errors")
-    if not isinstance(errors, list):
-        problems.append("invariant_errors must be a list")
     return problems
 
 
 def write_scorecard(path: str | Path, card: Mapping[str, Any]) -> Path:
     """Write the scorecard canonically (sorted keys, trailing newline)."""
-    target = Path(path)
-    target.write_text(
-        json.dumps(card, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return target
+    return write_json(path, card)

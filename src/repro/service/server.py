@@ -49,6 +49,7 @@ from repro.service.jobs import Job, JobStatus
 from repro.sim.engine import Engine
 from repro.sim.random import RandomStreams
 from repro.util.logging import get_logger
+from repro.util.validation import check_positive
 
 __all__ = ["ServiceConfig", "ClusterService", "run_service"]
 
@@ -106,6 +107,8 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"rebalance_interval must be > 0, got {self.rebalance_interval}"
             )
+        check_positive("sample_interval", self.sample_interval, strict=False)
+        check_positive("noise_sigma", self.noise_sigma, strict=False)
 
     def to_dict(self) -> dict:
         from repro.resilience.faults import fault_to_dict

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.solver_overhead import (
     OverheadStats,
     fitted_models_for_scenario,
@@ -28,6 +29,11 @@ class TestFittedModels:
 
 
 class TestRunSolverOverhead:
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_must_be_positive(self, repetitions):
+        with pytest.raises(ConfigurationError, match="repetitions"):
+            run_solver_overhead(repetitions=repetitions)
+
     def test_stats_contract(self):
         stats = run_solver_overhead(repetitions=4, size=16384, num_machines=2)
         assert isinstance(stats, OverheadStats)

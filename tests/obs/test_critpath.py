@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs.critpath import (
     ATTRIBUTION_TOLERANCE,
     CATEGORIES,
@@ -130,6 +131,14 @@ class TestTwoEqualDevices:
         bounds = analyze_trace(self.make(), speedup_factor=4.0)["bounds"]
         assert bounds["speedup_factor"] == 4.0
         assert bounds["device_speedup"]["a"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "factor", [0, -2.0, 0.5, math.nan, math.inf, True, "2"]
+    )
+    def test_degenerate_speedup_factor_rejected(self, factor):
+        with pytest.raises(ConfigurationError, match="speedup_factor") as err:
+            analyze_trace(self.make(), speedup_factor=factor)
+        assert repr(factor) in str(err.value)
 
 
 class TestTransferDominated:

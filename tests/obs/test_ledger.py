@@ -163,27 +163,33 @@ class TestExplainArtifact:
         for line in path.read_text().splitlines():
             assert json.loads(line)["run_id"] == "run-artifact"
 
-    def test_validate_rejects_missing_header(self):
+    @staticmethod
+    def assert_rejected(objs, tmp_path):
+        """The validator lists problems and the reader refuses the file."""
+        assert validate_explain(objs)
+        path = tmp_path / "explain.jsonl"
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
         with pytest.raises(ConfigurationError):
-            validate_explain([{"type": "decision"}])
+            read_explain(str(path))
 
-    def test_validate_rejects_wrong_schema(self):
-        with pytest.raises(ConfigurationError):
-            validate_explain([{"type": "header", "schema": 99}])
+    def test_validate_rejects_missing_header(self, tmp_path):
+        self.assert_rejected([{"type": "decision"}], tmp_path)
 
-    def test_validate_rejects_count_mismatch(self):
+    def test_validate_rejects_wrong_schema(self, tmp_path):
+        self.assert_rejected([{"type": "header", "schema": 99}], tmp_path)
+
+    def test_validate_rejects_count_mismatch(self, tmp_path):
         objs = [
             {"type": "header", "schema": EXPLAIN_SCHEMA, "decisions": 2},
             {"type": "calibration", "devices": {}},
         ]
-        with pytest.raises(ConfigurationError):
-            validate_explain(objs)
+        self.assert_rejected(objs, tmp_path)
 
-    def test_validate_rejects_missing_calibration(self):
-        with pytest.raises(ConfigurationError):
-            validate_explain(
-                [{"type": "header", "schema": EXPLAIN_SCHEMA, "decisions": 0}]
-            )
+    def test_validate_rejects_missing_calibration(self, tmp_path):
+        self.assert_rejected(
+            [{"type": "header", "schema": EXPLAIN_SCHEMA, "decisions": 0}],
+            tmp_path,
+        )
 
     def test_decision_rows_aggregate_blocks_and_mape(self):
         data = self.make_ledger().to_dict()

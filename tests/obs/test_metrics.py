@@ -5,16 +5,47 @@ import re
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     MetricsRegistry,
+    _parse_series_key,
+    _series_key,
     diff_snapshots,
     get_registry,
     merge_snapshots,
     reset_registry,
     set_registry,
 )
+
+
+def _text(forbidden):
+    return st.text(
+        st.characters(blacklist_characters=forbidden, blacklist_categories=("Cs",)),
+        min_size=1,
+        max_size=6,
+    )
+
+
+class TestSeriesKey:
+    def test_round_trip_with_unsorted_labels_and_equals_in_a_value(self):
+        labels = {"zone": "eu=1", "device": "A.gpu0", "a": "x=y=z"}
+        key = _series_key("util", labels)
+        assert key == "util{a=x=y=z,device=A.gpu0,zone=eu=1}"
+        assert _parse_series_key(key) == ("util", labels)
+        assert _parse_series_key("plain") == ("plain", {})
+
+    @given(
+        name=_text("{"),
+        labels=st.dictionaries(_text(",="), _text(","), max_size=4),
+    )
+    def test_round_trip(self, name, labels):
+        """Any name without ``{`` and any labels without ``,`` survive."""
+        parsed_name, parsed = _parse_series_key(_series_key(name, labels))
+        assert parsed_name == name
+        assert parsed == labels
 
 
 class TestCounter:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.sim_executor import (
     DeviceFailure,
     TransferFault,
@@ -21,6 +21,16 @@ def run_episode(**overrides):
     )
     service = ClusterService(ServiceConfig(arrivals=arrivals, **overrides))
     return service, service.run()
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["noise_sigma", "sample_interval"])
+    def test_negative_values_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig(**{field: -0.5})
+        data = {**ServiceConfig().to_dict(), field: -0.5}
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig.from_dict(data, seed=0)
 
 
 class TestHealthyEpisode:

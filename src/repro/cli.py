@@ -89,7 +89,8 @@ Commands
     flags as ``run``; writes the serving scorecard
     (``--scorecard-out``) and the sampled ``serve_*`` telemetry
     (``--series-out``), and gates on an SLO spec (``--slo``, exit 2
-    on violation).  Equal seeds produce byte-identical scorecards.
+    on violation; ``--slo-report-out``, which requires ``--slo``,
+    writes the report).  Equal seeds produce byte-identical scorecards.
 ``profile``
     Run one workload under the deterministic phase-attributed CPU
     profiler and write a flamegraph SVG (``--flame``), a collapsed-stack
@@ -110,6 +111,9 @@ configure console logging; the ``REPRO_LOG`` environment variable
 (``REPRO_LOG=debug``, ``REPRO_LOG=json``, ``REPRO_LOG=info:json``)
 supplies defaults that the flags override.  See docs/TUTORIAL.md §6.
 
+A usage error (an unknown flag or a bad value) exits 1, like every
+other error; ``repro --help`` lists the exit codes.
+
 Examples
 --------
 ::
@@ -126,7 +130,9 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -159,8 +165,22 @@ from repro.cluster import GroundTruth, paper_cluster
 from repro.errors import ConfigurationError
 from repro.obs.artifact import check, read_json, write_json, write_text
 from repro.obs.events import new_run_id, push_run_id
+from repro.obs.ledger import decision_rows, ledger_summary, write_explain
 from repro.obs.metrics import get_registry
+from repro.obs.profiler import (
+    collapsed_stacks,
+    hot_function_rows,
+    phase_breakdown,
+    profiling,
+    write_collapsed,
+    write_flamegraph,
+)
 from repro.obs.report import RunReport
+from repro.obs.timeseries import (
+    ClusterSampler,
+    publish_windowed_gauges,
+    write_series,
+)
 from repro.obs.trace_export import trace_to_chrome, write_chrome_trace
 from repro.runtime import Runtime
 from repro.util.logging import configure_from_env
@@ -177,9 +197,10 @@ EXIT_GATE_FAILED = 2
 #: the two agree).
 EXIT_CODE_TABLE: tuple[tuple[int, str, str], ...] = (
     (0, "ok", "command completed and every gate it ran passed"),
-    (1, "error", "usage or data error: bad configuration, missing or "
-     "malformed artifact (top without a series, a non-JSON or invalid file "
-     "read back), policy without a ledger (explain)"),
+    (1, "error", "usage or data error: unknown flag or bad value, bad "
+     "configuration, missing or malformed artifact (top without a series, "
+     "a non-JSON or invalid file read back), policy without a ledger "
+     "(explain)"),
     (EXIT_GATE_FAILED, "regressed", "a gate failed: run/serve --slo "
      "objective violation, or why --assert-bound breach "
      "(attribution != makespan, bound > makespan, empty path, "
@@ -198,9 +219,123 @@ def _exit_code_epilog() -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1.
+
+    :data:`EXIT_CODE_TABLE` reserves argparse's own code, 2, for a
+    failed gate.  Subparsers inherit the class through ``parser_class``.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int, kind: type = int):
+    """An argparse ``type``: a finite ``kind`` value ``>= low``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    # argparse names the type in its "invalid int value" message
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _flag(*names: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, declared as a row of the command table."""
+    return names, kwargs
+
+
+# Flag groups that several commands share, each declared once.
+_WORKLOAD = (
+    _flag(
+        "--app",
+        choices=["matmul", "grn", "blackscholes"],
+        default="matmul",
+    ),
+    _flag("--size", type=int, default=16384),
+    _flag("--machines", type=int, default=4, choices=[1, 2, 3, 4]),
+    _flag("--seed", type=int, default=0),
+    _flag("--noise", type=float, default=0.005),
+)
+_POLICY = _flag(
+    "--policy",
+    default="plb-hec",
+    choices=[*PAPER_POLICIES, "hdss-async", "gss", "static", "oracle"],
+)
+_FAULTS = (
+    _flag(
+        "--fail",
+        metavar="DEV@T",
+        action="append",
+        default=[],
+        help="permanently fail a device at virtual time T "
+        "(repeatable, e.g. --fail A.gpu0@0.05)",
+    ),
+    _flag(
+        "--perturb",
+        metavar="DEV@T:FACTOR",
+        action="append",
+        default=[],
+        help="multiply a device's execution times by FACTOR from time T "
+        "on (repeatable, e.g. --perturb A.cpu@0.1:2.5)",
+    ),
+    _flag(
+        "--transient",
+        metavar="DEV@T+D",
+        action="append",
+        default=[],
+        help="take a device down at time T and bring it back after D "
+        "seconds (repeatable, e.g. --transient B.gpu0@0.05+0.02)",
+    ),
+)
+#: ``--slo-report-out`` without ``--slo`` is refused by :func:`main`.
+_SLO = (
+    _flag(
+        "--slo",
+        metavar="FILE",
+        default=None,
+        help="evaluate an SLO spec (JSON; the literal 'default' uses "
+        "the built-in objectives) against the sampled series; failing "
+        "objectives print, alert, and exit 2",
+    ),
+    _flag(
+        "--slo-report-out",
+        metavar="PATH",
+        default=None,
+        help="write the SLO evaluation as slo_report.json "
+        "(requires --slo)",
+    ),
+)
+_JOBS = _flag(
+    "--jobs",
+    type=int,
+    default=None,
+    help="parallel worker processes (default: REPRO_JOBS or cpu count)",
+)
+_REPLICATIONS = _flag("--replications", type=int, default=3)
+_FAST = _flag("--fast", action="store_true", help="reduced size/machine grid")
+#: ``chaos --quick``'s policy grid (the CI smoke campaign).
+_QUICK_POLICIES = ("plb-hec", "greedy")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    """The CLI argument parser (exposed for testing).
+
+    Every subcommand is one row of the table below: its name, the
+    handler :func:`main` calls, its help and its flags in ``--help``
+    order.  ``serve`` and ``chaos`` take their defaults from the
+    configs they fill in.
+    """
+    from repro.resilience import ChaosConfig
+    from repro.service import ArrivalSpec, ServiceConfig
+    from repro.service.campaign import ServeChaosConfig
+
+    parser = _Parser(
         prog="repro",
         description="PLB-HeC reproduction: run workloads and regenerate "
         "the paper's tables and figures.",
@@ -220,558 +355,479 @@ def build_parser() -> argparse.ArgumentParser:
         help="console log format: text or JSON-lines (default: REPRO_LOG)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--app",
-            choices=["matmul", "grn", "blackscholes"],
-            default="matmul",
-        )
-        p.add_argument("--size", type=int, default=16384)
-        p.add_argument("--machines", type=int, default=4, choices=[1, 2, 3, 4])
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--noise", type=float, default=0.005)
-
-    def add_policy_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--policy",
-            default="plb-hec",
-            choices=[*PAPER_POLICIES, "hdss-async", "gss", "static", "oracle"],
-        )
-
-    def add_fault_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--fail",
-            metavar="DEV@T",
-            action="append",
-            default=[],
-            help="permanently fail a device at virtual time T "
-            "(repeatable, e.g. --fail A.gpu0@0.05)",
-        )
-        p.add_argument(
-            "--perturb",
-            metavar="DEV@T:FACTOR",
-            action="append",
-            default=[],
-            help="multiply a device's execution times by FACTOR from time T "
-            "on (repeatable, e.g. --perturb A.cpu@0.1:2.5)",
-        )
-        p.add_argument(
-            "--transient",
-            metavar="DEV@T+D",
-            action="append",
-            default=[],
-            help="take a device down at time T and bring it back after D "
-            "seconds (repeatable, e.g. --transient B.gpu0@0.05+0.02)",
-        )
-
-    p_run = sub.add_parser("run", help="run one workload under one policy")
-    add_workload_args(p_run)
-    add_policy_arg(p_run)
-    add_fault_args(p_run)
-    p_run.add_argument(
-        "--gantt", action="store_true", help="render an ASCII Gantt chart"
-    )
-    p_run.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="also export a Chrome trace-event/Perfetto timeline "
-        "(with one instant marker per scheduler decision when the "
-        "policy keeps a ledger)",
-    )
-    p_run.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="also write the run's telemetry (RunReport JSON, or "
-        "Prometheus text exposition with --metrics-format prom)",
-    )
-    p_run.add_argument(
-        "--metrics-format",
-        choices=["json", "prom"],
-        default="json",
-        help="format of --metrics-out: RunReport JSON (default) or "
-        "Prometheus text exposition of the metrics registry",
-    )
-    p_run.add_argument(
-        "--explain-out",
-        metavar="PATH",
-        default=None,
-        help="also write the scheduler decision ledger as explain.jsonl "
-        "(policies without a ledger skip this with a note)",
-    )
-    p_run.add_argument(
-        "--profile",
-        action="store_true",
-        help="capture a phase-attributed CPU profile and print the "
-        "per-phase breakdown and hot functions",
-    )
-    p_run.add_argument(
-        "--sample-interval",
-        type=float,
-        metavar="S",
-        default=None,
-        help="attach the virtual-time telemetry sampler, one sample "
-        "every S virtual seconds (0: auto, ~makespan/128; sampling "
-        "never changes the schedule)",
-    )
-    p_run.add_argument(
-        "--series-out",
-        metavar="PATH",
-        default=None,
-        help="write the sampled telemetry as series.jsonl "
-        "(implies --sample-interval 0 when not given)",
-    )
-    p_run.add_argument(
-        "--slo",
-        metavar="FILE",
-        default=None,
-        help="evaluate an SLO spec (JSON; the literal 'default' uses "
-        "the built-in objectives) against the sampled series; failing "
-        "objectives print, alert, and exit 2",
-    )
-    p_run.add_argument(
-        "--slo-report-out",
-        metavar="PATH",
-        default=None,
-        help="write the SLO evaluation as slo_report.json "
-        "(requires --slo)",
-    )
-
-    p_top = sub.add_parser(
-        "top",
-        help="terminal cluster view of a recorded telemetry series",
-    )
-    p_top.add_argument(
-        "--series",
-        metavar="PATH",
-        default="series.jsonl",
-        help="series.jsonl to render (default: series.jsonl)",
-    )
-    p_top.add_argument(
-        "--slo-report",
-        metavar="PATH",
-        default=None,
-        help="slo_report.json whose verdicts to show under the series",
-    )
-    p_top.add_argument(
-        "--once",
-        action="store_true",
-        help="render one frame and exit (CI-friendly)",
-    )
-    p_top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="refresh period in seconds in follow mode (default 2)",
-    )
-    p_top.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        help="stop after this many refreshes (default: until Ctrl-C)",
-    )
-    p_top.add_argument(
-        "--width",
-        type=int,
-        default=40,
-        help="sparkline width in characters (default 40)",
-    )
-
-    p_explain = sub.add_parser(
-        "explain",
-        help="run one workload and explain every scheduler decision "
-        "(trigger, solver outcome, allocation, prediction calibration)",
-    )
-    add_workload_args(p_explain)
-    add_policy_arg(p_explain)
-    add_fault_args(p_explain)
-    p_explain.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the ledger as a run-id-correlated explain.jsonl",
-    )
-
-    p_trace = sub.add_parser(
-        "trace", help="run one workload and export its Perfetto timeline"
-    )
-    add_workload_args(p_trace)
-    add_policy_arg(p_trace)
-    p_trace.add_argument(
-        "--out",
-        metavar="PATH",
-        default="trace.json",
-        help="trace output path (default: trace.json)",
-    )
-
-    p_why = sub.add_parser(
-        "why",
-        help="explain a run's makespan: critical path, 100%% attribution, "
-        "what-if headroom bounds",
-    )
-    add_workload_args(p_why)
-    add_policy_arg(p_why)
-    add_fault_args(p_why)
-    p_why.add_argument(
-        "--out",
-        metavar="PATH",
-        default="critpath.json",
-        help="schema-validated analysis artifact "
-        "(default: critpath.json, '-' to skip)",
-    )
-    p_why.add_argument(
-        "--speedup-factor",
-        type=float,
-        default=2.0,
-        metavar="K",
-        help="k for the per-device 'if X were k× faster' sensitivity "
-        "bounds (default 2)",
-    )
-    p_why.add_argument(
-        "--assert-bound",
-        action="store_true",
-        help="exit 2 unless the attribution is exact (categories sum to "
-        "the makespan), every bound is <= the observed makespan, the "
-        "critical path is non-empty, and per-worker busy intervals "
-        "never overlap",
-    )
-    p_why.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="also export the Perfetto timeline with critical-path "
-        "slices recolored and chained by flow arrows",
-    )
-
-    def add_jobs_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="parallel worker processes (default: REPRO_JOBS or cpu count)",
-        )
-
-    p_cmp = sub.add_parser("compare", help="compare the four paper policies")
-    add_workload_args(p_cmp)
-    p_cmp.add_argument("--replications", type=int, default=3)
-    add_jobs_arg(p_cmp)
-    p_cmp.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="export one timeline with a process group per policy",
-    )
-    p_cmp.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile every run and print the merged hot-function table "
-        "(disables the result cache for this comparison)",
-    )
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="run one workload under the phase-attributed CPU profiler",
-    )
-    add_workload_args(p_prof)
-    add_policy_arg(p_prof)
-    p_prof.add_argument(
-        "--flame",
-        metavar="PATH",
-        default="profile.svg",
-        help="flamegraph SVG output (self-contained, dark-mode aware; "
-        "default: profile.svg, '-' to skip)",
-    )
-    p_prof.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        default=None,
-        help="collapsed-stack output for flamegraph.pl / speedscope.app",
-    )
-    p_prof.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        dest="json_out",
-        help="raw profile snapshot (phases, functions, caller edges)",
-    )
-    p_prof.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="Perfetto timeline with the profile as its own process group",
-    )
-    p_prof.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="hot functions to print (default 10)",
-    )
-
-    sub.add_parser("table1", help="render Table I")
-
-    p_fig1 = sub.add_parser("fig1", help="Fig. 1 measured vs fitted curves")
-    p_fig1.add_argument("--points", type=int, default=12)
-
-    for fig, sizes in (("fig4", None), ("fig5", BS_SIZES)):
-        p_fig = sub.add_parser(fig, help=f"{fig} execution time / speedup")
-        if fig == "fig4":
-            p_fig.add_argument(
-                "--app", choices=["matmul", "grn"], default="matmul"
-            )
-        p_fig.add_argument("--replications", type=int, default=3)
-        p_fig.add_argument(
-            "--fast", action="store_true", help="reduced size/machine grid"
-        )
-        add_jobs_arg(p_fig)
-
-    for fig in ("fig6", "fig7"):
-        p_fig = sub.add_parser(fig, help=f"{fig} distribution / idleness")
-        p_fig.add_argument("--replications", type=int, default=3)
-        add_jobs_arg(p_fig)
-
-    p_oh = sub.add_parser("overhead", help="Sec. V.a solver overhead")
-    p_oh.add_argument("--repetitions", type=int, default=20)
-
-    sub.add_parser("ablations", help="DESIGN.md A1-A3 ablation studies")
-    sub.add_parser("heterogeneity", help="H1 speedup-vs-heterogeneity sweep")
-    sub.add_parser("sensitivity", help="S2 initial-block-size sensitivity")
-
-    p_report = sub.add_parser(
-        "report", help="full reproduction report with shape checks"
-    )
-    p_report.add_argument("--replications", type=int, default=3)
-    p_report.add_argument("--fast", action="store_true")
-
-    p_dash = sub.add_parser(
-        "dashboard",
-        help="write the self-contained HTML observability dashboard",
-    )
-    add_workload_args(p_dash)
-    p_dash.add_argument("--replications", type=int, default=2)
-    p_dash.add_argument(
-        "--out",
-        metavar="PATH",
-        default="dashboard.html",
-        help="output path (default: dashboard.html)",
-    )
-    p_dash.add_argument(
-        "--scorecard",
-        metavar="PATH",
-        default=None,
-        help="chaos scorecard JSON (from 'repro chaos --out') to render "
-        "in the resilience section",
-    )
-    add_jobs_arg(p_dash)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded chaos campaign and write the resilience scorecard",
-    )
-    p_chaos.add_argument(
-        "--app",
-        choices=["matmul", "grn", "blackscholes", "stencil"],
-        default="matmul",
-    )
-    p_chaos.add_argument("--size", type=int, default=2048)
-    p_chaos.add_argument("--machines", type=int, default=2, choices=[1, 2, 3, 4])
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument(
-        "--runs", type=int, default=16, help="campaign slots (default 16)"
-    )
-    p_chaos.add_argument(
-        "--policies",
-        default=None,
-        help="comma-separated policy list (default plb-hec,greedy,hdss,gss; "
-        "--serve: plb-hec,greedy,fair; --quick: plb-hec,greedy)",
-    )
-    p_chaos.add_argument(
-        "--max-faults",
-        type=int,
-        default=None,
-        help="max faults per schedule (default 2; --quick: 1)",
-    )
-    p_chaos.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke grid: two policies, one fault per run "
-        "(--serve: at most 4 runs)",
-    )
-    p_chaos.add_argument(
-        "--serve",
-        action="store_true",
-        help="chaos against the living cluster: inject the fault "
-        "schedules into service episodes (repro serve) instead of "
-        "batch runs; --app/--size are ignored, --policies takes "
-        "balancer flavors (plb-hec,fair,greedy)",
-    )
-    p_chaos.add_argument(
-        "--rate",
-        type=float,
-        default=3.0,
-        help="--serve only: arrival rate in jobs per virtual second "
-        "(default 3.0)",
-    )
-    p_chaos.add_argument(
-        "--duration",
-        type=float,
-        default=12.0,
-        help="--serve only: arrival horizon in virtual seconds "
-        "(default 12.0)",
-    )
-    p_chaos.add_argument(
-        "--out",
-        metavar="PATH",
-        default="chaos_scorecard.json",
-        help="scorecard JSON path ('-' to skip writing)",
-    )
-    p_chaos.add_argument(
-        "--dashboard",
-        metavar="PATH",
-        default=None,
-        help="also render an HTML dashboard with the resilience section",
-    )
-    p_chaos.add_argument(
-        "--history",
-        metavar="PATH",
-        default=None,
-        help="history store to append the campaign summary to "
-        "('-' disables; default: REPRO_HISTORY, else .repro_history/)",
-    )
-    add_jobs_arg(p_chaos)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="host the cluster as an online service under seeded "
-        "open-loop arrivals and write the serving scorecard",
-    )
-    p_serve.add_argument(
-        "--rate",
-        type=float,
-        default=2.0,
-        help="base arrival rate in jobs per virtual second (default 2.0)",
-    )
-    p_serve.add_argument(
-        "--duration",
-        type=float,
-        default=30.0,
-        help="arrival horizon in virtual seconds; the service keeps "
-        "running until admitted jobs drain (default 30.0)",
-    )
-    p_serve.add_argument(
-        "--pattern",
-        choices=["constant", "diurnal", "bursty"],
-        default="constant",
-        help="arrival-rate modulation (default constant)",
-    )
-    p_serve.add_argument(
-        "--tenants",
-        type=int,
-        default=2,
-        help="number of tenants sharing the service (default 2)",
-    )
-    p_serve.add_argument(
-        "--machines", type=int, default=2, choices=[1, 2, 3, 4]
-    )
-    p_serve.add_argument(
-        "--policy",
-        choices=["plb-hec", "fair", "greedy"],
-        default="plb-hec",
-        help="continuous balancer flavor (default plb-hec)",
-    )
-    p_serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=16,
-        help="admission queue bound; arrivals beyond it are shed "
-        "(default 16)",
-    )
-    p_serve.add_argument(
-        "--shed-policy",
-        choices=["reject", "drop-oldest", "priority-shed"],
-        default="reject",
-        help="what to shed when the admission queue is full "
-        "(default reject)",
-    )
-    p_serve.add_argument(
-        "--max-active",
-        type=int,
-        default=4,
-        help="jobs served concurrently (default 4)",
-    )
-    p_serve.add_argument(
-        "--deadline-factor",
-        type=float,
-        default=0.0,
-        help="per-job deadline as a multiple of the template's ideal "
-        "service time; 0 disables deadlines (default 0)",
-    )
-    p_serve.add_argument(
-        "--retry-budget",
-        type=int,
-        default=2,
-        help="lost-block retries each tenant may consume before its "
-        "jobs fail hard (default 2)",
-    )
-    p_serve.add_argument(
-        "--rebalance-interval",
-        type=float,
-        default=0.5,
-        help="collect-calculate-rebalance cycle period in virtual "
-        "seconds (default 0.5)",
-    )
-    p_serve.add_argument(
-        "--sample-interval",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="telemetry sample period in virtual seconds "
-        "(0: one sample per rebalance cycle)",
-    )
-    p_serve.add_argument(
-        "--noise",
-        type=float,
-        default=0.0,
-        help="lognormal sigma on block execution times (default 0)",
-    )
-    p_serve.add_argument("--seed", type=int, default=0)
-    add_fault_args(p_serve)
-    p_serve.add_argument(
-        "--slo",
-        metavar="FILE",
-        default=None,
-        help="evaluate an SLO spec (JSON) against the serve_* series; "
-        "failing objectives print, alert, and exit 2",
-    )
-    p_serve.add_argument(
-        "--slo-report-out",
-        metavar="PATH",
-        default=None,
-        help="write the SLO evaluation as slo_report.json "
-        "(requires --slo)",
-    )
-    p_serve.add_argument(
-        "--scorecard-out",
-        metavar="PATH",
-        default="serve_scorecard.json",
-        help="serving scorecard JSON path ('-' to skip writing)",
-    )
-    p_serve.add_argument(
-        "--series-out",
-        metavar="PATH",
-        default=None,
-        help="write the sampled serve_* telemetry as series.jsonl",
-    )
+    commands = (
+        ("run", _cmd_run, "run one workload under one policy", (
+            *_WORKLOAD,
+            _POLICY,
+            *_FAULTS,
+            _flag(
+                "--gantt", action="store_true", help="render an ASCII Gantt chart"
+            ),
+            _flag(
+                "--trace-out",
+                metavar="PATH",
+                default=None,
+                help="also export a Chrome trace-event/Perfetto timeline "
+                "(with one instant marker per scheduler decision when the "
+                "policy keeps a ledger)",
+            ),
+            _flag(
+                "--metrics-out",
+                metavar="PATH",
+                default=None,
+                help="also write the run's telemetry (RunReport JSON, or "
+                "Prometheus text exposition with --metrics-format prom)",
+            ),
+            _flag(
+                "--metrics-format",
+                choices=["json", "prom"],
+                default="json",
+                help="format of --metrics-out: RunReport JSON (default) or "
+                "Prometheus text exposition of the metrics registry",
+            ),
+            _flag(
+                "--explain-out",
+                metavar="PATH",
+                default=None,
+                help="also write the scheduler decision ledger as explain.jsonl "
+                "(policies without a ledger skip this with a note)",
+            ),
+            _flag(
+                "--profile",
+                action="store_true",
+                help="capture a phase-attributed CPU profile and print the "
+                "per-phase breakdown and hot functions",
+            ),
+            _flag(
+                "--sample-interval",
+                type=float,
+                metavar="S",
+                default=None,
+                help="attach the virtual-time telemetry sampler, one sample "
+                "every S virtual seconds (0: auto, ~makespan/128; sampling "
+                "never changes the schedule)",
+            ),
+            _flag(
+                "--series-out",
+                metavar="PATH",
+                default=None,
+                help="write the sampled telemetry as series.jsonl "
+                "(implies --sample-interval 0 when not given)",
+            ),
+            *_SLO,
+        )),
+        ("top", _cmd_top,
+         "terminal cluster view of a recorded telemetry series", (
+            _flag(
+                "--series",
+                metavar="PATH",
+                default="series.jsonl",
+                help="series.jsonl to render (default: series.jsonl)",
+            ),
+            _flag(
+                "--slo-report",
+                metavar="PATH",
+                default=None,
+                help="slo_report.json whose verdicts to show under the series",
+            ),
+            _flag(
+                "--once",
+                action="store_true",
+                help="render one frame and exit (CI-friendly)",
+            ),
+            _flag(
+                "--interval",
+                type=_at_least(0, float),
+                default=2.0,
+                help="refresh period in seconds in follow mode (default 2)",
+            ),
+            _flag(
+                "--frames",
+                type=_at_least(1),
+                default=None,
+                help="stop after this many refreshes (default: until Ctrl-C)",
+            ),
+            _flag(
+                "--width",
+                type=_at_least(1),
+                default=40,
+                help="sparkline width in characters (default 40)",
+            ),
+        )),
+        ("explain", _cmd_explain,
+         "run one workload and explain every scheduler decision "
+         "(trigger, solver outcome, allocation, prediction calibration)", (
+            *_WORKLOAD,
+            _POLICY,
+            *_FAULTS,
+            _flag(
+                "--out",
+                metavar="PATH",
+                default=None,
+                help="also write the ledger as a run-id-correlated explain.jsonl",
+            ),
+        )),
+        ("trace", _cmd_trace,
+         "run one workload and export its Perfetto timeline", (
+            *_WORKLOAD,
+            _POLICY,
+            _flag(
+                "--out",
+                metavar="PATH",
+                default="trace.json",
+                help="trace output path (default: trace.json)",
+            ),
+        )),
+        ("why", _cmd_why,
+         "explain a run's makespan: critical path, 100%% attribution, "
+         "what-if headroom bounds", (
+            *_WORKLOAD,
+            _POLICY,
+            *_FAULTS,
+            _flag(
+                "--out",
+                metavar="PATH",
+                default="critpath.json",
+                help="schema-validated analysis artifact "
+                "(default: critpath.json, '-' to skip)",
+            ),
+            _flag(
+                "--speedup-factor",
+                type=float,
+                default=2.0,
+                metavar="K",
+                help="k for the per-device 'if X were k× faster' sensitivity "
+                "bounds (default 2)",
+            ),
+            _flag(
+                "--assert-bound",
+                action="store_true",
+                help="exit 2 unless the attribution is exact (categories sum to "
+                "the makespan), every bound is <= the observed makespan, the "
+                "critical path is non-empty, and per-worker busy intervals "
+                "never overlap",
+            ),
+            _flag(
+                "--trace-out",
+                metavar="PATH",
+                default=None,
+                help="also export the Perfetto timeline with critical-path "
+                "slices recolored and chained by flow arrows",
+            ),
+        )),
+        ("compare", _cmd_compare, "compare the four paper policies", (
+            *_WORKLOAD,
+            _REPLICATIONS,
+            _JOBS,
+            _flag(
+                "--trace-out",
+                metavar="PATH",
+                default=None,
+                help="export one timeline with a process group per policy",
+            ),
+            _flag(
+                "--profile",
+                action="store_true",
+                help="profile every run and print the merged hot-function table "
+                "(disables the result cache for this comparison)",
+            ),
+        )),
+        ("profile", _cmd_profile,
+         "run one workload under the phase-attributed CPU profiler", (
+            *_WORKLOAD,
+            _POLICY,
+            _flag(
+                "--flame",
+                metavar="PATH",
+                default="profile.svg",
+                help="flamegraph SVG output (self-contained, dark-mode aware; "
+                "default: profile.svg, '-' to skip)",
+            ),
+            _flag(
+                "--collapsed",
+                metavar="PATH",
+                default=None,
+                help="collapsed-stack output for flamegraph.pl / speedscope.app",
+            ),
+            _flag(
+                "--json",
+                metavar="PATH",
+                default=None,
+                dest="json_out",
+                help="raw profile snapshot (phases, functions, caller edges)",
+            ),
+            _flag(
+                "--trace-out",
+                metavar="PATH",
+                default=None,
+                help="Perfetto timeline with the profile as its own process group",
+            ),
+            _flag(
+                "--top",
+                type=_at_least(1),
+                default=10,
+                help="hot functions to print (default 10)",
+            ),
+        )),
+        ("table1", lambda args: print(render_table1()), "render Table I", ()),
+        ("fig1", lambda args: print(render_fig1(run_fig1(points=args.points))),
+         "Fig. 1 measured vs fitted curves",
+         (_flag("--points", type=int, default=12),)),
+        ("fig4", lambda args: _print_sweep(
+            args,
+            partial(run_fig4, args.app),
+            MM_SIZES if args.app == "matmul" else GRN_SIZES,
+        ), "fig4 execution time / speedup", (
+            _flag("--app", choices=["matmul", "grn"], default="matmul"),
+            _REPLICATIONS,
+            _FAST,
+            _JOBS,
+        )),
+        ("fig5", lambda args: _print_sweep(args, run_fig5, BS_SIZES),
+         "fig5 execution time / speedup", (_REPLICATIONS, _FAST, _JOBS)),
+        ("fig6", lambda args: print(render_fig6(
+            run_fig6(replications=args.replications, jobs=args.jobs)
+        )), "fig6 distribution / idleness", (_REPLICATIONS, _JOBS)),
+        ("fig7", lambda args: print(render_fig7(
+            run_fig7(replications=args.replications, jobs=args.jobs)
+        )), "fig7 distribution / idleness", (_REPLICATIONS, _JOBS)),
+        ("overhead", _cmd_overhead, "Sec. V.a solver overhead",
+         (_flag("--repetitions", type=int, default=20),)),
+        ("ablations", _cmd_ablations, "DESIGN.md A1-A3 ablation studies", ()),
+        ("heterogeneity", _cmd_heterogeneity,
+         "H1 speedup-vs-heterogeneity sweep", ()),
+        ("sensitivity", _cmd_sensitivity,
+         "S2 initial-block-size sensitivity", ()),
+        ("report", _cmd_report, "full reproduction report with shape checks",
+         (_REPLICATIONS, _flag("--fast", action="store_true"))),
+        ("dashboard", _cmd_dashboard,
+         "write the self-contained HTML observability dashboard", (
+            *_WORKLOAD,
+            _flag("--replications", type=int, default=2),
+            _flag(
+                "--out",
+                metavar="PATH",
+                default="dashboard.html",
+                help="output path (default: dashboard.html)",
+            ),
+            _flag(
+                "--scorecard",
+                metavar="PATH",
+                default=None,
+                help="chaos scorecard JSON (from 'repro chaos --out') to render "
+                "in the resilience section",
+            ),
+            _JOBS,
+        )),
+        ("chaos", _cmd_chaos,
+         "run a seeded chaos campaign and write the resilience scorecard", (
+            _flag(
+                "--app",
+                choices=["matmul", "grn", "blackscholes", "stencil"],
+                default="matmul",
+            ),
+            _flag("--size", type=int, default=2048),
+            _flag("--machines", type=int, default=2, choices=[1, 2, 3, 4]),
+            _flag("--seed", type=int, default=0),
+            _flag(
+                "--runs", type=int, default=16, help="campaign slots (default 16)"
+            ),
+            _flag(
+                "--policies",
+                default=None,
+                help="comma-separated policy list (default "
+                f"{','.join(ChaosConfig.policies)}; --serve: "
+                f"{','.join(ServeChaosConfig.policies)}; --quick: "
+                f"{','.join(_QUICK_POLICIES)})",
+            ),
+            _flag(
+                "--max-faults",
+                type=int,
+                default=None,
+                help=f"max faults per schedule (default {ChaosConfig.max_faults}; "
+                "--quick: 1)",
+            ),
+            _flag(
+                "--quick",
+                action="store_true",
+                help="CI smoke grid: two policies, one fault per run "
+                "(--serve: at most 4 runs)",
+            ),
+            _flag(
+                "--serve",
+                action="store_true",
+                help="chaos against the living cluster: inject the fault "
+                "schedules into service episodes (repro serve) instead of "
+                "batch runs; --app/--size are ignored, --policies takes "
+                "balancer flavors (plb-hec,fair,greedy)",
+            ),
+            _flag(
+                "--rate",
+                type=float,
+                default=ServeChaosConfig.rate,
+                help="--serve only: arrival rate in jobs per virtual second "
+                "(default %(default)s)",
+            ),
+            _flag(
+                "--duration",
+                type=float,
+                default=ServeChaosConfig.duration,
+                help="--serve only: arrival horizon in virtual seconds "
+                "(default %(default)s)",
+            ),
+            _flag(
+                "--out",
+                metavar="PATH",
+                default="chaos_scorecard.json",
+                help="scorecard JSON path ('-' to skip writing)",
+            ),
+            _flag(
+                "--dashboard",
+                metavar="PATH",
+                default=None,
+                help="also render an HTML dashboard with the resilience section",
+            ),
+            _flag(
+                "--history",
+                metavar="PATH",
+                default=None,
+                help="history store to append the campaign summary to "
+                "('-' disables; default: REPRO_HISTORY, else .repro_history/)",
+            ),
+            _JOBS,
+        )),
+        ("serve", _cmd_serve,
+         "host the cluster as an online service under seeded "
+         "open-loop arrivals and write the serving scorecard", (
+            _flag(
+                "--rate",
+                type=float,
+                default=ArrivalSpec.rate,
+                help="base arrival rate in jobs per virtual second "
+                "(default %(default)s)",
+            ),
+            _flag(
+                "--duration",
+                type=float,
+                default=ArrivalSpec.duration,
+                help="arrival horizon in virtual seconds; the service keeps "
+                "running until admitted jobs drain (default %(default)s)",
+            ),
+            _flag(
+                "--pattern",
+                choices=["constant", "diurnal", "bursty"],
+                default=ArrivalSpec.pattern,
+                help="arrival-rate modulation (default %(default)s)",
+            ),
+            _flag(
+                "--tenants",
+                type=int,
+                default=ArrivalSpec.tenants,
+                help="number of tenants sharing the service (default %(default)s)",
+            ),
+            _flag(
+                "--machines",
+                type=int,
+                default=ServiceConfig.machines,
+                choices=[1, 2, 3, 4],
+            ),
+            _flag(
+                "--policy",
+                choices=["plb-hec", "fair", "greedy"],
+                default=ServiceConfig.policy,
+                help="continuous balancer flavor (default %(default)s)",
+            ),
+            _flag(
+                "--queue-limit",
+                type=int,
+                default=ServiceConfig.queue_limit,
+                help="admission queue bound; arrivals beyond it are shed "
+                "(default %(default)s)",
+            ),
+            _flag(
+                "--shed-policy",
+                choices=["reject", "drop-oldest", "priority-shed"],
+                default=ServiceConfig.shed_policy,
+                help="what to shed when the admission queue is full "
+                "(default %(default)s)",
+            ),
+            _flag(
+                "--max-active",
+                type=int,
+                default=ServiceConfig.max_active,
+                help="jobs served concurrently (default %(default)s)",
+            ),
+            _flag(
+                "--deadline-factor",
+                type=float,
+                default=ServiceConfig.deadline_factor,
+                help="per-job deadline as a multiple of the template's ideal "
+                "service time; 0 disables deadlines (default %(default)s)",
+            ),
+            _flag(
+                "--retry-budget",
+                type=int,
+                default=ServiceConfig.retry_budget,
+                help="lost-block retries each tenant may consume before its "
+                "jobs fail hard (default %(default)s)",
+            ),
+            _flag(
+                "--rebalance-interval",
+                type=float,
+                default=ServiceConfig.rebalance_interval,
+                help="collect-calculate-rebalance cycle period in virtual "
+                "seconds (default %(default)s)",
+            ),
+            _flag(
+                "--sample-interval",
+                type=float,
+                default=ServiceConfig.sample_interval,
+                metavar="S",
+                help="telemetry sample period in virtual seconds "
+                "(0: one sample per rebalance cycle)",
+            ),
+            _flag(
+                "--noise",
+                type=float,
+                default=ServiceConfig.noise_sigma,
+                help="lognormal sigma on block execution times "
+                "(default %(default)s)",
+            ),
+            _flag("--seed", type=int, default=ServiceConfig.seed),
+            *_FAULTS,
+            *_SLO,
+            _flag(
+                "--scorecard-out",
+                metavar="PATH",
+                default="serve_scorecard.json",
+                help="serving scorecard JSON path ('-' to skip writing)",
+            ),
+            _flag(
+                "--series-out",
+                metavar="PATH",
+                default=None,
+                help="write the sampled serve_* telemetry as series.jsonl",
+            ),
+        )),
+    )
+    for name, handler, help_text, flags in commands:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for names, kwargs in flags:
+            command.add_argument(*names, **kwargs)
     return parser
 
 
-def _split_fault_spec(spec: str, flag: str, syntax: str) -> tuple[str, str]:
-    """``DEV@REST`` → ``(DEV, REST)``; anything else is a usage error."""
-    device, sep, rest = spec.partition("@")
-    if not sep or not device or not rest:
+def _split_fault_spec(spec: str, flag: str, syntax: str, sep: str) -> tuple:
+    """``DEV@T`` (or ``DEV@T<sep>X``) → ``(DEV, T[, X])``, numbers as floats.
+
+    A missing part is a usage error naming the flag.
+    """
+    device, _, rest = spec.partition("@")
+    numbers = rest.partition(sep)[::2] if sep else (rest,)
+    if not device or not all(numbers):
         raise ConfigurationError(f"--{flag} wants {syntax}, got {spec!r}")
-    return device, rest
+    return (device, *map(float, numbers))
 
 
 def _parse_fault_flags(args: argparse.Namespace):
@@ -783,34 +839,20 @@ def _parse_fault_flags(args: argparse.Namespace):
     """
     from repro.runtime import DeviceFailure, Perturbation, TransientFailure
 
-    perturbations, failures, transients = [], [], []
+    faults = {}
     try:
-        for spec in getattr(args, "fail", None) or []:
-            device, when = _split_fault_spec(spec, "fail", "DEV@T")
-            failures.append(DeviceFailure(device, float(when)))
-        for spec in getattr(args, "perturb", None) or []:
-            device, rest = _split_fault_spec(spec, "perturb", "DEV@T:FACTOR")
-            when, sep, factor = rest.partition(":")
-            if not sep or not when or not factor:
-                raise ConfigurationError(
-                    f"--perturb wants DEV@T:FACTOR, got {spec!r}"
-                )
-            perturbations.append(
-                Perturbation(device, float(when), float(factor))
-            )
-        for spec in getattr(args, "transient", None) or []:
-            device, rest = _split_fault_spec(spec, "transient", "DEV@T+D")
-            when, sep, downtime = rest.partition("+")
-            if not sep or not when or not downtime:
-                raise ConfigurationError(
-                    f"--transient wants DEV@T+D, got {spec!r}"
-                )
-            transients.append(
-                TransientFailure(device, float(when), float(downtime))
+        for flag, syntax, sep, fault in (
+            ("fail", "DEV@T", "", DeviceFailure),
+            ("perturb", "DEV@T:FACTOR", ":", Perturbation),
+            ("transient", "DEV@T+D", "+", TransientFailure),
+        ):
+            faults[flag] = tuple(
+                fault(*_split_fault_spec(spec, flag, syntax, sep))
+                for spec in getattr(args, flag, None) or []
             )
     except ValueError as exc:
         raise ConfigurationError(f"bad fault spec: {exc}") from exc
-    return tuple(perturbations), tuple(failures), tuple(transients)
+    return faults["perturb"], faults["fail"], faults["transient"]
 
 
 def _simulate(
@@ -853,10 +895,136 @@ def _run_config(args: argparse.Namespace, policy_name: str) -> dict:
     }
 
 
+def _run_once(args: argparse.Namespace, *, sampler=None, profile=False):
+    """The single-run pipeline of ``run``/``explain``/``trace``/``why``/``profile``.
+
+    Derives the run id from the run's config and simulates under it,
+    optionally under the CPU profiler.  Returns ``(run_id, policy,
+    result, profile snapshot or None)``.
+    """
+    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
+    with push_run_id(run_id), (profiling() if profile else nullcontext()) as prof:
+        policy, result = _simulate(args, args.policy, sampler=sampler)
+    return run_id, policy, result, None if prof is None else prof.snapshot()
+
+
+def _write_trace(
+    path: str,
+    args: argparse.Namespace,
+    run_id: str,
+    policy_name: str,
+    traces,
+    ledger=None,
+    *,
+    note: str = "",
+    **overlays,
+) -> None:
+    """Export a Perfetto/Chrome timeline: every command's one trace writer.
+
+    ``traces`` is one run's trace, or ``compare``'s labelled list.  A
+    single run whose policy keeps a ``ledger`` gets one instant marker
+    per decision; ``overlays`` (profile, alerts, critpath) pass through
+    to :func:`trace_to_chrome`.
+    """
+    decisions = ledger.to_dict()["decisions"] if ledger is not None else None
+    doc = trace_to_chrome(
+        traces,
+        run_id=run_id,
+        metadata=_run_config(args, policy_name),
+        decisions=decisions,
+        **overlays,
+    )
+    print(f"trace written to {write_chrome_trace(doc, path)}{note}")
+
+
+def _telemetry(
+    args: argparse.Namespace,
+    recorder,
+    run_id: str,
+    *,
+    interval: float,
+    meta: dict,
+    note: str = "",
+) -> tuple[int, list[dict] | None]:
+    """``--series-out`` and the ``--slo`` gate, shared by ``run`` and ``serve``.
+
+    ``recorder`` (``run``'s sampler or the ``serve`` service) holds the
+    sampled ``store``.  Writes the series artifact, then evaluates the
+    SLO spec against the store: prints the verdict table, emits alerts,
+    optionally writes the report.  Returns ``(exit_code, alerts)`` where
+    ``exit_code`` is 2 when an objective failed (the gate-failed code)
+    and ``alerts`` are the instant markers to stamp into a
+    ``--trace-out`` timeline.
+    """
+    store = recorder.store
+    if args.series_out:
+        path = write_series(
+            args.series_out, store, run_id=run_id, interval=interval, meta=meta
+        )
+        print(f"series written to {path} ({recorder.samples_taken} samples{note})")
+    if not args.slo:
+        return 0, None
+    from repro.obs.regress import detect_slo_anomalies
+    from repro.obs.slo import (
+        DEFAULT_SLO_SPEC,
+        emit_slo_alerts,
+        evaluate_slo,
+        load_slo_spec,
+        slo_alerts,
+        write_slo_report,
+    )
+
+    spec = DEFAULT_SLO_SPEC if args.slo == "default" else load_slo_spec(args.slo)
+    report = evaluate_slo(spec, store, run_id=run_id)
+    emit_slo_alerts(report)
+    detect_slo_anomalies(report)
+    print(
+        format_table(
+            ["objective", "expr", "verdict", "measured", "burn", "severity"],
+            [
+                [
+                    row["name"],
+                    row["expr"],
+                    row["verdict"],
+                    _fmt(row["measured"], "{:.4g}"),
+                    _fmt(row["burn_rate"], "{:.2f}x"),
+                    row["severity"],
+                ]
+                for row in report["objectives"]
+            ],
+            title=f"SLO evaluation: {spec.name}",
+        )
+    )
+    print(
+        f"slo: {'OK' if report['ok'] else 'FAIL'} "
+        f"({report['violations']} violated, {report['no_data']} no-data "
+        f"of {report['evaluated']} objective(s))"
+    )
+    if args.slo_report_out:
+        path = write_slo_report(args.slo_report_out, report)
+        print(f"slo report written to {path}")
+    return (
+        0 if report["ok"] else EXIT_GATE_FAILED,
+        slo_alerts(report) or None,
+    )
+
+
+def _write_explain(data: dict, path: str) -> None:
+    """Write a ledger dict as ``explain.jsonl`` and say so."""
+    write_explain(data, path)
+    print(
+        f"explain ledger written to {path} "
+        f"({len(data['decisions'])} decision(s))"
+    )
+
+
+def _fmt(value, pattern: str = "{:.3f}") -> str:
+    """Format an optional number; ``None`` renders as ``-``."""
+    return "-" if value is None else pattern.format(value)
+
+
 def _print_profile_summary(snapshot: dict, *, top: int = 10) -> None:
     """Print the per-phase breakdown and hot-function tables."""
-    from repro.obs.profiler import hot_functions, phase_breakdown
-
     breakdown = phase_breakdown(snapshot)
     print()
     print(
@@ -874,51 +1042,29 @@ def _print_profile_summary(snapshot: dict, *, top: int = 10) -> None:
             title="CPU time by phase",
         )
     )
-    rows = hot_functions(snapshot, top=top)
+    rows = hot_function_rows(snapshot, top=top)
     if rows:
         print()
         print(
             format_table(
                 ["function", "phase", "calls", "self_ms", "cum_ms", "share"],
-                [
-                    [
-                        h["function"],
-                        h["phase"],
-                        h["calls"],
-                        h["self_s"] * 1e3,
-                        h["cum_s"] * 1e3,
-                        f"{h['share'] * 100:.1f}%",
-                    ]
-                    for h in rows
-                ],
+                rows,
                 title=f"Top {len(rows)} hot functions",
             )
         )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs.profiler import profiling
-
-    if args.slo_report_out and not args.slo:
-        raise ConfigurationError("--slo-report-out requires --slo")
     sampler = None
     if (
         args.sample_interval is not None
         or args.series_out
         or args.slo
     ):
-        from repro.obs.timeseries import ClusterSampler
-
         sampler = ClusterSampler(args.sample_interval)
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    prof_snapshot = None
-    with push_run_id(run_id):
-        if args.profile:
-            with profiling() as prof:
-                policy, result = _simulate(args, args.policy, sampler=sampler)
-            prof_snapshot = prof.snapshot()
-        else:
-            policy, result = _simulate(args, args.policy, sampler=sampler)
+    run_id, policy, result, prof_snapshot = _run_once(
+        args, sampler=sampler, profile=args.profile
+    )
     idle = result.idle_fractions
     print(
         format_table(
@@ -941,22 +1087,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if prof_snapshot is not None:
         _print_profile_summary(prof_snapshot)
-    ledger_dict = result.ledger.to_dict() if result.ledger is not None else None
     exit_code = 0
     alerts = None
     if sampler is not None:
-        exit_code, alerts = _run_telemetry(args, sampler, run_id, policy.name)
-    if args.trace_out:
-        doc = trace_to_chrome(
-            result.trace,
-            run_id=run_id,
-            metadata=_run_config(args, policy.name),
-            profile=prof_snapshot,
-            decisions=ledger_dict.get("decisions") if ledger_dict else None,
-            alerts=alerts,
+        # Windowed ts.* gauges land in the registry before --metrics-out
+        # renders it, so the Prometheus exposition carries the aggregates.
+        publish_windowed_gauges(sampler.store)
+        interval = sampler.interval or 0.0
+        exit_code, alerts = _telemetry(
+            args,
+            sampler,
+            run_id,
+            interval=interval,
+            meta=_run_config(args, policy.name),
+            note=f", interval {interval:.3g}s virtual",
         )
-        path = write_chrome_trace(doc, args.trace_out)
-        print(f"trace written to {path}")
+    if args.trace_out:
+        _write_trace(
+            args.trace_out, args, run_id, policy.name, result.trace,
+            result.ledger, profile=prof_snapshot, alerts=alerts,
+        )
     if args.metrics_out:
         if args.metrics_format == "prom":
             write_text(args.metrics_out, get_registry().to_prometheus())
@@ -979,108 +1129,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "(--explain-out skipped)"
             )
         else:
-            from repro.obs.ledger import write_explain
-
-            write_explain(ledger_dict, args.explain_out)
-            print(
-                f"explain ledger written to {args.explain_out} "
-                f"({len(ledger_dict['decisions'])} decision(s))"
-            )
+            _write_explain(result.ledger.to_dict(), args.explain_out)
     if args.gantt:
         from repro.util.gantt import render_gantt
 
         print()
         print(render_gantt(result.trace))
     return exit_code
-
-
-def _run_telemetry(
-    args: argparse.Namespace, sampler, run_id: str, policy_name: str
-) -> tuple[int, list[dict] | None]:
-    """``run``'s post-run telemetry: series artifact, SLO gate, alerts.
-
-    Returns ``(exit_code, alerts)`` where ``exit_code`` is 2 when an
-    SLO objective failed (the gate-failed code) and ``alerts``
-    are the instant markers to stamp into a ``--trace-out`` timeline.
-    """
-    from repro.obs.timeseries import publish_windowed_gauges, write_series
-
-    if args.series_out:
-        path = write_series(
-            args.series_out,
-            sampler.store,
-            run_id=run_id,
-            interval=sampler.interval or 0.0,
-            meta=_run_config(args, policy_name),
-        )
-        print(
-            f"series written to {path} ({sampler.samples_taken} samples, "
-            f"interval {sampler.interval or 0.0:.3g}s virtual)"
-        )
-    # Windowed ts.* gauges land in the registry before --metrics-out
-    # renders it, so the Prometheus exposition carries the aggregates.
-    publish_windowed_gauges(sampler.store)
-    if not args.slo:
-        return 0, None
-    return _slo_gate(args.slo, sampler.store, run_id, args.slo_report_out)
-
-
-def _slo_gate(
-    slo: str, store, run_id: str, report_out: str | None
-) -> tuple[int, list[dict] | None]:
-    """Evaluate an SLO spec against a recorded series store and gate.
-
-    Shared by ``run`` (batch telemetry) and ``serve`` (service
-    telemetry): prints the verdict table, emits alerts, optionally
-    writes the report, and returns exit 2 when an objective failed.
-    """
-    from repro.obs.regress import detect_slo_anomalies
-    from repro.obs.slo import (
-        DEFAULT_SLO_SPEC,
-        emit_slo_alerts,
-        evaluate_slo,
-        load_slo_spec,
-        slo_alerts,
-        write_slo_report,
-    )
-
-    spec = DEFAULT_SLO_SPEC if slo == "default" else load_slo_spec(slo)
-    report = evaluate_slo(spec, store, run_id=run_id)
-    emit_slo_alerts(report)
-    detect_slo_anomalies(report)
-
-    def fmt_opt(value, pattern: str) -> str:
-        return pattern.format(value) if value is not None else "-"
-
-    print(
-        format_table(
-            ["objective", "expr", "verdict", "measured", "burn", "severity"],
-            [
-                [
-                    row["name"],
-                    row["expr"],
-                    row["verdict"],
-                    fmt_opt(row["measured"], "{:.4g}"),
-                    fmt_opt(row["burn_rate"], "{:.2f}x"),
-                    row["severity"],
-                ]
-                for row in report["objectives"]
-            ],
-            title=f"SLO evaluation: {spec.name}",
-        )
-    )
-    print(
-        f"slo: {'OK' if report['ok'] else 'FAIL'} "
-        f"({report['violations']} violated, {report['no_data']} no-data "
-        f"of {report['evaluated']} objective(s))"
-    )
-    if report_out:
-        path = write_slo_report(report_out, report)
-        print(f"slo report written to {path}")
-    return (
-        0 if report["ok"] else EXIT_GATE_FAILED,
-        slo_alerts(report) or None,
-    )
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -1112,11 +1167,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
     shown = 0
     try:
-        while args.frames is None or shown < args.frames:
+        while True:
             # \x1b[H\x1b[2J: cursor home + clear, the classic top refresh.
             print("\x1b[H\x1b[2J" + frame(), flush=True)
             shown += 1
-            if args.frames is not None and shown >= args.frames:
+            if shown == args.frames:  # --frames is None or >= 1
                 break
             time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -1125,11 +1180,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs.ledger import decision_rows, write_explain
-
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        policy, result = _simulate(args, args.policy)
+    _, policy, result, _ = _run_once(args)
     if result.ledger is None:
         print(
             f"policy {policy.name!r} keeps no decision ledger; "
@@ -1137,10 +1188,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 1
     data = result.ledger.to_dict()
-
-    def fmt_opt(value, pattern: str) -> str:
-        return pattern.format(value) if value is not None else "-"
-
     rows = []
     for row in decision_rows(data):
         method = row["method"]
@@ -1153,11 +1200,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 row["trigger"],
                 method,
                 row["iterations"],
-                fmt_opt(row["kkt_error"], "{:.1e}"),
-                fmt_opt(row["predicted_time"], "{:.4f}"),
+                _fmt(row["kkt_error"], "{:.1e}"),
+                _fmt(row["predicted_time"], "{:.4f}"),
                 row["devices"],
                 row["blocks"],
-                fmt_opt(row["mape"], "{:.1%}"),
+                _fmt(row["mape"], "{:.1%}"),
             ]
         )
     print(
@@ -1180,27 +1227,21 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                         device,
                         c.get("blocks", 0),
                         c.get("skipped", 0),
-                        fmt_opt(c.get("mape"), "{:.1%}"),
-                        fmt_opt(c.get("bias"), "{:+.1%}"),
-                        fmt_opt(c.get("drift"), "{:+.1%}"),
+                        _fmt(c.get("mape"), "{:.1%}"),
+                        _fmt(c.get("bias"), "{:+.1%}"),
+                        _fmt(c.get("drift"), "{:+.1%}"),
                     ]
                     for device, c in sorted(calibration.items())
                 ],
                 title="Prediction calibration (relative error vs observed)",
             )
         )
-    attribution = data.get("attribution", {})
-    attributed = int(attribution.get("attributed", 0) or 0)
-    total = attributed + int(attribution.get("unattributed", 0) or 0)
-    coverage = attributed / total if total else 0.0
-    # the ledger lists fired fallback stages in decision order
-    stage_counts: dict[str, int] = {}
-    for stage in data.get("fallback_stages", ()):
-        stage_counts[stage] = stage_counts.get(stage, 0) + 1
+    summary = ledger_summary(data)
+    stage_counts = summary["fallback_stages"]
     print(
-        f"\n{len(data.get('decisions', []))} decision(s), "
-        f"{attributed}/{total} executed block(s) attributed "
-        f"({coverage:.0%} coverage)"
+        f"\n{summary['decisions']} decision(s), "
+        f"{summary['attributed']}/{summary['total']} executed block(s) "
+        f"attributed ({summary['coverage']:.0%} coverage)"
         + (
             "; fallback stages used: "
             + ", ".join(f"{k}={v}" for k, v in sorted(stage_counts.items()))
@@ -1209,36 +1250,22 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
     )
     if args.out:
-        write_explain(data, args.out)
-        print(
-            f"explain ledger written to {args.out} "
-            f"({len(data.get('decisions', []))} decision(s))"
-        )
+        _write_explain(data, args.out)
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        policy, result = _simulate(args, args.policy)
-    path = write_chrome_trace(
-        result.trace,
-        args.out,
-        run_id=run_id,
-        metadata=_run_config(args, policy.name),
-    )
-    print(
-        f"trace written to {path} "
-        f"(makespan {result.makespan:.4f}s, "
+    run_id, policy, result, _ = _run_once(args)
+    _write_trace(
+        args.out, args, run_id, policy.name, result.trace, result.ledger,
+        note=f" (makespan {result.makespan:.4f}s, "
         f"{result.num_rebalances} rebalances); "
-        "load it at https://ui.perfetto.dev or chrome://tracing"
+        "load it at https://ui.perfetto.dev or chrome://tracing",
     )
     return 0
 
 
 def _cmd_why(args: argparse.Namespace) -> int:
-    import math
-
     from repro.obs.critpath import (
         CATEGORIES,
         analyze_trace,
@@ -1248,9 +1275,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
     )
     from repro.resilience.invariants import check_busy_overlap
 
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        policy, result = _simulate(args, args.policy)
+    run_id, policy, result, _ = _run_once(args)
     analysis = analyze_trace(
         result.trace, speedup_factor=args.speedup_factor
     )
@@ -1332,14 +1357,10 @@ def _cmd_why(args: argparse.Namespace) -> int:
             path = write_critpath(args.out, analysis)
             print(f"critpath written to {path}")
     if args.trace_out:
-        doc = trace_to_chrome(
-            result.trace,
-            run_id=run_id,
-            metadata=_run_config(args, policy.name),
-            critpath=analysis,
+        _write_trace(
+            args.trace_out, args, run_id, policy.name, result.trace,
+            result.ledger, critpath=analysis,
         )
-        path = write_chrome_trace(doc, args.trace_out)
-        print(f"trace written to {path}")
     if args.assert_bound and problems:
         return EXIT_GATE_FAILED
     return 0
@@ -1414,31 +1435,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             for name in point.outcomes:
                 _, result = _simulate(args, name, seed=args.seed * 1000)
                 labelled.append((name, result.trace))
-        doc = trace_to_chrome(
-            labelled,
-            run_id=run_id,
-            metadata=_run_config(args, "compare"),
-        )
-        path = write_chrome_trace(doc, args.trace_out)
-        print(f"trace written to {path}")
+        _write_trace(args.trace_out, args, run_id, "compare", labelled)
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profiler import (
-        collapsed_stacks,
-        phase_breakdown,
-        profiling,
-        write_collapsed,
-        write_flamegraph,
-    )
-
-    run_id = new_run_id(repr(sorted(_run_config(args, args.policy).items())))
-    with push_run_id(run_id):
-        with profiling() as prof:
-            policy, result = _simulate(args, args.policy)
-    snapshot = prof.snapshot()
-
+    run_id, policy, result, snapshot = _run_once(args, profile=True)
     named = sum(d["share"] for d in phase_breakdown(snapshot).values())
     print(
         f"profiled {args.app} size={args.size} machines={args.machines} "
@@ -1467,15 +1469,70 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_json(args.json_out, snapshot)
         print(f"profile snapshot written to {args.json_out}")
     if args.trace_out:
-        doc = trace_to_chrome(
-            result.trace,
-            run_id=run_id,
-            metadata=_run_config(args, policy.name),
-            profile=snapshot,
+        _write_trace(
+            args.trace_out, args, run_id, policy.name, result.trace,
+            result.ledger, profile=snapshot,
         )
-        path = write_chrome_trace(doc, args.trace_out)
-        print(f"trace written to {path}")
     return 0
+
+
+def _print_sweep(args: argparse.Namespace, run_sweep, sizes) -> None:
+    """``fig4``/``fig5``: every size on 1-4 machines, or with ``--fast``
+    the smallest and the largest size on 4."""
+    if args.fast:
+        sizes = (sizes[0], sizes[-1])
+    print(
+        render_sweep(
+            run_sweep(
+                sizes=sizes,
+                machine_counts=[4] if args.fast else [1, 2, 3, 4],
+                replications=args.replications,
+                jobs=args.jobs,
+            )
+        )
+    )
+
+
+def _cmd_overhead(args: argparse.Namespace) -> None:
+    stats = run_solver_overhead(repetitions=args.repetitions)
+    print(
+        f"solver overhead: {stats.mean_ms:.1f} +- {stats.std_ms:.1f} ms "
+        f"({stats.samples} solves, method={stats.method}, "
+        f"iterations={stats.iterations}); paper: 170 +- 32.3 ms"
+    )
+
+
+def _cmd_ablations(args: argparse.Namespace) -> None:
+    print(render_ablation(run_selection_ablation(), title="A1 selection"))
+    print()
+    print(render_ablation(run_rebalance_ablation(), title="A2 rebalancing"))
+    print()
+    print(render_ablation(run_probe_ablation(), title="A3 probing"))
+
+
+def _cmd_heterogeneity(args: argparse.Namespace) -> None:
+    from repro.experiments.heterogeneity import (
+        render_heterogeneity,
+        run_heterogeneity,
+    )
+
+    print(render_heterogeneity(run_heterogeneity()))
+
+
+def _cmd_sensitivity(args: argparse.Namespace) -> None:
+    from repro.experiments.sensitivity import (
+        render_sensitivity,
+        run_sensitivity,
+    )
+
+    sizes, rows = run_sensitivity()
+    print(render_sensitivity(sizes, rows))
+
+
+def _cmd_report(args: argparse.Namespace) -> None:
+    from repro.experiments.report import generate_report
+
+    print(generate_report(replications=args.replications, fast=args.fast))
 
 
 def _resolve_history(flag: str | None):
@@ -1560,12 +1617,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = ClusterService(config)
     card = service.run()
     run_id = f"serve-{config.policy}-seed{config.seed}"
-
-    def fmt(value, digits=3, suffix=""):
-        if value is None:
-            return "-"
-        return f"{value:.{digits}f}{suffix}"
-
     jobs = card["jobs"]
     lat = card["latency_s"]
     print(
@@ -1579,10 +1630,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 jobs["shed"],
                 jobs["timeout"],
                 jobs["failed"],
-                fmt(lat["p50"], suffix="s"),
-                fmt(lat["p95"], suffix="s"),
-                fmt(lat["p99"], suffix="s"),
-                fmt(card["goodput"]["jobs_per_s"], suffix=" jobs/s"),
+                _fmt(lat["p50"], "{:.3f}s"),
+                _fmt(lat["p95"], "{:.3f}s"),
+                _fmt(lat["p99"], "{:.3f}s"),
+                _fmt(card["goodput"]["jobs_per_s"], "{:.3f} jobs/s"),
             ]],
             title=f"Service episode: policy={config.policy} "
             f"rate={config.arrivals.rate:g}/s "
@@ -1598,7 +1649,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{card['balancer']['rebalances']} rebalance cycle(s) "
         f"({', '.join(f'{k}={v}' for k, v in fallbacks.items() if v)}), "
         f"{opens} breaker open(s), "
-        f"fairness {fmt(card['fairness']['jain_tenants'])}"
+        f"fairness {_fmt(card['fairness']['jain_tenants'])}"
     )
     problems = validate_scorecard(card) + list(card["invariant_errors"])
     for problem in problems:
@@ -1606,24 +1657,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.scorecard_out != "-":
         path = write_scorecard(args.scorecard_out, card)
         print(f"scorecard written to {path}")
-    if args.series_out:
-        from repro.obs.timeseries import write_series
-
-        path = write_series(
-            args.series_out,
-            service.store,
-            run_id=run_id,
-            interval=config.sample_interval or config.rebalance_interval,
-            meta=config.to_dict(),
-        )
-        print(
-            f"series written to {path} ({service.samples_taken} samples)"
-        )
-    exit_code = 0
-    if args.slo:
-        exit_code, _ = _slo_gate(
-            args.slo, service.store, run_id, args.slo_report_out
-        )
+    exit_code, _ = _telemetry(
+        args,
+        service,
+        run_id,
+        interval=config.sample_interval or config.rebalance_interval,
+        meta=config.to_dict(),
+    )
     if problems:
         print(f"{len(problems)} invariant violation(s) -> FAIL")
         return 3
@@ -1635,34 +1675,26 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.resilience import ChaosConfig, run_campaign
     from repro.service.campaign import ServeChaosConfig
 
+    # --policies / --max-faults override the campaign config's defaults;
+    # --quick shrinks both to the CI smoke grid.
+    grid = {}
     if args.policies:
-        policies = tuple(
+        grid["policies"] = tuple(
             p.strip() for p in args.policies.split(",") if p.strip()
         )
     elif args.quick:
-        policies = ("plb-hec", "greedy")
-    elif args.serve:
-        policies = ("plb-hec", "greedy", "fair")
-    else:
-        policies = ("plb-hec", "greedy", "hdss", "gss")
-    max_faults = args.max_faults
-    if max_faults is None:
-        max_faults = 1 if args.quick else 2
-
-    def fmt(value, scale=1.0, suffix="", digits=3):
-        if value is None:
-            return "-"
-        return f"{value * scale:.{digits}f}{suffix}"
+        grid["policies"] = _QUICK_POLICIES
+    if args.max_faults is not None or args.quick:
+        grid["max_faults"] = 1 if args.max_faults is None else args.max_faults
 
     if args.serve:
         config = ServeChaosConfig(
-            policies=policies,
             runs=min(args.runs, 4) if args.quick else args.runs,
             seed=args.seed,
             rate=args.rate,
             duration=args.duration,
             machines=args.machines,
-            max_faults=max_faults,
+            **grid,
         )
         title = (
             f"Serve chaos campaign: rate={config.rate:g}/s "
@@ -1674,7 +1706,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         def row(agg):
             return [
-                fmt(agg["mean_goodput_ratio"], digits=2, suffix="x"),
+                _fmt(agg["mean_goodput_ratio"], "{:.2f}x"),
                 agg["violations"],
                 agg["shed"],
                 agg["timeout"],
@@ -1686,10 +1718,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             apps=(args.app,),
             sizes=(args.size,),
             machines=args.machines,
-            policies=policies,
             runs=args.runs,
             seed=args.seed,
-            max_faults=max_faults,
+            **grid,
         )
         title = (
             f"Chaos campaign: {args.app} size={args.size} "
@@ -1706,11 +1737,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return f"{attribution[category] * 100:.1f}%"
 
         def row(agg):
+            lag = agg["mean_recovery_lag"]
             return [
-                fmt(agg["mean_degradation"], suffix="x"),
-                fmt(agg["max_degradation"], suffix="x"),
-                fmt(agg["mean_recovery_lag"], scale=1e3, suffix="ms",
-                    digits=1),
+                _fmt(agg["mean_degradation"], "{:.3f}x"),
+                _fmt(agg["max_degradation"], "{:.3f}x"),
+                _fmt(None if lag is None else lag * 1e3, "{:.1f}ms"),
                 agg["violations"],
                 agg.get("slo_violations", 0),
                 agg.get("decisions_explained", 0),
@@ -1765,111 +1796,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_from_env(level=args.log_level, fmt=args.log_format)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "why":
-        return _cmd_why(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "table1":
-        print(render_table1())
-        return 0
-    if args.command == "fig1":
-        print(render_fig1(run_fig1(points=args.points)))
-        return 0
-    if args.command == "fig4":
-        sizes = (MM_SIZES if args.app == "matmul" else GRN_SIZES)
-        machines = [4] if args.fast else [1, 2, 3, 4]
-        if args.fast:
-            sizes = (sizes[0], sizes[-1])
-        print(
-            render_sweep(
-                run_fig4(
-                    args.app,
-                    sizes=sizes,
-                    machine_counts=machines,
-                    replications=args.replications,
-                    jobs=args.jobs,
-                )
-            )
-        )
-        return 0
-    if args.command == "fig5":
-        sizes = (BS_SIZES[0], BS_SIZES[-1]) if args.fast else BS_SIZES
-        machines = [4] if args.fast else [1, 2, 3, 4]
-        print(
-            render_sweep(
-                run_fig5(
-                    sizes=sizes,
-                    machine_counts=machines,
-                    replications=args.replications,
-                    jobs=args.jobs,
-                )
-            )
-        )
-        return 0
-    if args.command == "fig6":
-        print(
-            render_fig6(run_fig6(replications=args.replications, jobs=args.jobs))
-        )
-        return 0
-    if args.command == "fig7":
-        print(
-            render_fig7(run_fig7(replications=args.replications, jobs=args.jobs))
-        )
-        return 0
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "overhead":
-        stats = run_solver_overhead(repetitions=args.repetitions)
-        print(
-            f"solver overhead: {stats.mean_ms:.1f} +- {stats.std_ms:.1f} ms "
-            f"({stats.samples} solves, method={stats.method}, "
-            f"iterations={stats.iterations}); paper: 170 +- 32.3 ms"
-        )
-        return 0
-    if args.command == "heterogeneity":
-        from repro.experiments.heterogeneity import (
-            render_heterogeneity,
-            run_heterogeneity,
-        )
-
-        print(render_heterogeneity(run_heterogeneity()))
-        return 0
-    if args.command == "sensitivity":
-        from repro.experiments.sensitivity import (
-            render_sensitivity,
-            run_sensitivity,
-        )
-
-        sizes, rows = run_sensitivity()
-        print(render_sensitivity(sizes, rows))
-        return 0
-    if args.command == "report":
-        from repro.experiments.report import generate_report
-
-        print(generate_report(replications=args.replications, fast=args.fast))
-        return 0
-    if args.command == "ablations":
-        print(render_ablation(run_selection_ablation(), title="A1 selection"))
-        print()
-        print(render_ablation(run_rebalance_ablation(), title="A2 rebalancing"))
-        print()
-        print(render_ablation(run_probe_ablation(), title="A3 probing"))
-        return 0
-    return 1  # pragma: no cover - argparse enforces the choices
+    if getattr(args, "slo_report_out", None) and not args.slo:
+        raise ConfigurationError("--slo-report-out requires --slo")
+    # a handler returns its exit code; the print-only ones return None
+    return args.handler(args) or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -60,15 +60,6 @@ class PLBHeC(SchedulingPolicy):
 
     Parameters
     ----------
-    r2_threshold:
-        Fit-quality acceptance bound of Algorithm 1 (paper: 0.7).
-    min_profile_fraction:
-        Optional early-out: once this fraction of the data has been
-        consumed, profiling is considered deep enough regardless of the
-        probe-depth rule below.  ``None`` (default) disables it.
-    max_profile_fraction:
-        Modeling phase hard stop: proceed to selection once this
-        fraction of the data has been consumed (paper: 20 %).
     rebalance_threshold:
         Relative finish-time skew that arms the rebalance flag
         (paper: 10 % of a block's execution time).
@@ -76,8 +67,6 @@ class PLBHeC(SchedulingPolicy):
         Execution-phase step count: the selection quantum is
         ``remaining / num_steps``, so each device processes its ``x_g``
         roughly ``num_steps`` times (enables mid-run rebalancing).
-    min_probe_rounds:
-        Probe rounds before the first fit attempt (paper: 4).
     overhead_scale:
         Multiplier on the measured fit/solve wall time charged to the
         run (1.0 = charge it as measured; 0.0 = free scheduler, for
@@ -104,79 +93,53 @@ class PLBHeC(SchedulingPolicy):
         Observation weighting for ordinary fits (< 1 favours fresh
         measurements; see
         :meth:`~repro.modeling.perf_profile.PerfProfile.fit`).
-    rebalance_recency_decay:
-        Much stronger recency weighting used by the *rebalance* refit:
-        a rebalance fires precisely because device behaviour changed,
-        so measurements from before the change must be discounted
-        steeply or the refit reproduces the stale model.
     """
 
     name = "plb-hec"
 
+    #: Fit-quality acceptance bound of Algorithm 1 (paper: 0.7).
+    r2_threshold = 0.7
+    #: A fit is also accepted below this relative RMS residual (:meth:`_try_fit`).
+    rel_rmse_accept = 0.05
+    #: Probe rounds before the first fit attempt (paper: 4).
+    min_probe_rounds = 4
+    #: Hard cap on probe rounds, whatever the fits say.
+    max_probe_rounds = 12
+    #: Modeling phase hard stop: proceed to selection once this fraction
+    #: of the data has been consumed (paper: 20 %).
+    max_profile_fraction = 0.2
+    #: Probing is deep enough at this share of a step's time (:meth:`_deep_enough`).
+    probe_depth_factor = 0.4
+    #: Much stronger recency weighting used by the *rebalance* refit: a
+    #: rebalance fires precisely because device behaviour changed, so
+    #: measurements from before the change must be discounted steeply or
+    #: the refit reproduces the stale model.
+    rebalance_recency_decay = 0.6
+
     def __init__(
         self,
         *,
-        r2_threshold: float = 0.7,
-        min_profile_fraction: float | None = None,
-        max_profile_fraction: float = 0.2,
         rebalance_threshold: float = 0.1,
         num_steps: int = 5,
-        min_probe_rounds: int = 4,
         overhead_scale: float = 1.0,
         ipm_options: IPMOptions | None = None,
         recency_decay: float = 0.97,
-        rebalance_recency_decay: float = 0.6,
-        max_probe_rounds: int = 12,
-        rel_rmse_accept: float = 0.05,
-        probe_depth_factor: float = 0.4,
         fixed_overhead_s: float | None = None,
         warm_start: bool = False,
     ) -> None:
-        if not 0.0 < r2_threshold <= 1.0:
-            raise ConfigurationError(f"r2_threshold in (0,1], got {r2_threshold}")
-        if not 0.0 < max_profile_fraction <= 1.0:
-            raise ConfigurationError(
-                f"max_profile_fraction in (0,1], got {max_profile_fraction}"
-            )
-        if min_profile_fraction is not None and not (
-            0.0 <= min_profile_fraction <= max_profile_fraction
-        ):
-            raise ConfigurationError(
-                "min_profile_fraction must lie in [0, max_profile_fraction]"
-            )
-        self.min_profile_fraction = min_profile_fraction
         if rebalance_threshold <= 0.0:
             raise ConfigurationError("rebalance_threshold must be > 0")
         if num_steps < 1:
             raise ConfigurationError("num_steps must be >= 1")
-        if min_probe_rounds < 2:
-            raise ConfigurationError("min_probe_rounds must be >= 2")
         if overhead_scale < 0.0:
             raise ConfigurationError("overhead_scale must be >= 0")
-        self.r2_threshold = r2_threshold
-        self.max_profile_fraction = max_profile_fraction
         self.rebalance_threshold = rebalance_threshold
         self.num_steps = num_steps
-        self.min_probe_rounds = min_probe_rounds
-        if max_probe_rounds < min_probe_rounds:
-            raise ConfigurationError(
-                "max_probe_rounds must be >= min_probe_rounds"
-            )
-        if rel_rmse_accept <= 0.0:
-            raise ConfigurationError("rel_rmse_accept must be > 0")
         self.overhead_scale = overhead_scale
         self.ipm_options = ipm_options
         if not 0.0 < recency_decay <= 1.0:
             raise ConfigurationError("recency_decay must be in (0, 1]")
         self.recency_decay = recency_decay
-        if not 0.0 < rebalance_recency_decay <= 1.0:
-            raise ConfigurationError("rebalance_recency_decay must be in (0, 1]")
-        self.rebalance_recency_decay = rebalance_recency_decay
-        if probe_depth_factor < 0.0:
-            raise ConfigurationError("probe_depth_factor must be >= 0")
-        self.max_probe_rounds = max_probe_rounds
-        self.rel_rmse_accept = rel_rmse_accept
-        self.probe_depth_factor = probe_depth_factor
         if fixed_overhead_s is not None and fixed_overhead_s < 0.0:
             raise ConfigurationError("fixed_overhead_s must be >= 0")
         self.fixed_overhead_s = fixed_overhead_s
@@ -445,7 +408,7 @@ class PLBHeC(SchedulingPolicy):
             fits_ok, models = self._try_fit()
             consumed_frac = self._consumed / self.ctx.total_units
             if (
-                (fits_ok and self._deep_enough(remaining, consumed_frac))
+                (fits_ok and self._deep_enough(remaining))
                 or consumed_frac >= self.max_profile_fraction
                 or self._round >= self.max_probe_rounds
             ):
@@ -459,21 +422,15 @@ class PLBHeC(SchedulingPolicy):
         self._round_times = {}
         self._open_probe_decision()
 
-    def _deep_enough(self, remaining: int, consumed_frac: float) -> bool:
+    def _deep_enough(self, remaining: int) -> bool:
         """Has profiling explored block sizes near the execution scale?
 
         Fitted curves extrapolate poorly; the selection phase will
         assign each device roughly ``step_time * rate`` units, so
         probing continues until the just-finished round's blocks took a
         meaningful fraction of the *expected execution-step duration*
-        (estimated from the measured rates).  A consumed-data floor
-        provides a second sufficient condition.
+        (estimated from the measured rates).
         """
-        if (
-            self.min_profile_fraction is not None
-            and consumed_frac >= self.min_profile_fraction
-        ):
-            return True
         total_rate = sum(self._round_rates.values())
         if total_rate <= 0.0 or not self._round_times:
             return False

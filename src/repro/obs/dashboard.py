@@ -37,7 +37,7 @@ from xml.sax.saxutils import escape
 
 from repro.obs.artifact import write_text
 from repro.obs.history import git_rev, host_fingerprint
-from repro.obs.ledger import decision_rows
+from repro.obs.ledger import decision_rows, ledger_summary
 from repro.obs.metrics import _parse_series_key
 from repro.obs.regress import Anomaly
 
@@ -858,7 +858,7 @@ def _section_profile(profile: Mapping[str, Any]) -> str:
             "captured</p></section>"
         )
     from repro.obs.profiler import (
-        hot_functions,
+        hot_function_rows,
         phase_breakdown,
         render_flamegraph_svg,
     )
@@ -873,20 +873,9 @@ def _section_profile(profile: Mapping[str, Any]) -> str:
     flame = render_flamegraph_svg(
         profile, title="host CPU time by phase and call stack"
     )
-    hot = hot_functions(profile, top=10)
     table = _table(
         ["function", "phase", "calls", "self (ms)", "cum (ms)", "share"],
-        [
-            [
-                h["function"],
-                h["phase"],
-                h["calls"],
-                h["self_s"] * 1e3,
-                h["cum_s"] * 1e3,
-                f"{h['share'] * 100:.1f}%",
-            ]
-            for h in hot
-        ],
+        hot_function_rows(profile, top=10),
     )
     return (
         "<section><h2>CPU profile</h2>"
@@ -928,21 +917,14 @@ def _section_decisions(ledger: Mapping[str, Any]) -> str:
             "<code>repro explain</code>)</p></section>"
         )
     decisions = list(decision_rows(dict(ledger)))
-    attribution = dict(ledger.get("attribution", {}))
-    attributed = int(attribution.get("attributed", 0) or 0)
-    unattributed = int(attribution.get("unattributed", 0) or 0)
-    total_blocks = attributed + unattributed
-    coverage = attributed / total_blocks if total_blocks else 0.0
-    # the ledger lists fired fallback stages in decision order
-    fallback_stages: dict[str, int] = {}
-    for stage in ledger.get("fallback_stages", ()):
-        fallback_stages[stage] = fallback_stages.get(stage, 0) + 1
+    summary = ledger_summary(dict(ledger))
+    fallback_stages = summary["fallback_stages"]
     tiles = (
-        ("decisions", str(len(decisions)), ""),
+        ("decisions", str(summary["decisions"]), ""),
         (
             "blocks attributed",
-            f"{coverage * 100:.0f}%",
-            f"{attributed}/{total_blocks}",
+            f"{summary['coverage'] * 100:.0f}%",
+            f"{summary['attributed']}/{summary['total']}",
         ),
         (
             "fallback decisions",

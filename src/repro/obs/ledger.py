@@ -27,6 +27,7 @@ ledgers, and the sweep engine can cache them next to the
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Any, Iterable, Sequence
@@ -416,3 +417,21 @@ def decision_rows(data: dict) -> Iterable[dict]:
             "blocks": blocks,
             "mape": sum(mapes) / len(mapes) if mapes else None,
         }
+
+
+def ledger_summary(data: dict) -> dict:
+    """A ledger dict's headline numbers: decisions, block-attribution
+    coverage and how often each fallback stage fired.
+
+    Shared by ``repro explain`` and the dashboard's decision tiles.
+    """
+    attribution = data.get("attribution", {})
+    attributed = int(attribution.get("attributed", 0) or 0)
+    total = attributed + int(attribution.get("unattributed", 0) or 0)
+    return {
+        "decisions": len(data.get("decisions", [])),
+        "attributed": attributed,
+        "total": total,
+        "coverage": attributed / total if total else 0.0,
+        "fallback_stages": Counter(data.get("fallback_stages", ())),
+    }

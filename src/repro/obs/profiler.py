@@ -55,6 +55,7 @@ __all__ = [
     "snapshot",
     "merge_profiles",
     "hot_functions",
+    "hot_function_rows",
     "phase_breakdown",
     "collapsed_stacks",
     "render_flamegraph_svg",
@@ -392,6 +393,22 @@ def hot_functions(snap: Mapping[str, Any], *, top: int = 10) -> list[dict[str, A
         e["phase"] = max(sorted(by_phase), key=by_phase.get) if by_phase else ""
         rows.append(e)
     return rows[:top]
+
+
+def hot_function_rows(snap: Mapping[str, Any], *, top: int = 10) -> list[list]:
+    """:func:`hot_functions` as display rows: function, phase, calls,
+    self ms, cum ms and share.  Shared by the CLI and the dashboard."""
+    return [
+        [
+            h["function"],
+            h["phase"],
+            h["calls"],
+            h["self_s"] * 1e3,
+            h["cum_s"] * 1e3,
+            f"{h['share'] * 100:.1f}%",
+        ]
+        for h in hot_functions(snap, top=top)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -755,3 +755,112 @@ class TestWhyCommand:
         doc = json.loads(path.read_text())
         categories = doc["categories"]
         assert abs(sum(categories.values()) - doc["makespan"]) < 1e-9
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 (EXIT_CODE_TABLE row 1): 2 means a failed
+    gate, so a script can tell a typo from a regression."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--policy", "bogus"], ["run", "--size", "abc"], []],
+        ids=["unknown-choice", "bad-int", "no-command"],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: repro" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top", "--interval", "-1"],
+            ["top", "--interval", "nan"],
+            ["top", "--frames", "0"],
+            ["top", "--width", "0"],
+            ["profile", "--top", "-1"],
+        ],
+        ids=["interval", "interval-nan", "frames", "width", "profile-top"],
+    )
+    def test_degenerate_number_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 1
+        assert f"argument {argv[1]}: must be" in capsys.readouterr().err
+
+    def test_boundary_numbers_accepted(self):
+        args = build_parser().parse_args(
+            ["top", "--interval", "0", "--frames", "1", "--width", "1"]
+        )
+        assert (args.interval, args.frames, args.width) == (0.0, 1, 1)
+        assert build_parser().parse_args(["profile", "--top", "1"]).top == 1
+
+
+class TestSharedPipeline:
+    """Flag groups and the single-run pipeline behave alike in every
+    command that shares them."""
+
+    RUN = ["--app", "matmul", "--size", "2048", "--machines", "2"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", *RUN], ["serve", "--rate", "2", "--duration", "3"]],
+        ids=["run", "serve"],
+    )
+    def test_slo_report_out_requires_slo(self, argv, tmp_path, monkeypatch):
+        from repro.errors import ConfigurationError
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match="requires --slo"):
+            main(argv + ["--slo-report-out", "r.json"])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["trace", "--out"],
+            ["why", "--out", "-", "--trace-out"],
+            ["profile", "--flame", "-", "--trace-out"],
+        ],
+        ids=["trace", "why", "profile"],
+    )
+    def test_single_run_trace_carries_decisions(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        import json
+
+        from repro import cli
+        from repro.obs.trace_export import validate_chrome_trace
+
+        results = []
+        simulate = cli._simulate
+
+        def recording_simulate(*args, **kwargs):
+            policy, result = simulate(*args, **kwargs)
+            results.append(result)
+            return policy, result
+
+        monkeypatch.setattr(cli, "_simulate", recording_simulate)
+        path = tmp_path / "trace.json"
+        argv = [command[0], *self.RUN, "--policy", "plb-hec", *command[1:]]
+        assert main(argv + [str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert validate_chrome_trace(doc) == []
+        marks = [
+            e["args"]["id"] for e in doc["traceEvents"]
+            if e.get("cat") == "decision"
+        ]
+        (result,) = results
+        assert marks, "plb-hec traces must carry decision instants"
+        assert marks == [d.decision_id for d in result.ledger.decisions]
+
+    def test_top_follow_mode_stops_after_frames(self, tmp_path, capsys):
+        series = tmp_path / "series.jsonl"
+        assert main(["run", *self.RUN, "--series-out", str(series)]) == 0
+        capsys.readouterr()
+        assert main(
+            ["top", "--series", str(series), "--frames", "2",
+             "--interval", "0"]
+        ) == 0
+        assert capsys.readouterr().out.count("\x1b[H\x1b[2J") == 2

@@ -137,6 +137,25 @@ class RunSpec:
     sample_interval: float | None = None
     service_json: str | None = None
 
+    def config(self) -> dict:
+        """The run inputs a batch run's manifest records; the cache key
+        adds the algorithm version, the cluster and the options set."""
+        config = {
+            "app": self.app_name,
+            "size": self.size,
+            "machines": self.num_machines,
+            "policy": self.policy_name,
+            "seed": self.run_seed,
+            "noise": self.noise_sigma,
+            "overhead": self.fixed_overhead_s,
+        }
+        if self.faults:
+            # lazy import: repro.resilience imports this module
+            from repro.resilience.faults import fault_to_dict
+
+            config["faults"] = [fault_to_dict(f) for f in self.faults]
+        return config
+
 
 @dataclass(frozen=True)
 class PointSpec:
@@ -313,20 +332,7 @@ def _execute_run(
         return _execute_service_run(spec, cluster_factory)
     wall0 = time.perf_counter()
     metrics_before = get_registry().snapshot()
-    config = {
-        "app": spec.app_name,
-        "size": spec.size,
-        "machines": spec.num_machines,
-        "policy": spec.policy_name,
-        "seed": spec.run_seed,
-        "noise": spec.noise_sigma,
-        "overhead": spec.fixed_overhead_s,
-    }
-    if spec.faults:
-        # lazy import: repro.resilience imports this module
-        from repro.resilience.faults import fault_to_dict
-
-        config["faults"] = [fault_to_dict(f) for f in spec.faults]
+    config = spec.config()
     # The deterministic id RunReport.build would derive anyway; pushing
     # it around the execution tags worker-side events and log records
     # with the run they belong to, without perturbing cached payloads.
@@ -490,21 +496,10 @@ class ResultCache:
         so fault-free runs keep their historical addresses.
         """
         entry = {
+            **spec.config(),
             "version": ALGORITHM_VERSION,
-            "app": spec.app_name,
-            "size": spec.size,
-            "machines": spec.num_machines,
-            "policy": spec.policy_name,
-            "seed": spec.run_seed,
-            "noise": spec.noise_sigma,
-            "overhead": spec.fixed_overhead_s,
             "cluster": cluster_tag,
         }
-        if spec.faults:
-            # lazy import: repro.resilience imports this module
-            from repro.resilience.faults import fault_to_dict
-
-            entry["faults"] = [fault_to_dict(f) for f in spec.faults]
         if spec.tolerate_errors:
             entry["tolerate_errors"] = True
         if spec.sample_interval is not None:

@@ -7,24 +7,28 @@ named temp file beside the target, moved into place with
 :class:`~repro.errors.ConfigurationError`.  A shape spec is a ``dict``
 of required keys (nested freely) or a leaf below; :func:`check` never
 raises.  A ``bool`` is never a number, and every number must be finite.
+A config dataclass takes its JSON form from :func:`to_data` and is
+rebuilt by :func:`from_data`, both driven by its fields and their types.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import reprlib
 import secrets
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Union, get_args, get_origin, get_type_hints
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "ANY", "BOOL", "COUNT", "FINITE", "NAME", "NON_NEGATIVE", "OBJECT", "STR",
-    "check", "list_of", "map_of", "number", "one_of", "read_json", "refuse",
-    "write_json", "write_text",
+    "check", "from_data", "list_of", "map_of", "number", "one_of", "read_json",
+    "refuse", "to_data", "write_json", "write_text",
 ]
 
 #: A leaf appends the problems of ``value`` (named ``where``) to a list.
@@ -209,3 +213,64 @@ OBJECT = _leaf("a JSON object", lambda value: isinstance(value, dict))
 COUNT = number(0, integer=True)
 FINITE = number()
 NON_NEGATIVE = number(0)
+
+#: Each class's field types, resolved once: resolving evaluates annotations.
+_field_types = functools.cache(get_type_hints)
+
+
+def to_data(value: Any, hint: Any = None) -> Any:
+    """The JSON-ready form of a config dataclass, or of a value declared ``hint``.
+
+    A value declared ``int`` or ``float`` is coerced to it, a tuple
+    becomes a list, a dataclass a dict of its fields, which a class with
+    a ``TAG`` opens with ``"type": TAG``; anything else is kept as is.
+    """
+    if hint is int or hint is float:
+        return hint(value)
+    if is_dataclass(value):
+        types = _field_types(type(value))
+        data = {"type": value.TAG} if hasattr(value, "TAG") else {}
+        for f in fields(value):
+            data[f.name] = to_data(getattr(value, f.name), types[f.name])
+        return data
+    if isinstance(value, tuple):
+        return [to_data(v, h) for v, h in _items(hint, value)]
+    return value
+
+
+def from_data(hint: Any, data: Any) -> Any:
+    """Inverse of :func:`to_data`: the value of declared type ``hint``.
+
+    A dataclass takes every field absent from ``data`` from its default
+    (:class:`KeyError` for a field without one) and validates itself;
+    lists become tuples.  A tagged base class (a non-dataclass with a
+    ``TAG``) becomes its direct subclass whose ``TAG`` is
+    ``data["type"]``, else :class:`ConfigurationError` names the type.
+    """
+    if hint is int or hint is float:
+        return hint(data)
+    if get_origin(hint) is tuple:
+        return tuple(from_data(h, v) for v, h in _items(hint, data))
+    if not is_dataclass(hint):
+        if not (isinstance(hint, type) and hasattr(hint, "TAG")):
+            return data
+        kind = data.get("type")
+        tagged = [sub for sub in hint.__subclasses__() if sub.TAG == kind]
+        if not tagged:
+            raise ConfigurationError(f"unknown {hint.__name__.lower()} type {kind!r}")
+        hint = tagged[0]
+    types = _field_types(hint)
+    return hint(**{
+        f.name: from_data(types[f.name], data[f.name])
+        for f in fields(hint)
+        if f.name in data
+        or (f.default is MISSING and f.default_factory is MISSING)
+    })
+
+
+def _items(hint: Any, values: tuple | list) -> zip:
+    """Each item of a tuple declared ``hint``, paired with its declared type."""
+    types = get_args(hint)
+    if types[1:] == (Ellipsis,):
+        types = types[:1] * len(values)
+    return zip(values, types if len(types) == len(values) else [None] * len(values))

@@ -94,18 +94,13 @@ DEFAULT_SPEEDUP_FACTOR = 2.0
 def _down_windows(trace: ExecutionTrace) -> list[tuple[float, float]]:
     """Device down-windows [t_down, t_up), open ones capped at makespan.
 
-    Each failure pairs with the first recovery of the same device at or
-    after it (the fault-isolation invariant's pairing rule); unpaired
-    failures are permanent and stay down until the end of the run.
+    Failures pair with recoveries by :meth:`ExecutionTrace.down_windows`
+    (the fault-isolation invariant's pairing rule); unpaired failures are
+    permanent and stay down until the end of the run.
     """
-    recoveries = sorted(trace.recoveries)
     windows: list[tuple[float, float]] = []
-    for t_down, device in trace.failures:
-        t_up = trace.makespan
-        for t_rec, rec_device in recoveries:
-            if rec_device == device and t_rec >= t_down:
-                t_up = min(t_rec, trace.makespan)
-                break
+    for _device, t_down, t_up in trace.down_windows():
+        t_up = trace.makespan if t_up is None else min(t_up, trace.makespan)
         if t_up > t_down:
             windows.append((t_down, t_up))
     return _merge_intervals(windows)

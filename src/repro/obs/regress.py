@@ -52,6 +52,18 @@ class Anomaly:
     context: dict = field(default_factory=dict)
 
 
+def _emit(findings: list[Anomaly]) -> None:
+    """Log each finding as a structured ``anomaly.<name>`` instant."""
+    for finding in findings:
+        _events.instant(
+            f"anomaly.{finding.name}",
+            severity=finding.severity,
+            value=round(finding.value, 6),
+            threshold=finding.threshold,
+            message=finding.message,
+        )
+
+
 #: Probing beyond this share of the application data defeats the point
 #: of a short modeling phase (paper Sec. IV: ~10% observed).
 PROBE_SHARE_THRESHOLD = 0.20
@@ -230,14 +242,7 @@ def detect_anomalies(
         )
 
     if emit:
-        for finding in findings:
-            _events.instant(
-                f"anomaly.{finding.name}",
-                severity=finding.severity,
-                value=round(finding.value, 6),
-                threshold=finding.threshold,
-                message=finding.message,
-            )
+        _emit(findings)
     return findings
 
 
@@ -300,14 +305,7 @@ def detect_slo_anomalies(
             )
         )
     if emit:
-        for finding in findings:
-            _events.instant(
-                f"anomaly.{finding.name}",
-                severity=finding.severity,
-                value=round(finding.value, 6),
-                threshold=finding.threshold,
-                message=finding.message,
-            )
+        _emit(findings)
     return findings
 
 
@@ -436,12 +434,5 @@ def detect_critpath_anomalies(
                 )
 
     if emit:
-        for finding in findings:
-            _events.instant(
-                f"anomaly.{finding.name}",
-                severity=finding.severity,
-                value=round(finding.value, 6),
-                threshold=finding.threshold,
-                message=finding.message,
-            )
+        _emit(findings)
     return findings

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import from_data, to_data
 
 __all__ = ["RunReport", "config_hash"]
 
@@ -86,17 +87,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         """JSON-compatible plain-data form."""
-        return {
-            "schema": self.schema,
-            "run_id": self.run_id,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "makespan": self.makespan,
-            "rebalances": self.rebalances,
-            "solver_overhead_s": self.solver_overhead_s,
-            "phase_summary": self.phase_summary,
-            "metrics": self.metrics,
-        }
+        return to_data(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -106,17 +97,7 @@ class RunReport:
         matches its recorded hash has been tampered with or corrupted.
         """
         try:
-            report = cls(
-                run_id=str(data["run_id"]),
-                config=dict(data["config"]),
-                config_hash=str(data["config_hash"]),
-                makespan=float(data["makespan"]),
-                rebalances=int(data["rebalances"]),
-                solver_overhead_s=float(data["solver_overhead_s"]),
-                phase_summary=dict(data.get("phase_summary", {})),
-                metrics=dict(data.get("metrics", {})),
-                schema=int(data.get("schema", _SCHEMA)),
-            )
+            report = from_data(cls, data)
         except KeyError as exc:
             raise ConfigurationError(f"run report missing key: {exc}") from exc
         if config_hash(report.config) != report.config_hash:

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import PointSpec, SweepStats, run_sweep
-from repro.obs.artifact import BOOL, COUNT, OBJECT, map_of
+from repro.obs.artifact import BOOL, COUNT, OBJECT, map_of, to_data
 from repro.obs.events import EventLog
 from repro.obs.metrics import get_registry
 from repro.resilience.faults import fault_to_dict, generate_schedule
@@ -119,17 +119,7 @@ class ChaosConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "apps": list(self.apps),
-            "sizes": list(self.sizes),
-            "machines": self.machines,
-            "policies": list(self.policies),
-            "runs": self.runs,
-            "seed": self.seed,
-            "noise_sigma": self.noise_sigma,
-            "max_faults": self.max_faults,
-            "anomaly_tolerance": self.anomaly_tolerance,
-        }
+        return to_data(self)
 
     def _scenario(self, slot: Slot) -> tuple[str, int]:
         return (

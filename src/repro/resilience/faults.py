@@ -14,8 +14,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import from_data, to_data
 from repro.runtime.sim_executor import (
     DeviceFailure,
+    Fault,
     Perturbation,
     TransferFault,
     TransientFailure,
@@ -23,74 +25,18 @@ from repro.runtime.sim_executor import (
 
 __all__ = ["fault_to_dict", "fault_from_dict", "generate_schedule"]
 
-Fault = DeviceFailure | Perturbation | TransientFailure | TransferFault
-
 
 def fault_to_dict(fault: Fault) -> dict:
     """Canonical JSON-safe form of any fault object."""
-    if isinstance(fault, DeviceFailure):
-        return {
-            "type": "failure",
-            "device_id": fault.device_id,
-            "time": float(fault.time),
-        }
-    if isinstance(fault, Perturbation):
-        return {
-            "type": "perturbation",
-            "device_id": fault.device_id,
-            "start_time": float(fault.start_time),
-            "factor": float(fault.factor),
-        }
-    if isinstance(fault, TransientFailure):
-        return {
-            "type": "transient",
-            "device_id": fault.device_id,
-            "time": float(fault.time),
-            "downtime": float(fault.downtime),
-        }
-    if isinstance(fault, TransferFault):
-        return {
-            "type": "transfer",
-            "device_id": fault.device_id,
-            "time": float(fault.time),
-            "duration": float(fault.duration),
-            "max_retries": int(fault.max_retries),
-            "timeout_factor": float(fault.timeout_factor),
-            "backoff_factor": float(fault.backoff_factor),
-            "backoff_cap_factor": float(fault.backoff_cap_factor),
-            "jitter": float(fault.jitter),
-        }
-    raise ConfigurationError(f"unknown fault object {fault!r}")
+    if not isinstance(fault, Fault):
+        raise ConfigurationError(f"unknown fault object {fault!r}")
+    return to_data(fault)
 
 
 def fault_from_dict(data: dict) -> Fault:
-    """Inverse of :func:`fault_to_dict`."""
-    kind = data.get("type")
-    if kind == "failure":
-        return DeviceFailure(data["device_id"], float(data["time"]))
-    if kind == "perturbation":
-        return Perturbation(
-            data["device_id"],
-            float(data["start_time"]),
-            float(data["factor"]),
-        )
-    if kind == "transient":
-        return TransientFailure(
-            data["device_id"], float(data["time"]), float(data["downtime"])
-        )
-    if kind == "transfer":
-        return TransferFault(
-            data["device_id"],
-            float(data["time"]),
-            float(data["duration"]),
-            max_retries=int(data.get("max_retries", 4)),
-            timeout_factor=float(data.get("timeout_factor", 2.0)),
-            backoff_factor=float(data.get("backoff_factor", 1.0)),
-            backoff_cap_factor=float(data.get("backoff_cap_factor", 8.0)),
-            # absent in schedules serialized before the knob existed
-            jitter=float(data.get("jitter", 0.0)),
-        )
-    raise ConfigurationError(f"unknown fault type {kind!r}")
+    """Inverse of :func:`fault_to_dict`; an absent field takes its default
+    (schedules serialized before a knob existed)."""
+    return from_data(Fault, data)
 
 
 def split_faults(

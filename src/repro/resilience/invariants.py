@@ -106,18 +106,13 @@ def check_fault_isolation(trace: ExecutionTrace) -> list[Violation]:
     """No dispatch may land on a device while it is down.
 
     Each recorded failure is paired with the first recovery of the same
-    device after it; a failure with no such recovery is permanent.  Also
-    checks lost-block accounting: every lost block needs a down event at
-    the same instant on the same device.
+    device after it (:meth:`ExecutionTrace.down_windows`); a failure with
+    no such recovery is permanent.  Also checks lost-block accounting:
+    every lost block needs a down event at the same instant on the same
+    device.
     """
     violations: list[Violation] = []
-    recoveries = sorted(trace.recoveries)
-    for t_down, device in trace.failures:
-        t_up = None
-        for t_rec, rec_device in recoveries:
-            if rec_device == device and t_rec >= t_down:
-                t_up = t_rec
-                break
+    for device, t_down, t_up in trace.down_windows():
         for r in trace.records:
             if r.worker_id != device:
                 continue

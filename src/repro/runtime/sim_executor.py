@@ -37,6 +37,7 @@ from repro.sim.trace import ExecutionTrace, TaskRecord
 from repro.util.validation import check_positive, check_positive_int
 
 __all__ = [
+    "Fault",
     "Perturbation",
     "DeviceFailure",
     "TransientFailure",
@@ -47,14 +48,22 @@ __all__ = [
 ]
 
 
+class Fault:
+    """An injected fault; its kind's ``TAG`` is the ``"type"`` of its JSON form."""
+
+    TAG = ""
+
+
 @dataclass(frozen=True)
-class Perturbation:
+class Perturbation(Fault):
     """A mid-run change of one device's speed.
 
     Models the paper's Sec. VI scenarios (shared clouds, degraded
     nodes): from ``start_time`` on, the device's execution times are
     multiplied by ``factor`` (> 1 slows it down, < 1 speeds it up).
     """
+
+    TAG = "perturbation"
 
     device_id: str
     start_time: float
@@ -66,7 +75,7 @@ class Perturbation:
 
 
 @dataclass(frozen=True)
-class DeviceFailure:
+class DeviceFailure(Fault):
     """A device becomes permanently unavailable mid-run.
 
     The paper's Sec. VI fault-tolerance outlook: "machines may become
@@ -77,6 +86,8 @@ class DeviceFailure:
     surviving devices to reprocess.
     """
 
+    TAG = "failure"
+
     device_id: str
     time: float
 
@@ -85,7 +96,7 @@ class DeviceFailure:
 
 
 @dataclass(frozen=True)
-class TransientFailure:
+class TransientFailure(Fault):
     """A device goes down at ``time`` and returns at ``time + downtime``.
 
     The Sec. VI "machines may become unavailable" scenario without the
@@ -99,6 +110,8 @@ on_device_recovered` hook fires and polling resumes.  A permanent
     first recovery revives it.
     """
 
+    TAG = "transient"
+
     device_id: str
     time: float
     downtime: float
@@ -109,7 +122,7 @@ on_device_recovered` hook fires and polling resumes.  A permanent
 
 
 @dataclass(frozen=True)
-class TransferFault:
+class TransferFault(Fault):
     """Transfers to one device fail during ``[time, time + duration)``.
 
     A dispatch whose transfer would start inside the window stalls: the
@@ -135,6 +148,8 @@ class TransferFault:
     consumes no randomness at all, leaving jitter-free runs
     byte-identical to before the knob existed.
     """
+
+    TAG = "transfer"
 
     device_id: str
     time: float

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.obs.artifact import from_data, to_data
 from repro.sim.random import RandomStreams
 
 __all__ = ["ArrivalSpec", "Arrival", "generate_arrivals", "PATTERNS"]
@@ -99,28 +100,11 @@ class ArrivalSpec:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "rate": float(self.rate),
-            "duration": float(self.duration),
-            "pattern": self.pattern,
-            "tenants": int(self.tenants),
-            "templates": [[name, int(size)] for name, size in self.templates],
-            "priority_levels": int(self.priority_levels),
-        }
+        return to_data(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ArrivalSpec":
-        return ArrivalSpec(
-            rate=float(data.get("rate", 2.0)),
-            duration=float(data.get("duration", 30.0)),
-            pattern=str(data.get("pattern", "constant")),
-            tenants=int(data.get("tenants", 2)),
-            templates=tuple(
-                (str(name), int(size))
-                for name, size in data.get("templates", [["matmul", 1024]])
-            ),
-            priority_levels=int(data.get("priority_levels", 3)),
-        )
+        return from_data(ArrivalSpec, data)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate ``lambda(t)``."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import PointSpec
+from repro.obs.artifact import to_data
 from repro.resilience.campaign import Slot, mean
 from repro.service.arrivals import ArrivalSpec
 from repro.service.balancer import BALANCER_FLAVORS
@@ -68,20 +69,7 @@ class ServeChaosConfig:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
 
     def to_dict(self) -> dict:
-        return {
-            "policies": list(self.policies),
-            "runs": int(self.runs),
-            "seed": int(self.seed),
-            "rate": float(self.rate),
-            "duration": float(self.duration),
-            "machines": int(self.machines),
-            "queue_limit": int(self.queue_limit),
-            "shed_policy": self.shed_policy,
-            "max_active": int(self.max_active),
-            "deadline_factor": float(self.deadline_factor),
-            "retry_budget": int(self.retry_budget),
-            "max_faults": int(self.max_faults),
-        }
+        return to_data(self)
 
     def service_config(self, policy: str, faults: tuple = ()) -> ServiceConfig:
         """The episode config one campaign slot runs."""

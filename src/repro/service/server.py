@@ -31,10 +31,12 @@ from typing import Callable
 from repro.cluster import GroundTruth, paper_cluster
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs.artifact import from_data, to_data
 from repro.obs.metrics import get_registry
 from repro.obs.timeseries import TimeSeriesStore, jain_fairness
 from repro.runtime.sim_executor import (
     DeviceFailure,
+    Fault,
     Perturbation,
     TransferFault,
     TransientFailure,
@@ -75,7 +77,7 @@ class ServiceConfig:
     breaker_threshold: int = 3
     breaker_cooldown: float = 2.0
     breaker_jitter: float = 0.1
-    faults: tuple = ()
+    faults: tuple[Fault, ...] = ()
 
     def __post_init__(self) -> None:
         if not 1 <= self.machines <= 4:
@@ -111,26 +113,7 @@ class ServiceConfig:
         check_positive("noise_sigma", self.noise_sigma, strict=False)
 
     def to_dict(self) -> dict:
-        from repro.resilience.faults import fault_to_dict
-
-        return {
-            "arrivals": self.arrivals.to_dict(),
-            "machines": int(self.machines),
-            "policy": self.policy,
-            "queue_limit": int(self.queue_limit),
-            "shed_policy": self.shed_policy,
-            "max_active": int(self.max_active),
-            "deadline_factor": float(self.deadline_factor),
-            "retry_budget": int(self.retry_budget),
-            "rebalance_interval": float(self.rebalance_interval),
-            "sample_interval": float(self.sample_interval),
-            "noise_sigma": float(self.noise_sigma),
-            "seed": int(self.seed),
-            "breaker_threshold": int(self.breaker_threshold),
-            "breaker_cooldown": float(self.breaker_cooldown),
-            "breaker_jitter": float(self.breaker_jitter),
-            "faults": [fault_to_dict(f) for f in self.faults],
-        }
+        return to_data(self)
 
     def to_sweep_json(self) -> str:
         """Canonical JSON for ``RunSpec.service_json``.
@@ -145,28 +128,10 @@ class ServiceConfig:
 
     @staticmethod
     def from_dict(data: dict, *, seed: int | None = None) -> "ServiceConfig":
-        from repro.resilience.faults import fault_from_dict
-
-        return ServiceConfig(
-            arrivals=ArrivalSpec.from_dict(data.get("arrivals", {})),
-            machines=int(data.get("machines", 2)),
-            policy=str(data.get("policy", "plb-hec")),
-            queue_limit=int(data.get("queue_limit", 16)),
-            shed_policy=str(data.get("shed_policy", "reject")),
-            max_active=int(data.get("max_active", 4)),
-            deadline_factor=float(data.get("deadline_factor", 0.0)),
-            retry_budget=int(data.get("retry_budget", 2)),
-            rebalance_interval=float(data.get("rebalance_interval", 0.5)),
-            sample_interval=float(data.get("sample_interval", 0.0)),
-            noise_sigma=float(data.get("noise_sigma", 0.0)),
-            seed=int(data["seed"] if seed is None else seed),
-            breaker_threshold=int(data.get("breaker_threshold", 3)),
-            breaker_cooldown=float(data.get("breaker_cooldown", 2.0)),
-            breaker_jitter=float(data.get("breaker_jitter", 0.1)),
-            faults=tuple(
-                fault_from_dict(f) for f in data.get("faults", ())
-            ),
-        )
+        """Inverse of :meth:`to_dict`; ``seed`` replaces the dict's seed,
+        which is required without it."""
+        seed = data["seed"] if seed is None else seed
+        return from_data(ServiceConfig, {**data, "seed": seed})
 
 
 class ClusterService:

@@ -12,7 +12,7 @@ The trace recorder captures what the paper's instrumentation captured:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 __all__ = ["TaskRecord", "BusyInterval", "ExecutionTrace"]
@@ -262,6 +262,18 @@ class ExecutionTrace:
             for w in self.worker_ids
         }
 
+    def down_windows(self) -> list[tuple[str, float, float | None]]:
+        """``(device, t_down, t_up)`` of every failure, in record order.
+
+        A failure pairs with the first recovery of the same device at or
+        after it; ``t_up`` is None when none follows (a permanent failure).
+        """
+        windows: list[tuple[str, float, float | None]] = []
+        for t_down, device in self.failures:
+            ups = [t for t, d in self.recoveries if d == device and t >= t_down]
+            windows.append((device, t_down, min(ups, default=None)))
+        return windows
+
     @property
     def num_rebalances(self) -> int:
         """How many threshold-triggered rebalances the policy executed."""
@@ -322,24 +334,7 @@ class ExecutionTrace:
         return {
             "worker_ids": list(self.worker_ids),
             "makespan": self.makespan,
-            "records": [
-                {
-                    "worker_id": r.worker_id,
-                    "units": r.units,
-                    "dispatch_time": r.dispatch_time,
-                    "transfer_time": r.transfer_time,
-                    "exec_time": r.exec_time,
-                    "start_time": r.start_time,
-                    "end_time": r.end_time,
-                    "phase": r.phase,
-                    "step": r.step,
-                    "start_unit": r.start_unit,
-                    "retries": r.retries,
-                    "retry_time": r.retry_time,
-                    "decision": r.decision,
-                }
-                for r in self.records
-            ],
+            "records": [asdict(r) for r in self.records],
             "phase_marks": [list(m) for m in self.phase_marks],
             "rebalance_times": list(self.rebalance_times),
             "solver_overheads": list(self.solver_overheads),

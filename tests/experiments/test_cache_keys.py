@@ -1,0 +1,73 @@
+"""Cache addresses of faulted and service runs are pinned.
+
+A key is a hash of the run's inputs in their JSON form, fault dicts and
+the service config's sweep JSON included, so any drift in those forms
+would silently orphan every cached entry.  The literals were computed
+before the config codec replaced the hand-written forms.
+"""
+
+from __future__ import annotations
+
+from repro.cluster import paper_cluster
+from repro.experiments.parallel import ResultCache, RunSpec, _factory_tag
+from repro.runtime.sim_executor import (
+    DeviceFailure,
+    Perturbation,
+    TransferFault,
+    TransientFailure,
+)
+from repro.service.arrivals import ArrivalSpec
+from repro.service.server import ServiceConfig
+
+#: every fault kind, ints in float fields included
+FAULTS = (
+    DeviceFailure("B.gpu0", 1),
+    Perturbation("A.cpu0", 0.1, 2),
+    TransientFailure("A.gpu0", 0.05, 0.1),
+    TransferFault("B.cpu0", 0.2, 0.05, max_retries=3, jitter=0.25),
+)
+
+TAG = _factory_tag(paper_cluster)
+
+
+def test_faulted_run_key_is_pinned():
+    spec = RunSpec(
+        app_name="matmul",
+        size=4096,
+        num_machines=2,
+        policy_name="plb-hec",
+        run_seed=7,
+        noise_sigma=0.005,
+        fixed_overhead_s=0.002,
+        faults=FAULTS,
+        tolerate_errors=True,
+    )
+    assert ResultCache.key(spec, TAG) == (
+        "089d45e0abb091b2f6141f81211e790b2263ccbe87bb0c7fc4a87d1366e9cb18"
+    )
+
+
+def test_service_run_key_is_pinned():
+    service = ServiceConfig(
+        arrivals=ArrivalSpec(rate=3, duration=12, pattern="bursty"),
+        machines=2,
+        policy="greedy",
+        queue_limit=8,
+        shed_policy="drop-oldest",
+        deadline_factor=30,
+        retry_budget=4,
+        faults=FAULTS,
+    )
+    spec = RunSpec(
+        app_name="serve",
+        size=0,
+        num_machines=2,
+        policy_name="greedy",
+        run_seed=3,
+        noise_sigma=0.0,
+        tolerate_errors=True,
+        service_json=service.to_sweep_json(),
+    )
+    assert ResultCache.key(spec, TAG) == (
+        "6519c21f1c5a1fe106462b554d8d44c1717a0b0a8dbeffb6a0e1933cdb94473f"
+    )

@@ -166,7 +166,7 @@ from repro.errors import ConfigurationError
 from repro.obs.artifact import check, read_json, write_json, write_text
 from repro.obs.events import new_run_id, push_run_id
 from repro.obs.ledger import decision_rows, ledger_summary, write_explain
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import diff_snapshots, get_registry, snapshot_to_prometheus
 from repro.obs.profiler import (
     collapsed_stacks,
     hot_function_rows,
@@ -1062,6 +1062,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         or args.slo
     ):
         sampler = ClusterSampler(args.sample_interval)
+    metrics_before = get_registry().snapshot()
     run_id, policy, result, prof_snapshot = _run_once(
         args, sampler=sampler, profile=args.profile
     )
@@ -1108,8 +1109,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result.ledger, profile=prof_snapshot, alerts=alerts,
         )
     if args.metrics_out:
+        # this run's own counters, not the process's lifetime totals
+        metrics = diff_snapshots(metrics_before, get_registry().snapshot())
         if args.metrics_format == "prom":
-            write_text(args.metrics_out, get_registry().to_prometheus())
+            write_text(args.metrics_out, snapshot_to_prometheus(metrics))
         else:
             report = RunReport.build(
                 config=_run_config(args, policy.name),
@@ -1117,7 +1120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 rebalances=result.num_rebalances,
                 solver_overhead_s=result.solver_overhead_s,
                 phase_summary=result.trace.phase_summary(),
-                metrics=get_registry().snapshot(),
+                metrics=metrics,
                 run_id=run_id,
             )
             write_json(args.metrics_out, report.to_dict())

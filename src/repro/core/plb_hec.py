@@ -10,9 +10,11 @@ Three phases:
    until the fit is acceptable or 20 % of the application data has been
    consumed.
 2. **Block-size selection** (Sec. III.C).  The fitted models form the
-   equal-finish-time system (eq. 5), solved by the interior-point
-   line-search filter method; each device g is assigned a block size
-   ``x_g`` — its share of one execution-step quantum.
+   equal-finish-time system (eq. 5), solved to the interior-point
+   method's tolerance (a certified Newton polish of the waterfill
+   point, or the line-search filter method when the certificate
+   refuses); each device g is assigned a block size ``x_g`` — its
+   share of one execution-step quantum.
 3. **Execution and rebalancing** (Sec. III.D, Algorithm 2).  Devices
    asynchronously pull blocks of their assigned size.  A
    :class:`~repro.core.rebalance.SkewMonitor` watches per-step finish
@@ -21,7 +23,7 @@ Three phases:
    execution measurements, re-solves and resumes with new sizes.
 
 Master "thinking time" — the wall-clock cost of the fits and the
-interior-point solve *measured on the host* — is charged into the run
+partition solve *measured on the host* — is charged into the run
 through :meth:`SchedulingContext.charge_overhead`, so the makespans the
 experiments report include scheduler overhead exactly as the paper's
 measurements did (they report ~170 ms per solve on four machines).

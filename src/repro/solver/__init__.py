@@ -16,10 +16,12 @@ This package implements that algorithm from scratch:
   (minimise the common completion time T subject to ``E_g(x_g) = T`` and
   ``sum x_g = Q``) from fitted device models;
 * :mod:`repro.solver.reduction` — an independent waterfilling reduction
-  of the same problem (bisection on T), used as cross-check and
-  fallback;
+  of the same problem (bisection on T), used as presolve and fallback;
 * :mod:`repro.solver.partition` — the high-level
-  :func:`solve_block_partition` entry point with its fallback chain.
+  :func:`solve_block_partition` entry point: it certifies the
+  waterfill point, Newton-polished, against the NLP's first-order
+  conditions and runs the interior-point method only when that
+  certificate fails, with its fallback chain behind both.
 """
 
 from repro.solver.diagnostics import (

@@ -14,9 +14,14 @@ solve is staged:
    the common finish time get zero work (the paper's eq. 4 equality
    system is infeasible for them), devices at their trust cap are
    pinned there.
-3. **Interior-point refinement** (the paper's method): the equal-time
-   NLP (eq. 3-5) is solved over the free devices with the
-   line-search filter method, which produces the final block sizes.
+3. **Certificate** on the free devices: a few O(n) Newton steps polish
+   the waterfill point on the exact device models, and the point is
+   returned (``method="certified"``) when it meets the first-order
+   conditions of the equal-time NLP (eq. 3-5) to the interior-point
+   tolerance — the same test the interior-point solver stops on.
+4. **Interior-point refinement** (the paper's method), when the
+   certificate refuses: the NLP is solved over the free devices with
+   the line-search filter method, which produces the final block sizes.
    This mirrors how IPOPT's own bound handling deals with the active
    set internally.
 
@@ -35,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SolverError
-from repro.modeling.perf_profile import DeviceModel
+from repro.modeling.perf_profile import _TIME_FLOOR, DeviceModel
 from repro.solver.ipm import IPMOptions, InteriorPointSolver
 from repro.solver.problem import build_partition_nlp, initial_partition_point
 from repro.solver.reduction import waterfill_partition
@@ -48,6 +53,10 @@ _log = get_logger("solver.partition")
 #: Assignments may exceed the profiled range by at most this factor —
 #: the same slack the model-sanity check (`modeling.model_select`) spans.
 TRUST_SLACK = 4.0
+
+#: Newton steps the certificate may take; the waterfill point is already
+#: close, and one or two steps reach the interior-point tolerance.
+_POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -63,17 +72,22 @@ class PartitionResult:
     predicted_time:
         The common completion time T the models predict.
     method:
-        ``"ipm"``, ``"waterfill"`` or ``"proportional"`` — which path
-        produced the answer.
+        ``"certified"``, ``"ipm"``, ``"waterfill"`` or ``"proportional"``
+        — which path produced the answer.  ``"certified"`` is a point
+        that meets the NLP's first-order conditions to the
+        interior-point tolerance without running the interior-point
+        solver (and a single device, which takes the whole quantum).
     converged:
         Whether the producing method reported success.
     iterations:
-        Interior-point iterations (0 for fallback paths).
+        Newton steps of the certificate or interior-point iterations
+        (0 for fallback paths).
     kkt_error:
         Final scaled KKT error (NaN for fallback paths).
     solve_time_s:
-        Wall-clock seconds the whole chain took (this is the overhead
-        the paper reports as ~170 ms on their master node).
+        Wall-clock seconds the whole chain took, presolve and
+        certificate included (this is the overhead the paper reports as
+        ~170 ms on their master node).
     """
 
     device_ids: tuple[str, ...]
@@ -152,13 +166,64 @@ def _validate(
     return spread <= spread_tol
 
 
+def _certify(
+    models: Sequence[DeviceModel],
+    units: np.ndarray,
+    t: float,
+    q: float,
+    caps: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, float, int, float] | None:
+    """Newton-polish an equal-time point and certify it against the NLP.
+
+    Solves ``E_g(u_g) = T`` for every device with ``sum(u) = q`` from
+    ``(units, t)``.  The Newton system is diagonal plus one row, so a
+    step costs O(n)::
+
+        dT   = (q - sum(u) + sum(r_g / E'_g)) / sum(1 / E'_g),  r_g = E_g - T
+        u_g += (T + dT - E_g) / E'_g
+
+    Returns ``(units, T, steps, residual)`` once ``max |E_g - T|`` and
+    ``|sum(u)/q - 1|`` are both within ``tol``, with every ``u_g``
+    strictly inside ``(0, cap_g)``, every ``E_g`` above the evaluation
+    floor and every ``E'_g > 0``; ``None`` when a step leaves the box,
+    a check fails or :data:`_POLISH_STEPS` steps do not reach ``tol``.
+
+    Such a point meets the first-order conditions the interior-point
+    solver stops on.  Take ``lam_g = (1/E'_g) / sum_h (1/E'_h)`` on the
+    equal-time rows and the slacks' bounds, ``nu = -q / sum_h (1/E'_h)``
+    on the sum row, zero slacks and zero multipliers on the fraction
+    bounds: the dual residual and complementarity of
+    :func:`~repro.solver.problem.build_partition_nlp` vanish, so its
+    KKT error is the primal residual checked here.  ``E'_g > 0`` keeps
+    every ``lam_g`` positive.  (On the floor ``dE`` reports the
+    unguarded slope, so those multipliers would be wrong there.)
+    """
+    u = units
+    for step in range(_POLISH_STEPS + 1):
+        if not np.all((u > 0.0) & (u < caps)):
+            return None
+        xs = u.tolist()
+        e = np.array([m.E(x) for m, x in zip(models, xs)], dtype=float)
+        de = np.array([m.dE(x) for m, x in zip(models, xs)], dtype=float)
+        if not (np.all(e > _TIME_FLOOR) and np.all(de > 0.0)):
+            return None
+        residual = max(float(np.abs(e - t).max()), abs(float(u.sum()) / q - 1.0))
+        if residual <= tol:
+            return u, t, step, residual
+        inv = 1.0 / de
+        dt = float((q - u.sum() + ((e - t) * inv).sum()) / inv.sum())
+        u = u + (t + dt - e) * inv
+        t += dt
+    return None
+
+
 def solve_block_partition(
     models: Mapping[str, DeviceModel] | Sequence[DeviceModel],
     total_units: float,
     *,
     ipm_options: IPMOptions | None = None,
     spread_tol: float = 0.05,
-    allow_fallback: bool = True,
 ) -> PartitionResult:
     """Distribute ``total_units`` so all devices finish simultaneously.
 
@@ -171,18 +236,10 @@ def solve_block_partition(
         The work quantum Q.
     ipm_options:
         Interior-point tuning; defaults favour speed at partition sizes.
+        Its ``tol`` is also the certificate's tolerance.
     spread_tol:
         Maximum relative finish-time spread (on the models' own
         predictions) a solution may exhibit before being rejected.
-    allow_fallback:
-        When False, an interior-point failure raises instead of
-        degrading to the waterfilling answer.
-
-    Raises
-    ------
-    SolverError
-        When ``allow_fallback=False`` and the interior-point stage
-        fails, or when every stage fails.
     """
     if isinstance(models, Mapping):
         device_ids = tuple(models.keys())
@@ -205,16 +262,30 @@ def solve_block_partition(
         tol=1e-8, max_iter=150, barrier_strategy="adaptive"
     )
 
-    if n == 1:
+    def answer(
+        units: np.ndarray,
+        predicted: float,
+        method: str,
+        *,
+        converged: bool = True,
+        iterations: int = 0,
+        kkt_error: float = float("nan"),
+    ) -> PartitionResult:
         return PartitionResult(
             device_ids=device_ids,
-            units=np.array([q]),
-            predicted_time=float(model_list[0].E(q)),
-            method="ipm",
-            converged=True,
-            iterations=0,
-            kkt_error=0.0,
+            units=units,
+            predicted_time=predicted,
+            method=method,
+            converged=converged,
+            iterations=iterations,
+            kkt_error=kkt_error,
             solve_time_s=time.perf_counter() - t_start,
+        )
+
+    if n == 1:
+        # the whole quantum on the one device is exact
+        return answer(
+            np.array([q]), float(model_list[0].E(q)), "certified", kkt_error=0.0
         )
 
     caps = _trust_caps(model_list, q)
@@ -230,9 +301,9 @@ def solve_block_partition(
         _log.debug("waterfilling presolve failed: %s", exc)
 
     # ------------------------------------------------------------------
-    # 2. interior-point refinement on the free set (the paper's solve)
+    # 2. the free set: certify the waterfill point, else refine it with
+    #    the interior-point method (the paper's solve)
     # ------------------------------------------------------------------
-    ipm_error: Exception | None = None
     if units_wf is not None:
         pinned = units_wf >= caps * (1.0 - 1e-9)
         dropped = units_wf <= 1e-9 * q
@@ -241,6 +312,20 @@ def solve_block_partition(
         if len(free) >= 2 and q_free > 0:
             sub_models = [model_list[i] for i in free]
             sub_caps = caps[free]
+            certified = _certify(
+                sub_models, units_wf[free], t_wf, q_free, sub_caps, opts.tol
+            )
+            if certified is not None:
+                sub_units, predicted, steps, residual = certified
+                units = np.where(pinned, caps, 0.0)
+                units[free] = sub_units
+                if _validate(
+                    units, predicted, model_list, q, caps, spread_tol=spread_tol
+                ):
+                    return answer(
+                        units, predicted, "certified",
+                        iterations=steps, kkt_error=residual,
+                    )
             try:
                 nlp = build_partition_nlp(sub_models, q_free, upper_units=sub_caps)
                 z0 = initial_partition_point(
@@ -258,30 +343,17 @@ def solve_block_partition(
                         units, predicted, model_list, q, caps,
                         spread_tol=spread_tol,
                     ):
-                        return PartitionResult(
-                            device_ids=device_ids,
-                            units=units,
-                            predicted_time=predicted,
-                            method="ipm",
-                            converged=True,
+                        return answer(
+                            units, predicted, "ipm",
                             iterations=result.iterations,
                             kkt_error=result.kkt_error,
-                            solve_time_s=time.perf_counter() - t_start,
                         )
-                ipm_error = SolverError(
-                    f"IPM refinement did not validate (status={result.status!r})"
+                _log.debug(
+                    "IPM refinement did not validate (status=%r); "
+                    "using waterfilling", result.status,
                 )
             except SolverError as exc:
-                ipm_error = exc
-        else:
-            ipm_error = SolverError(
-                "free set too small for an interior-point refinement"
-            )
-
-    if not allow_fallback and ipm_error is not None:
-        raise SolverError(f"interior-point solve failed: {ipm_error}")
-    if ipm_error is not None:
-        _log.debug("IPM refinement failed (%s); using waterfilling", ipm_error)
+                _log.debug("IPM refinement failed (%s); using waterfilling", exc)
 
     # ------------------------------------------------------------------
     # 3. waterfilling answer as-is
@@ -289,16 +361,7 @@ def solve_block_partition(
     if units_wf is not None and _validate(
         units_wf, t_wf, model_list, q, caps, spread_tol=max(spread_tol, 0.1)
     ):
-        return PartitionResult(
-            device_ids=device_ids,
-            units=units_wf,
-            predicted_time=t_wf,
-            method="waterfill",
-            converged=True,
-            iterations=0,
-            kkt_error=float("nan"),
-            solve_time_s=time.perf_counter() - t_start,
-        )
+        return answer(units_wf, t_wf, "waterfill")
 
     # ------------------------------------------------------------------
     # 4. measured-rate proportional split under caps (never fails)
@@ -319,13 +382,4 @@ def solve_block_partition(
     predicted = float(
         max(m.E(u) for m, u in zip(model_list, units) if u > 0)
     )
-    return PartitionResult(
-        device_ids=device_ids,
-        units=units,
-        predicted_time=predicted,
-        method="proportional",
-        converged=False,
-        iterations=0,
-        kkt_error=float("nan"),
-        solve_time_s=time.perf_counter() - t_start,
-    )
+    return answer(units, predicted, "proportional", converged=False)

@@ -6,12 +6,14 @@ to one scalar equation: ``S(T) = sum_g E_g^{-1}(T) = Q`` with ``S``
 non-decreasing in T.  Bisection on T is therefore a complete, derivative
 -free solver for the same problem the interior-point method solves.
 
-It is used two ways:
+It is used two ways by :func:`repro.solver.partition.solve_block_partition`:
 
-* as a *cross-check*: tests assert IPM and waterfilling agree;
-* as a *fallback*: if the IPM reports failure on a pathological fit,
-  the partition layer silently switches to this path (and notes it in
-  the result's ``method`` field).
+* as the *presolve*: its split fixes the active set, and its point,
+  Newton-polished on the exact models, is the certified answer
+  whenever it meets the NLP's first-order conditions;
+* as a *fallback*: if neither the certificate nor the IPM produces a
+  valid answer on a pathological fit, the partition layer returns this
+  split as-is (and notes it in the result's ``method`` field).
 """
 
 from __future__ import annotations

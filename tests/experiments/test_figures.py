@@ -117,7 +117,7 @@ class TestSolverOverhead:
         stats = run_solver_overhead(repetitions=5, size=16384)
         assert stats.mean_ms > 0
         assert stats.samples == 5
-        assert stats.method in ("ipm", "waterfill", "proportional")
+        assert stats.method in ("certified", "ipm", "waterfill", "proportional")
 
 
 class TestAblations:

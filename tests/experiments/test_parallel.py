@@ -405,7 +405,7 @@ class TestProfiledSweeps:
     #: worker count (unlike e.g. lru_cache internals, which run once per
     #: process and so differ between 1 and N workers by design).
     CURATED = (
-        "repro.solver.ipm._solve_impl",
+        "repro.solver.partition._certify",
         "repro.solver.partition.solve_block_partition",
         "repro.modeling.least_squares.fit_columns",
         "repro.runtime.sim_executor",

@@ -40,7 +40,7 @@ class TestRunSolverOverhead:
         assert stats.samples == 4
         assert stats.mean_ms > 0
         assert stats.std_ms >= 0
-        assert stats.method in ("ipm", "waterfill", "proportional")
+        assert stats.method in ("certified", "ipm", "waterfill", "proportional")
 
     def test_custom_quantum(self):
         stats = run_solver_overhead(

@@ -21,7 +21,7 @@ class TestSolveBlockPartition:
     def test_ipm_on_clean_models(self):
         models = {f"d{i}": model(f"d{i}", 0.001 * (i + 1)) for i in range(4)}
         result = solve_block_partition(models, 10_000.0)
-        assert result.method == "ipm"
+        assert result.method == "certified"
         assert result.converged
         assert result.units.sum() == pytest.approx(10_000.0, rel=1e-6)
 

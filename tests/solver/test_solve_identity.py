@@ -370,6 +370,7 @@ def test_solve_block_partition_identical_on_every_method():
     steady = make_model(0, CANDIDATE_MODELS[0], [1e-3, 0.4], 1000.0, 1e-6, 1e-4)
     flat = make_model(1, (CONSTANT,), [0.5], 1000.0, 0.0, 0.0)
     small = make_model(2, CANDIDATE_MODELS[0], [1e-3, 0.4], 100.0, 1e-6, 1e-4)
+    assert check_partition(ladder(CANDIDATE_MODELS[1], 5), 0.8) == "certified"
     assert check_partition(ladder(CANDIDATE_MODELS[2], 5), 0.8) == "ipm"
     assert check_partition([flat, steady], 0.2) == "waterfill"
     assert check_partition([flat, steady], 0.8) == "proportional"

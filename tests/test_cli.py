@@ -167,8 +167,38 @@ class TestCommands:
         assert report["run_id"] == doc["otherData"]["run_id"]
         counters = report["metrics"]["counters"]
         assert counters["plbhec.probe_rounds"] > 0
-        assert counters["ipm.iterations"] > 0
+        assert counters["plbhec.solves"] > 0
         assert counters["sim.events_dispatched"] > 0
+        methods = {
+            e["args"]["method"]
+            for e in doc["traceEvents"]
+            if e.get("cat") == "decision"
+        }
+        assert "certified" in methods
+
+    @pytest.mark.parametrize("fmt", ["json", "prom"])
+    def test_run_metrics_out_counts_this_run_only(self, capsys, tmp_path, fmt):
+        import json
+
+        outputs = []
+        for name in ("first", "second"):
+            path = tmp_path / name
+            assert main(
+                ["run", "--app", "matmul", "--size", "4096",
+                 "--metrics-out", str(path), "--metrics-format", fmt]
+            ) == 0
+            outputs.append(path.read_text())
+        if fmt == "json":
+            first, second = (json.loads(t)["metrics"]["counters"] for t in outputs)
+            assert first["plbhec.solves"] > 0
+        else:
+            first, second = (
+                [line for line in t.splitlines() if line.startswith("plbhec_solves ")
+                 or line.startswith("sim_events_dispatched ")]
+                for t in outputs
+            )
+            assert len(first) == 2
+        assert first == second
 
     def test_trace_command(self, capsys, tmp_path):
         import json

@@ -111,14 +111,16 @@ class TestTutorialObservability:
         previous = set_registry(MetricsRegistry())
         try:
             app = RayBatch(100_000)
-            Runtime(small_cluster, app.codelet(), seed=1).run(
+            result = Runtime(small_cluster, app.codelet(), seed=1).run(
                 PLBHeC(), app.total_units, app.default_initial_block_size()
             )
             snap = get_registry().snapshot()
             assert snap["counters"]["plbhec.probe_rounds"] > 0
-            assert snap["counters"]["ipm.iterations"] > 0
+            assert snap["counters"]["plbhec.solves"] > 0
             assert any(k.startswith("plbhec.r2{device=") for k in snap["gauges"])
-            assert snap["histograms"]["ipm.solve_ms"]["p90"] >= 0.0
+            assert snap["histograms"]["plbhec.solve_ms"]["p90"] >= 0.0
+            methods = {d.solver["method"] for d in result.ledger.decisions}
+            assert "certified" in methods
         finally:
             set_registry(previous)
 

@@ -9,6 +9,7 @@ threshold is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,22 +25,45 @@ SCALAR_TYPES = (float, int)
 __all__ = [
     "SCALAR_TYPES",
     "FitResult",
-    "checked_data",
+    "FitData",
     "fit_basis_model",
-    "fit_columns",
     "r_squared",
     "_relative_rmse",
 ]
 
 
+def _spread(y: np.ndarray) -> tuple[float, float]:
+    """``y``'s total sum of squares and mean magnitude: what R² and the
+    relative RMSE divide by."""
+    return float(np.sum((y - y.mean()) ** 2)), float(np.mean(np.abs(y)))
+
+
+def _quality(
+    y: np.ndarray, y_hat: np.ndarray, spread: tuple[float, float]
+) -> tuple[float, float]:
+    """R² and relative RMSE of ``y_hat`` against ``y``, from one residual.
+
+    ``spread`` is :func:`_spread` of ``y``.  Degenerate targets: a
+    constant one scores R² 1.0 when matched exactly and 0.0 otherwise; an
+    all-zero one has relative RMSE 0.0 when matched exactly, else inf.
+    """
+    ss_tot, mean_abs = spread
+    residual = y - y_hat
+    ss_res = float((residual * residual).sum())
+    if ss_tot == 0.0:
+        r2 = 1.0 if ss_res < 1e-24 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    if mean_abs == 0.0:
+        exact = float(np.max(np.abs(residual), initial=0.0)) == 0.0
+        return r2, 0.0 if exact else float("inf")
+    return r2, math.sqrt(ss_res / y.size) / mean_abs
+
+
 def _relative_rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
     """RMS residual divided by the mean target magnitude."""
     y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    denom = float(np.mean(np.abs(y)))
-    if denom == 0.0:
-        return 0.0 if float(np.max(np.abs(y - y_hat), initial=0.0)) == 0.0 else float("inf")
-    return float(np.sqrt(np.mean((y - y_hat) ** 2))) / denom
+    return _quality(y, np.asarray(y_hat, dtype=float), _spread(y))[1]
 
 
 def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -49,12 +73,7 @@ def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
     with residuals scores 0.0 (the conventional degenerate-case choices).
     """
     y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    ss_res = float(np.sum((y - y_hat) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res < 1e-24 else 0.0
-    return 1.0 - ss_res / ss_tot
+    return _quality(y, np.asarray(y_hat, dtype=float), _spread(y))[0]
 
 
 @dataclass(frozen=True)
@@ -141,91 +160,120 @@ class FitResult:
         return f"F[x] = {' '.join(terms)}  (u=x/{self.x_scale:.4g}, R2={self.r2:.3f})"
 
 
-def checked_data(
-    x: Sequence[float],
-    y: Sequence[float],
-    *,
-    x_scale: float | None = None,
-    weights: Sequence[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None]:
-    """Validate fitting inputs once for any number of basis subsets.
+class FitData:
+    """Validated fitting data, solved against many subsets of ``bases``.
 
-    Returns ``(x, y, x_scale, sqrt_weights)`` as floats; ``x_scale``
-    defaults to ``max(x)`` and ``sqrt_weights`` is None when unweighted.
+    What does not depend on the subset is computed once: the validation,
+    the scaled coordinate ``u = x / x_scale``, each basis column on the
+    data (plain for predictions, weighted for the solve), the weighted
+    target and the target's :func:`_spread`.  Model selection solves
+    every candidate subset from one instance; :func:`fit_basis_model`
+    builds one for its single basis.  ``x_scale`` defaults to ``max(x)``.
 
     Raises
     ------
     FitError
         On mismatched or empty data, non-positive or non-finite sizes,
-        non-finite targets, a non-positive scale or bad weights.
+        non-finite targets, a non-positive scale, or weights that are
+        negative, non-finite or mis-shaped.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or xa.shape != ya.shape:
-        raise FitError(f"x and y must be equal-length 1-D, got {xa.shape}, {ya.shape}")
-    if xa.size == 0:
-        raise FitError("cannot fit a model to zero points")
-    if np.any(xa <= 0.0):
-        raise FitError(f"block sizes must be positive, got {xa.min()}")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise FitError("x and y must be finite")
-    scale = float(x_scale) if x_scale is not None else float(xa.max())
-    if scale <= 0.0:
-        raise FitError(f"x_scale must be positive, got {scale}")
-    sqrt_w = None
-    if weights is not None:
-        w_raw = np.asarray(weights, dtype=float)
-        if w_raw.shape != xa.shape or np.any(w_raw < 0):
-            raise FitError("weights must be non-negative and match x")
-        sqrt_w = np.sqrt(w_raw)
-    return xa, ya, scale, sqrt_w
 
+    def __init__(
+        self,
+        x: Sequence[float],
+        y: Sequence[float],
+        bases: Sequence[BasisFunction],
+        *,
+        x_scale: float | None = None,
+        weights: Sequence[float] | None = None,
+    ) -> None:
+        xa = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        if xa.ndim != 1 or xa.shape != self.y.shape:
+            raise FitError(
+                f"x and y must be equal-length 1-D, got {xa.shape}, {self.y.shape}"
+            )
+        if xa.size == 0:
+            raise FitError("cannot fit a model to zero points")
+        if np.any(xa <= 0.0):
+            raise FitError(f"block sizes must be positive, got {xa.min()}")
+        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(self.y))):
+            raise FitError("x and y must be finite")
+        self.x_scale = float(x_scale) if x_scale is not None else float(xa.max())
+        if self.x_scale <= 0.0:
+            raise FitError(f"x_scale must be positive, got {self.x_scale}")
+        sqrt_w = None
+        if weights is not None:
+            w_raw = np.asarray(weights, dtype=float)
+            if w_raw.shape != xa.shape or np.any(w_raw < 0):
+                raise FitError("weights must be non-negative and match x")
+            if not np.all(np.isfinite(w_raw)):
+                # NaN or inf would reach LAPACK, which reports it on stderr
+                raise FitError(f"weights must be finite, got {w_raw.tolist()}")
+            sqrt_w = np.sqrt(w_raw)
+        self.n_points = int(xa.size)
+        self.x_max = float(xa.max())
+        self.u = xa / self.x_scale
+        distinct = list({id(b): b for b in bases}.values())
+        # keyed by id(): the caller's basis tuples outlive this instance
+        self._position = {id(b): j for j, b in enumerate(distinct)}
+        columns = [b.f(self.u) for b in distinct]
+        self._columns = np.column_stack(columns) if columns else np.empty((xa.size, 0))
+        self._design, self._target = self._columns, self.y
+        if sqrt_w is not None:
+            self._design = self._columns * sqrt_w[:, None]
+            self._target = self.y * sqrt_w
+        self._spread = _spread(self.y)
 
-def fit_columns(
-    basis: Sequence[BasisFunction],
-    columns: Sequence[np.ndarray],
-    y: np.ndarray,
-    *,
-    x_scale: float,
-    x_max: float,
-    sqrt_weights: np.ndarray | None = None,
-) -> FitResult:
-    """Least-squares fit from basis columns already evaluated at the data.
+    def solve(
+        self, basis: Sequence[BasisFunction]
+    ) -> tuple[np.ndarray, tuple[float, float]]:
+        """Coefficients of the weighted least-squares fit on ``basis``, and
+        their (unweighted) R² and relative RMSE at the data.
 
-    ``columns[i]`` is ``basis[i].f(x / x_scale)``; inputs are assumed
-    validated by :func:`checked_data`.  Model selection evaluates each
-    basis function once and fits every candidate subset through here.
+        Raises
+        ------
+        FitError
+            If the numerical solve fails.
+        """
+        position = [self._position[id(b)] for b in basis]
+        design = self._design.take(position, axis=1)
+        # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
+        col_norms = np.linalg.norm(design, axis=0)
+        col_norms[col_norms == 0.0] = 1.0
+        try:
+            coef_scaled, *_ = np.linalg.lstsq(
+                design / col_norms, self._target, rcond=None
+            )
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
+            raise FitError(f"least-squares solve failed: {exc}") from exc
+        coef = coef_scaled / col_norms
+        # sum() over the transposed terms adds a_i * f_i(u) in coefficient
+        # order, starting from 0, as FitResult.predict does
+        y_hat = sum((self._columns.take(position, axis=1) * coef).T)
+        return coef, self.quality(y_hat)
 
-    Raises
-    ------
-    FitError
-        If the numerical solve fails.
-    """
-    design = np.column_stack(columns)
-    target = y
-    if sqrt_weights is not None:
-        design = design * sqrt_weights[:, None]
-        target = y * sqrt_weights
+    def quality(self, y_hat: np.ndarray) -> tuple[float, float]:
+        """R² and relative RMSE of predictions ``y_hat`` at the data."""
+        return _quality(self.y, y_hat, self._spread)
 
-    # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
-    col_norms = np.linalg.norm(design, axis=0)
-    col_norms[col_norms == 0.0] = 1.0
-    try:
-        coef_scaled, *_ = np.linalg.lstsq(design / col_norms, target, rcond=None)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
-        raise FitError(f"least-squares solve failed: {exc}") from exc
-    coef = coef_scaled / col_norms
-
-    y_hat = np.asarray(sum(a * col for a, col in zip(coef, columns)))
-    return FitResult(
-        basis=tuple(basis),
-        coefficients=np.asarray(coef, dtype=float),
-        x_scale=x_scale,
-        r2=r_squared(y, y_hat),
-        n_points=int(y.size),
-        x_max=x_max,
-        rel_rmse=_relative_rmse(y, y_hat),
-    )
+    def result(
+        self,
+        basis: Sequence[BasisFunction],
+        coef: np.ndarray,
+        quality: tuple[float, float],
+    ) -> FitResult:
+        """The :class:`FitResult` of ``coef`` on ``basis``, with its ``quality``."""
+        r2, rel_rmse = quality
+        return FitResult(
+            basis=tuple(basis),
+            coefficients=np.asarray(coef, dtype=float),
+            x_scale=self.x_scale,
+            r2=r2,
+            n_points=self.n_points,
+            x_max=self.x_max,
+            rel_rmse=rel_rmse,
+        )
 
 
 def fit_basis_model(
@@ -259,17 +307,9 @@ def fit_basis_model(
     """
     if len(basis) == 0:
         raise FitError("basis must be non-empty")
-    xa, ya, scale, sqrt_w = checked_data(x, y, x_scale=x_scale, weights=weights)
-    if xa.size < len(basis):
+    data = FitData(x, y, basis, x_scale=x_scale, weights=weights)
+    if data.n_points < len(basis):
         raise FitError(
-            f"{xa.size} points cannot determine {len(basis)} coefficients"
+            f"{data.n_points} points cannot determine {len(basis)} coefficients"
         )
-    u = xa / scale
-    return fit_columns(
-        basis,
-        [b.f(u) for b in basis],
-        ya,
-        x_scale=scale,
-        x_max=float(xa.max()),
-        sqrt_weights=sqrt_w,
-    )
+    return data.result(basis, *data.solve(basis))

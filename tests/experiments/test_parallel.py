@@ -407,7 +407,7 @@ class TestProfiledSweeps:
     CURATED = (
         "repro.solver.partition._certify",
         "repro.solver.partition.solve_block_partition",
-        "repro.modeling.least_squares.fit_columns",
+        "repro.modeling.least_squares.solve",
         "repro.runtime.sim_executor",
     )
 

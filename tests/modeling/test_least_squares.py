@@ -138,6 +138,11 @@ class TestFitBasisModel:
         with pytest.raises(FitError):
             fit_basis_model([1.0, 2.0], [1.0, 2.0], (LINEAR,), weights=[-1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(FitError, match="weights must be finite"):
+            fit_basis_model([1.0, 2.0], [1.0, 2.0], (LINEAR,), weights=[bad, 1.0])
+
     def test_in_fitted_range(self):
         x = np.array([1.0, 100.0])
         fit = fit_basis_model(x, x, (LINEAR,))

@@ -94,6 +94,15 @@ class TestSelectModel:
         fit = select_model(x, 3 * x, candidates=[(LINEAR,), (CONSTANT, LINEAR)])
         assert set(fit.names) <= {"1", "x"}
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected_before_any_solve(self, bad, capfd):
+        # such a weight used to reach LAPACK, which printed DLASCL errors
+        # for every candidate before the point count was blamed
+        x, y = [10, 20, 40, 80, 160], [1, 2, 4, 8, 16]
+        with pytest.raises(FitError, match="weights must be finite"):
+            select_model(x, y, weights=[1, 1, bad, 1, 1])
+        assert "DLASCL" not in "".join(capfd.readouterr())
+
     def test_weights_passed_through(self):
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         y = np.array([1.0, 2.0, 4.0, 8.0, 100.0])

@@ -1,5 +1,6 @@
 """``select_model`` and ``fit_basis_model`` agree bit for bit with the
-per-candidate reference in ``reference_select.py``."""
+per-candidate reference in ``reference_select.py``, on generated
+profiles and on the calls real service and batch runs make."""
 
 from __future__ import annotations
 
@@ -11,10 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import PLBHeC, Runtime, paper_cluster
+from repro.apps import MatMul
 from repro.errors import FitError
+from repro.modeling import perf_profile
 from repro.modeling.basis import ALL_BASIS, CANDIDATE_MODELS, BasisFunction
 from repro.modeling.least_squares import FitResult, fit_basis_model
 from repro.modeling.model_select import _is_sane, select_model
+from repro.service.arrivals import ArrivalSpec
+from repro.service.server import ClusterService, ServiceConfig
 from tests.modeling import reference_select as ref
 
 #: the basis the NNLS fallback fits over
@@ -80,15 +86,18 @@ candidate_lists = st.one_of(
 
 @st.composite
 def cases(draw) -> Case:
-    n = draw(st.integers(2, 60))
-    n_sizes = draw(st.integers(1, min(n, 12)))
+    # the shapes service traffic reaches: up to 133 points over 88
+    # distinct sizes, a size repeated up to 8 times, in arrival order
+    n_sizes = draw(st.integers(1, 100))
     pool = draw(
         st.lists(
             st.integers(1, 100_000), min_size=n_sizes, max_size=n_sizes, unique=True
         )
     )
-    picks = draw(st.lists(st.integers(0, n_sizes - 1), min_size=n, max_size=n))
-    x = np.array([pool[i] for i in picks], dtype=float)
+    repeats = draw(st.lists(st.integers(1, 8), min_size=n_sizes, max_size=n_sizes))
+    sizes = [size for size, k in zip(pool, repeats) for _ in range(k)][:160]
+    x = np.array(draw(st.permutations(sizes)), dtype=float)
+    n = x.size
     shape = draw(st.sampled_from(("affine", "convex", "concave", "flat", "noise")))
     u = x / x.max()
     base = draw(st.floats(1e-4, 10.0))
@@ -165,13 +174,73 @@ class TestSelectModelIdentity:
             ((8.0, 16.0, 32.0), (1.0, 2.0), None),
             ((8.0, 16.0, 32.0), (1.0, 2.0, 3.0), (1.0, -1.0, 1.0)),
             ((8.0, 16.0, 32.0), (1.0, 2.0, 3.0), (1.0, 1.0)),
+            ((8.0, 16.0, 32.0), (1.0, 2.0, 3.0), (1.0, float("nan"), 1.0)),
+            ((8.0, 16.0, 32.0), (1.0, 2.0, 3.0), (1.0, float("inf"), 1.0)),
         ],
     )
     def test_bad_inputs_raise_in_both(self, x, y, weights):
         with pytest.raises(FitError):
             select_model(x, y, weights=weights)
-        with pytest.raises(FitError):
+        # the reference scales an infinite weight's column by inf / inf
+        with np.errstate(invalid="ignore"), pytest.raises(FitError):
             ref.reference_select_model(x, y, weights=weights)
+
+
+def recorded_selections(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, dict]]:
+    """The ``select_model`` calls ``PerfProfile.fit`` makes during ``run()``."""
+    calls = []
+    real = perf_profile.select_model
+
+    def recording(x, y, **kwargs):
+        calls.append((np.array(x), np.array(y), kwargs))
+        return real(x, y, **kwargs)
+
+    monkeypatch.setattr(perf_profile, "select_model", recording)
+    run()
+    return calls
+
+
+def assert_replays_bit_identical(calls) -> None:
+    for x, y, kwargs in calls:
+        assert_bit_identical(
+            outcome(select_model, x, y, **kwargs),
+            outcome(ref.reference_select_model, x, y, **kwargs),
+        )
+
+
+class TestRecordedSelections:
+    """Every selection a real run makes matches the reference."""
+
+    def test_overloaded_service_episode(self, monkeypatch):
+        # perfbench's serve-overload episode: every tick refits, unweighted
+        config = ServiceConfig(
+            arrivals=ArrivalSpec(rate=8.5, duration=15.0),
+            machines=2,
+            queue_limit=8,
+            shed_policy="priority-shed",
+            deadline_factor=30.0,
+            seed=1,
+        )
+        calls = recorded_selections(monkeypatch, ClusterService(config).run)
+        assert sum(x.size >= 20 for x, _, _ in calls) >= 20
+        assert all(kwargs["weights"] is None for _, _, kwargs in calls)
+        assert_replays_bit_identical(calls)
+
+    def test_plb_hec_batch_run(self, monkeypatch):
+        app = MatMul(n=16384)
+        runtime = Runtime(paper_cluster(4), app.codelet(), seed=3)
+        calls = recorded_selections(
+            monkeypatch,
+            lambda: runtime.run(
+                PLBHeC(fixed_overhead_s=0.002),
+                app.total_units,
+                app.default_initial_block_size(),
+            ),
+        )
+        assert len(calls) >= 10
+        # PLB-HeC weights its profiles by recency
+        assert all(kwargs["weights"] is not None for _, _, kwargs in calls)
+        assert_replays_bit_identical(calls)
 
 
 class TestFitBasisModelIdentity:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -60,6 +61,21 @@ RUN_TIMEOUT_S = 240.0
 Result = Mapping[str, Any]
 
 
+def run_env() -> dict[str, str]:
+    """The environment of both trees' perfbench runs: the caller's, less
+    ``PYTHONDONTWRITEBYTECODE``.
+
+    perfbench's pre-warm process fills the bytecode cache so that no
+    timed set-up compiles the program; that variable stops it.  The
+    fresh base worktree has no ``__pycache__`` while the working tree
+    usually has one, so every base set-up would compile every module
+    and the two sides would not be measured alike.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 def _git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
 
@@ -75,7 +91,8 @@ def perfbench(spec: Mapping[str, Any], tree: Path, workload: str) -> Result | No
     ]
     try:
         proc = subprocess.run(
-            cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+            cmd, cwd=tree, env=run_env(), capture_output=True, text=True,
+            timeout=RUN_TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         print(f"  {workload}: timed out after {RUN_TIMEOUT_S:.0f} s", flush=True)

@@ -21,7 +21,6 @@ positive) PLB-HeC gains.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.apps.base import Application
 from repro.cluster.perfmodel import KernelCharacteristics
@@ -139,6 +138,10 @@ class BlackScholes(Application):
 
     def closed_form(self, start: int, count: int) -> np.ndarray:
         """Reference: analytic Black-Scholes European call price."""
+        # lazy: only verify reaches it, and SciPy costs every process
+        # that imports repro ~0.35 s at start-up
+        from scipy.special import ndtr
+
         self._ensure_params()
         assert self._params is not None
         p = {k: v[start : start + count] for k, v in self._params.items()}

@@ -90,8 +90,14 @@ __all__ = [
 #: chaos runs check the busy-overlap invariant.
 #: "7": service-mode runs (``service_json`` specs) flow through the
 #: sweep with ``"serve"`` scorecard payloads, and ``TransferFault``
-#: grew the seeded backoff-jitter knob.)
-ALGORITHM_VERSION = "7"
+#: grew the seeded backoff-jitter knob.
+#: "8": payloads of ledger-keeping policies carry the ledger's summary
+#: (``DecisionLedger.summary``), not its decision records.  The bump
+#: also retires entries cached before the certified waterfilling
+#: partition: that change moved solver fractions by up to 5.7e-8 (and
+#: every vt digest) but kept version "7", so those entries replayed the
+#: old partitions.)
+ALGORITHM_VERSION = "8"
 
 _log = get_logger("experiments.parallel")
 _events = EventLog("experiments.parallel")
@@ -308,7 +314,8 @@ def _execute_run(
 
     Besides the aggregate outcomes, the payload carries the run's full
     telemetry manifest (:class:`~repro.obs.report.RunReport`: config
-    hash, phase summary, per-run metrics delta) and host wall clock.
+    hash, phase summary, per-run metrics delta), host wall clock and,
+    for a ledger-keeping policy, the decision ledger's summary.
     Because the manifest is computed *here* and cached with the payload,
     a warm-cache replay serves byte-identical telemetry to the original
     execution.
@@ -421,9 +428,10 @@ def _execute_run(
         "report": report.to_dict(),
     }
     if result.ledger is not None:
-        # deterministic content only (virtual times + solver numerics),
-        # so cached payloads replay byte-identical ledgers
-        payload["ledger"] = result.ledger.to_dict()
+        # counts and summaries only: the scorecard and history readers
+        # need no decision records, and the full ledger is read from the
+        # live run (repro explain, --trace-out, the dashboard)
+        payload["ledger"] = result.ledger.summary()
     from repro.obs.critpath import analyze_trace, payload_from_analysis
 
     # the attribution is a pure function of the (deterministic) trace,

@@ -219,11 +219,16 @@ class FitData:
         self._position = {id(b): j for j, b in enumerate(distinct)}
         columns = [b.f(self.u) for b in distinct]
         self._columns = np.column_stack(columns) if columns else np.empty((xa.size, 0))
-        self._design, self._target = self._columns, self.y
-        if sqrt_w is not None:
-            self._design = self._columns * sqrt_w[:, None]
-            self._target = self.y * sqrt_w
+        self._sqrt_w = sqrt_w
+        self._design, self._target = self.weighted(self._columns)
         self._spread = _spread(self.y)
+
+    def weighted(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``design`` (basis columns at the data) and the target, each
+        row scaled by √w as every solve weighs them."""
+        if self._sqrt_w is None:
+            return design, self.y
+        return design * self._sqrt_w[:, None], self.y * self._sqrt_w
 
     def solve(
         self, basis: Sequence[BasisFunction]

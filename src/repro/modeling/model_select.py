@@ -154,16 +154,19 @@ def _clamped_linear_fit(data: FitData) -> FitResult | None:
     every unconstrained candidate fails the physical-sanity check
     (typical for strongly convex CPU cache-pressure curves, whose best
     affine fit has a negative intercept).  It can still break the growth
-    bound when the data rise faster than x^2.  The fit is unweighted.
+    bound when the data rise faster than x^2.  The rows are weighted by
+    √w as the ladder's are, so a zero-weight point does not move the
+    answer; its R² and relative RMSE are unweighted, as the ladder's are.
     """
     from scipy.optimize import nnls
 
     basis = _MONOTONE_BASIS
     design = np.column_stack([b.f(data.u) for b in basis])
-    col_norms = np.linalg.norm(design, axis=0)
+    weighted, target = data.weighted(design)
+    col_norms = np.linalg.norm(weighted, axis=0)
     col_norms[col_norms == 0.0] = 1.0
     try:
-        coef_scaled, _ = nnls(design / col_norms, data.y)
+        coef_scaled, _ = nnls(weighted / col_norms, target)
     except (ValueError, RuntimeError):
         return None
     coef = coef_scaled / col_norms

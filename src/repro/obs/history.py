@@ -35,6 +35,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.obs.artifact import ANY, COUNT, OBJECT, check, map_of, one_of, refuse
+from repro.obs.ledger import ledger_summary
 from repro.obs.report import config_hash
 from repro.util.logging import get_logger
 
@@ -188,7 +189,7 @@ def calibration_entry(
     ``report`` is the RunReport dict the ledger belongs to (supplies the
     config/config-hash/run-id identity, so the entry joins the run's
     ``run`` entry on its config hash); ``ledger`` is the ledger's
-    ``to_dict`` form.
+    ``summary`` (what sweep payloads carry) or ``to_dict`` form.
     """
     devices = {
         device: {
@@ -201,11 +202,8 @@ def calibration_entry(
         for device, summary in dict(ledger.get("calibration", {})).items()
     }
     attribution = dict(ledger.get("attribution", {}))
-    # the ledger lists fired stages in decision order; the history
-    # entry stores the per-stage counts (the chaos scorecard's shape)
-    stages: dict[str, int] = {}
-    for stage in ledger.get("fallback_stages", ()):
-        stages[stage] = stages.get(stage, 0) + 1
+    # per-stage counts: the chaos scorecard's shape
+    counts = ledger_summary(ledger)
     entry: dict[str, Any] = {
         "kind": "calibration",
         "run_id": report.get("run_id") or ledger.get("run_id"),
@@ -213,11 +211,11 @@ def calibration_entry(
         "config_hash": report["config_hash"],
         "devices": devices,
         "summary": {
-            "decisions": len(ledger.get("decisions", ())),
+            "decisions": counts["decisions"],
             "attributed": attribution.get("attributed"),
             "unattributed": attribution.get("unattributed"),
             "triggers": dict(ledger.get("triggers", {})),
-            "fallback_stages": stages,
+            "fallback_stages": counts["fallback_stages"],
         },
     }
     return _stamp(entry)

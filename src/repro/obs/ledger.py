@@ -21,8 +21,10 @@ dashboard's "Scheduler decisions" section all render.
 Determinism: a ledger contains virtual times and pure solver/model
 numbers only — no wall-clock timestamps — so two runs of the same
 configuration (under a pinned overhead charge) produce byte-identical
-ledgers, and the sweep engine can cache them next to the
-:class:`~repro.obs.report.RunReport`.
+ledgers.  The sweep engine caches a ledger's :meth:`~DecisionLedger.summary`
+(counts, attribution, calibration; no decision records) next to the
+:class:`~repro.obs.report.RunReport`; the full ledger is read from the
+live run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.artifact import (
@@ -284,6 +286,31 @@ class DecisionLedger:
             counts[d.trigger] = counts.get(d.trigger, 0) + 1
         return counts
 
+    def _totals(self) -> dict:
+        """The whole-run fields both plain-data forms carry."""
+        return {
+            "calibration": {d: c.to_dict() for d, c in self._calibrations.items()},
+            "attribution": {
+                "attributed": self.attributed_blocks,
+                "unattributed": self.unattributed_blocks,
+            },
+            "triggers": self.trigger_counts(),
+            "fallback_stages": self.fallback_stages(),
+        }
+
+    def summary(self) -> dict:
+        """:meth:`to_dict` with a ``decision_count`` in place of its
+        ``decisions`` list, which is never built: the form sweep
+        payloads cache (JSON-safe)."""
+        return json_safe(
+            {
+                "schema": EXPLAIN_SCHEMA,
+                "run_id": self.run_id,
+                "decision_count": len(self.decisions),
+                **self._totals(),
+            }
+        )
+
     def to_dict(self) -> dict:
         """The full plain-data ledger (JSON-safe, deterministic order)."""
         decisions = []
@@ -308,15 +335,7 @@ class DecisionLedger:
                 "schema": EXPLAIN_SCHEMA,
                 "run_id": self.run_id,
                 "decisions": decisions,
-                "calibration": {
-                    d: c.to_dict() for d, c in self._calibrations.items()
-                },
-                "attribution": {
-                    "attributed": self.attributed_blocks,
-                    "unattributed": self.unattributed_blocks,
-                },
-                "triggers": self.trigger_counts(),
-                "fallback_stages": self.fallback_stages(),
+                **self._totals(),
             }
         )
 
@@ -419,19 +438,25 @@ def decision_rows(data: dict) -> Iterable[dict]:
         }
 
 
-def ledger_summary(data: dict) -> dict:
+def ledger_summary(data: Mapping[str, Any]) -> dict:
     """A ledger dict's headline numbers: decisions, block-attribution
     coverage and how often each fallback stage fired.
 
-    Shared by ``repro explain`` and the dashboard's decision tiles.
+    Reads either form, :meth:`DecisionLedger.to_dict` or the
+    :meth:`DecisionLedger.summary` sweep payloads carry.  Shared by
+    ``repro explain``, the dashboard's decision tiles, the chaos
+    scorecard's run rows and the history store's calibration entries.
     """
     attribution = data.get("attribution", {})
     attributed = int(attribution.get("attributed", 0) or 0)
     total = attributed + int(attribution.get("unattributed", 0) or 0)
+    decisions = data.get("decisions")
+    count = int(data.get("decision_count", 0)) if decisions is None else len(decisions)
     return {
-        "decisions": len(data.get("decisions", [])),
+        "decisions": count,
         "attributed": attributed,
         "total": total,
         "coverage": attributed / total if total else 0.0,
-        "fallback_stages": Counter(data.get("fallback_stages", ())),
+        # in first-fired order, as scorecards and history serialise them
+        "fallback_stages": dict(Counter(data.get("fallback_stages", ()))),
     }

@@ -35,6 +35,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.parallel import PointSpec, SweepStats, run_sweep
 from repro.obs.artifact import BOOL, COUNT, OBJECT, map_of, to_data
 from repro.obs.events import EventLog
+from repro.obs.ledger import ledger_summary
 from repro.obs.metrics import get_registry
 from repro.resilience.faults import fault_to_dict, generate_schedule
 from repro.resilience.invariants import check_makespan
@@ -173,12 +174,8 @@ class ChaosConfig:
                     anomaly_tolerance=self.anomaly_tolerance,
                 )
             ]
-        ledger = payload.get("ledger") or {}
-        # the ledger lists fired fallback stages in decision order;
-        # the scorecard stores per-stage counts so policies aggregate
-        stage_counts: dict[str, int] = {}
-        for stage in ledger.get("fallback_stages", ()):
-            stage_counts[stage] = stage_counts.get(stage, 0) + 1
+        # per-stage counts, so policies aggregate
+        ledger = ledger_summary(payload.get("ledger") or {})
         # SLO health of the (sampled) chaos run: deterministic series →
         # deterministic verdicts, so this column is reproducible too
         slo_violations = 0
@@ -211,8 +208,8 @@ class ChaosConfig:
             "recovery_lags": list(resilience.get("recovery_lags", [])),
             "lost_units": resilience.get("lost_units", 0),
             "retries": resilience.get("retries", 0),
-            "decisions": len(ledger.get("decisions", ())),
-            "fallback_stages": stage_counts,
+            "decisions": ledger["decisions"],
+            "fallback_stages": ledger["fallback_stages"],
             "slo_violations": slo_violations,
             "attribution": attribution,
         }

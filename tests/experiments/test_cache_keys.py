@@ -3,7 +3,9 @@
 A key is a hash of the run's inputs in their JSON form, fault dicts and
 the service config's sweep JSON included, so any drift in those forms
 would silently orphan every cached entry.  The literals were computed
-before the config codec replaced the hand-written forms.
+before the config codec replaced the hand-written forms, and re-pinned
+when ``ALGORITHM_VERSION`` went from "7" to "8": under "7" the same
+inputs still hash to ``089d45e0…`` and ``6519c21f…``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def test_faulted_run_key_is_pinned():
         tolerate_errors=True,
     )
     assert ResultCache.key(spec, TAG) == (
-        "089d45e0abb091b2f6141f81211e790b2263ccbe87bb0c7fc4a87d1366e9cb18"
+        "1c8195163e7aece92992c88c6e9b13700bcccfa0a14a58730fa7f3ce009d1e2f"
     )
 
 
@@ -69,5 +71,5 @@ def test_service_run_key_is_pinned():
         service_json=service.to_sweep_json(),
     )
     assert ResultCache.key(spec, TAG) == (
-        "6519c21f1c5a1fe106462b554d8d44c1717a0b0a8dbeffb6a0e1933cdb94473f"
+        "d4a48477d59e847df664b43a8b60f01be0b9fe652a07d79271c978a1d75ed5aa"
     )

@@ -559,7 +559,7 @@ class TestSeriesPayloads:
 
 
 class TestLedgerPayloads:
-    """The decision ledger rides in sweep payloads (schema v4)."""
+    """The decision ledger's summary rides in sweep payloads."""
 
     def ledgers(self, stats):
         return [
@@ -573,6 +573,25 @@ class TestLedgerPayloads:
         run_sweep([SMALL], jobs=1, cache=None, stats=stats)
         policies = {name for name, _ in self.ledgers(stats)}
         assert policies == {"plb-hec"}
+
+    def test_payload_carries_the_summary_not_the_records(self, monkeypatch):
+        from repro.obs.ledger import DecisionLedger
+
+        live = []
+        summary = DecisionLedger.summary
+
+        def spy(ledger):
+            live.append(ledger)
+            return summary(ledger)
+
+        monkeypatch.setattr(DecisionLedger, "summary", spy)
+        stats = SweepStats()
+        run_sweep([SMALL], jobs=1, cache=None, stats=stats)
+        ledgers = [ledger for _, ledger in self.ledgers(stats)]
+        assert ledgers and len(ledgers) == len(live)
+        for ledger, run in zip(ledgers, live):
+            assert "decisions" not in ledger
+            assert ledger["decision_count"] == len(run.decisions) > 0
 
     def test_serial_and_parallel_ledgers_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "1")

@@ -106,9 +106,13 @@ def _is_sane(fit: FitResult, *, extrapolation_slack: float = 4.0) -> bool:
 
 
 def _clamped_linear_fit(
-    xa: np.ndarray, ya: np.ndarray, x_scale: float | None
+    xa: np.ndarray,
+    ya: np.ndarray,
+    x_scale: float | None,
+    weights: Sequence[float] | None,
 ) -> FitResult | None:
-    """Non-negative least squares over ``{1, x, x^2, x^3, sqrt x}``."""
+    """Non-negative least squares over ``{1, x, x^2, x^3, sqrt x}``, on
+    rows scaled by √w; R² and relative RMSE unweighted."""
     from scipy.optimize import nnls
 
     basis = (CONSTANT, LINEAR, SQUARE, CUBE, SQRT)
@@ -117,10 +121,15 @@ def _clamped_linear_fit(
         return None
     u = xa / scale
     design = np.column_stack([b.f(u) for b in basis])
-    col_norms = np.linalg.norm(design, axis=0)
+    weighted, target = design, ya
+    if weights is not None:
+        w = np.sqrt(np.asarray(weights, dtype=float))
+        weighted = design * w[:, None]
+        target = ya * w
+    col_norms = np.linalg.norm(weighted, axis=0)
     col_norms[col_norms == 0.0] = 1.0
     try:
-        coef_scaled, _ = nnls(design / col_norms, ya)
+        coef_scaled, _ = nnls(weighted / col_norms, target)
     except (ValueError, RuntimeError):
         return None
     coef = coef_scaled / col_norms
@@ -181,7 +190,9 @@ def reference_select_model(
         near_best.sort(key=lambda sf: (len(sf[1].basis), -sf[0]))
         best = near_best[0][1]
     if best is None and fallback is not None:
-        clamped = _clamped_linear_fit(xa, np.asarray(y, dtype=float), x_scale)
+        clamped = _clamped_linear_fit(
+            xa, np.asarray(y, dtype=float), x_scale, weights
+        )
         if clamped is not None:
             best = clamped
         else:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.errors import FitError
 from repro.modeling.basis import CONSTANT, CUBE, LINEAR, SQUARE, X_EXP
-from repro.modeling.model_select import _is_sane, adjusted_r2, select_model
+from repro.modeling.model_select import (
+    _MONOTONE_BASIS,
+    _is_sane,
+    adjusted_r2,
+    select_model,
+)
 from repro.modeling.least_squares import fit_basis_model
 
 
@@ -79,6 +84,28 @@ class TestSelectModel:
         fit = select_model(x, y)
         grid = np.linspace(1.0, 3200.0, 50)
         assert np.all(np.asarray(fit.predict(grid)) >= 0.0)
+
+    def test_zero_weight_points_do_not_move_the_nnls_fallback(self):
+        # every candidate is insane on this cubic, so the NNLS fallback
+        # answers; stale points down-weighted to zero must not pull it
+        fresh_x, fresh_y = [100.0, 200.0, 400.0, 800.0], [1.0, 8.0, 64.0, 512.0]
+        stale_x, stale_y = [150.0, 300.0, 600.0], [40.0, 5.0, 900.0]
+        fresh = select_model(fresh_x, fresh_y, x_scale=800.0)
+        weighted = select_model(
+            fresh_x + stale_x,
+            fresh_y + stale_y,
+            weights=[1.0] * 4 + [0.0] * 3,
+            x_scale=800.0,
+        )
+        assert fresh.basis == weighted.basis == _MONOTONE_BASIS
+        np.testing.assert_allclose(
+            weighted.coefficients,
+            fresh.coefficients,
+            rtol=1e-12,
+            atol=1e-12 * fresh.coefficients.max(),
+        )
+        # the reported quality stays unweighted: the stale points count
+        assert weighted.n_points == 7 and weighted.r2 < fresh.r2
 
     def test_single_point_rejected(self):
         with pytest.raises(FitError):

@@ -13,6 +13,7 @@ from repro.obs.ledger import (
     DecisionRecord,
     decision_rows,
     json_safe,
+    ledger_summary,
     read_explain,
     validate_explain,
     write_explain,
@@ -288,3 +289,57 @@ class TestPolicyLedger:
         triggers = result.ledger.trigger_counts()
         assert triggers.get("fault", 0) >= 1
         assert triggers.get("recovery", 0) >= 1
+
+
+class TestLedgerSummary:
+    """Sweep payloads cache :meth:`DecisionLedger.summary`; its readers
+    must not tell it from the full :meth:`DecisionLedger.to_dict`."""
+
+    @pytest.fixture
+    def fallback_run(self, small_cluster, monkeypatch):
+        """A live run whose failed solves fire fallback stages."""
+
+        def boom(*args, **kwargs):
+            raise SolverError("forced for test")
+
+        monkeypatch.setattr("repro.core.plb_hec.solve_block_partition", boom)
+        result = run_plbhec(small_cluster)
+        assert result.ledger.fallback_stages()
+        return result
+
+    def test_summary_is_to_dict_without_records(self, fallback_run):
+        ledger = fallback_run.ledger
+        full = ledger.to_dict()
+        summary = ledger.summary()
+        assert "decisions" not in summary
+        assert summary.pop("decision_count") == len(full.pop("decisions")) > 0
+        assert summary == full
+        json.dumps(summary, allow_nan=False)
+
+    def test_headline_numbers_equal_for_both_forms(self, fallback_run):
+        ledger = fallback_run.ledger
+        assert ledger_summary(ledger.summary()) == ledger_summary(ledger.to_dict())
+        assert ledger_summary({})["decisions"] == 0
+
+    def test_chaos_row_and_history_entry_equal_for_both_forms(
+        self, fallback_run
+    ):
+        from repro.obs.history import calibration_entry
+        from repro.resilience import ChaosConfig
+        from repro.resilience.campaign import Slot
+
+        ledger = fallback_run.ledger
+        config = ChaosConfig(apps=("matmul",), sizes=(2048,), policies=("plb-hec",))
+        slot = Slot(index=0, policy="plb-hec", seed=0)
+        baseline = {"makespan": fallback_run.makespan}
+        report = {"run_id": "run-x", "config": {"app": "matmul"}, "config_hash": "c0"}
+        rows, entries = [], []
+        for form in (ledger.summary(), ledger.to_dict()):
+            payload = {"makespan": fallback_run.makespan, "ledger": form}
+            rows.append(config.score(slot, baseline, payload, survived=True))
+            entry = calibration_entry(report, form)
+            entry.pop("recorded_at")
+            entries.append(entry)
+        assert rows[0] == rows[1]
+        assert rows[0]["fallback_stages"] and rows[0]["decisions"] > 0
+        assert json.dumps(entries[0]) == json.dumps(entries[1])

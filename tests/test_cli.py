@@ -1,8 +1,35 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: What every CLI command and sweep pool worker imports before it runs.
+_COLD_START = """
+import sys
+import repro.experiments.parallel
+import repro.cli
+repro.cli.build_parser()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cold_start_imports_no_scipy():
+    """SciPy is imported where it runs (the NNLS fallback, the
+    Black-Scholes closed form); loading it costs every process that
+    imports ``repro`` about a third of a second."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParser:

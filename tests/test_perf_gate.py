@@ -1,11 +1,16 @@
 """The perf gate's decision on synthetic perfbench result lines.
 
 No perfbench run happens here: ``judge`` is pure, and these tests feed
-it result lines of the shape ``perfbench/run.py --trace 0`` prints.
+it result lines of the shape ``perfbench/run.py --trace 0`` prints; the
+one test of ``perfbench`` replaces the subprocess it starts.
 """
+
+import subprocess
+from pathlib import Path
 
 import pytest
 
+from benchmarks import perf_gate
 from benchmarks.perf_gate import judge, render
 
 END_TO_END = (
@@ -130,3 +135,24 @@ def test_table_has_one_row_per_workload_and_metric():
     lines = render(rows).splitlines()
     assert lines[0].split()[:2] == ["workload", "metric"]
     assert len(lines) == 1 + len(rows)
+
+
+def test_both_trees_run_perfbench_with_bytecode_caches(monkeypatch):
+    """A fresh base worktree must fill its bytecode cache in the
+    pre-warm process, as the working tree's is filled."""
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n')
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PERF_GATE_PROBE", "kept")
+    monkeypatch.setattr(perf_gate.subprocess, "run", fake_run)
+    spec = {"command": ["python3", "perfbench/run.py"]}
+    for tree in (Path("base"), Path("change")):
+        assert perf_gate.perfbench(spec, tree, "batch-paper") == {"correct": True}
+    assert len(calls) == 2
+    for kwargs in calls:
+        assert "PYTHONDONTWRITEBYTECODE" not in kwargs["env"]
+        assert kwargs["env"]["PERF_GATE_PROBE"] == "kept"

@@ -20,6 +20,10 @@ change medians, then removes the worktree.  It exits 1 when
 * or a change run prints no result, reports ``correct: false``, or
   reports more failed operations than the base run it was paired with.
 
+Below the table it prints, per workload, the base and change runs'
+``vt digest`` lines and whether virtual-time results moved.  That is a
+report, never a failure: a change may move results on purpose.
+
 A metric the base runs do not print (an older benchmark) is skipped,
 and the table says so.  A BASE without ``perfbench/run.py`` has nothing
 to compare against: the gate says so and exits 0 without judging.
@@ -57,6 +61,9 @@ RUNNER = "perfbench/run.py"
 
 #: A perfbench run must end within 180 s; allow for process start-up.
 RUN_TIMEOUT_S = 240.0
+
+#: The report line that carries a run's virtual-time digest.
+DIGEST_LINE = "vt digest: "
 
 Result = Mapping[str, Any]
 
@@ -100,9 +107,16 @@ def perfbench(spec: Mapping[str, Any], tree: Path, workload: str) -> Result | No
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and lines:
         try:
-            return json.loads(lines[-1])
+            result = json.loads(lines[-1])
         except json.JSONDecodeError:
             pass
+        else:
+            digests = [
+                line.removeprefix(DIGEST_LINE).strip()
+                for line in lines
+                if line.startswith(DIGEST_LINE)
+            ]
+            return {**result, "vt_digest": digests[-1]} if digests else result
     tail = "\n".join(proc.stderr.strip().splitlines()[-10:])
     print(f"  {workload}: exit {proc.returncode}, no result line\n{tail}", flush=True)
     return None
@@ -175,6 +189,33 @@ def judge(
     return rows, failures
 
 
+def digest_report(
+    runs: Mapping[str, Sequence[tuple[Result | None, Result | None]]],
+) -> list[str]:
+    """Per workload, the base and change runs' vt digests and whether
+    virtual-time results moved.  Report only: it decides nothing."""
+    lines = []
+    for workload, pairs in runs.items():
+        sides = [
+            sorted({r["vt_digest"] for r in side if r is not None and "vt_digest" in r})
+            for side in zip(*pairs)
+        ]
+        base, change = sides if sides else ([], [])
+        if not base or not change:
+            verdict = "not compared: a side printed no digest"
+        elif len(base) > 1 or len(change) > 1:
+            verdict = "runs of one side disagree"
+        elif base == change:
+            verdict = "unchanged"
+        else:
+            verdict = "MOVED: virtual-time results differ"
+        lines.append(
+            f"{workload}: vt digest base {', '.join(base) or '-'}, "
+            f"change {', '.join(change) or '-'}: {verdict}"
+        )
+    return lines
+
+
 def render(rows: Sequence[Mapping[str, Any]]) -> str:
     """The workload x metric table of medians."""
 
@@ -239,6 +280,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     rows, failures = judge(spec["end_to_end"], runs)
     print(render(rows))
+    for line in digest_report(runs):
+        print(line)
     for failure in failures:
         print(f"FAIL {failure}")
     print(f"perf gate: {'FAIL' if failures else 'OK'}")

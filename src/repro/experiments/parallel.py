@@ -96,8 +96,10 @@ __all__ = [
 #: also retires entries cached before the certified waterfilling
 #: partition: that change moved solver fractions by up to 5.7e-8 (and
 #: every vt digest) but kept version "7", so those entries replayed the
-#: old partitions.)
-ALGORITHM_VERSION = "8"
+#: old partitions.
+#: "9": the ledger summary leaves out each device's per-block
+#: calibration ``series``, which no payload reader reads.)
+ALGORITHM_VERSION = "9"
 
 _log = get_logger("experiments.parallel")
 _events = EventLog("experiments.parallel")

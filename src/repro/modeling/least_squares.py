@@ -35,7 +35,9 @@ __all__ = [
 def _spread(y: np.ndarray) -> tuple[float, float]:
     """``y``'s total sum of squares and mean magnitude: what R² and the
     relative RMSE divide by."""
-    return float(np.sum((y - y.mean()) ** 2)), float(np.mean(np.abs(y)))
+    # sum / size is what ndarray.mean computes, without its wrapper
+    mean = y.sum() / y.size
+    return float(((y - mean) ** 2).sum()), float(np.abs(y).sum() / y.size)
 
 
 def _quality(
@@ -43,13 +45,22 @@ def _quality(
 ) -> tuple[float, float]:
     """R² and relative RMSE of ``y_hat`` against ``y``, from one residual.
 
-    ``spread`` is :func:`_spread` of ``y``.  Degenerate targets: a
-    constant one scores R² 1.0 when matched exactly and 0.0 otherwise; an
-    all-zero one has relative RMSE 0.0 when matched exactly, else inf.
+    ``spread`` is :func:`_spread` of ``y``.
+    """
+    residual = y - y_hat
+    return _scores(float((residual * residual).sum()), residual, spread)
+
+
+def _scores(
+    ss_res: float, residual: np.ndarray, spread: tuple[float, float]
+) -> tuple[float, float]:
+    """R² and relative RMSE from a residual and its sum of squares.
+
+    Degenerate targets: a constant one scores R² 1.0 when matched
+    exactly and 0.0 otherwise; an all-zero one has relative RMSE 0.0
+    when matched exactly, else inf.
     """
     ss_tot, mean_abs = spread
-    residual = y - y_hat
-    ss_res = float((residual * residual).sum())
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:
@@ -57,7 +68,7 @@ def _quality(
     if mean_abs == 0.0:
         exact = float(np.max(np.abs(residual), initial=0.0)) == 0.0
         return r2, 0.0 if exact else float("inf")
-    return r2, math.sqrt(ss_res / y.size) / mean_abs
+    return r2, math.sqrt(ss_res / residual.size) / mean_abs
 
 
 def _relative_rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -164,11 +175,13 @@ class FitData:
     """Validated fitting data, solved against many subsets of ``bases``.
 
     What does not depend on the subset is computed once: the validation,
-    the scaled coordinate ``u = x / x_scale``, each basis column on the
-    data (plain for predictions, weighted for the solve), the weighted
-    target and the target's :func:`_spread`.  Model selection solves
-    every candidate subset from one instance; :func:`fit_basis_model`
-    builds one for its single basis.  ``x_scale`` defaults to ``max(x)``.
+    the scaled coordinate ``u = x / x_scale``, the weighted target and
+    the target's :func:`_spread`.  Each basis column is evaluated on the
+    data on first use, with its weighted norm and its norm-scaled weighted
+    column, so a selection that stops early never evaluates the bases it
+    did not reach.  Model selection solves its candidate subsets from one
+    instance; :func:`fit_basis_model` builds one for its single basis.
+    ``x_scale`` defaults to ``max(x)``.
 
     Raises
     ------
@@ -195,11 +208,12 @@ class FitData:
             )
         if xa.size == 0:
             raise FitError("cannot fit a model to zero points")
-        if np.any(xa <= 0.0):
+        if (xa <= 0.0).any():
             raise FitError(f"block sizes must be positive, got {xa.min()}")
-        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(xa).all() and np.isfinite(self.y).all()):
             raise FitError("x and y must be finite")
-        self.x_scale = float(x_scale) if x_scale is not None else float(xa.max())
+        self.x_max = float(xa.max())
+        self.x_scale = float(x_scale) if x_scale is not None else self.x_max
         if self.x_scale <= 0.0:
             raise FitError(f"x_scale must be positive, got {self.x_scale}")
         sqrt_w = None
@@ -212,16 +226,24 @@ class FitData:
                 raise FitError(f"weights must be finite, got {w_raw.tolist()}")
             sqrt_w = np.sqrt(w_raw)
         self.n_points = int(xa.size)
-        self.x_max = float(xa.max())
         self.u = xa / self.x_scale
-        distinct = list({id(b): b for b in bases}.values())
-        # keyed by id(): the caller's basis tuples outlive this instance
-        self._position = {id(b): j for j, b in enumerate(distinct)}
-        columns = [b.f(self.u) for b in distinct]
-        self._columns = np.column_stack(columns) if columns else np.empty((xa.size, 0))
         self._sqrt_w = sqrt_w
-        self._design, self._target = self.weighted(self._columns)
+        self._target = self.y if sqrt_w is None else self.y * sqrt_w
         self._spread = _spread(self.y)
+        # keyed by id(): the caller's basis tuples outlive this instance
+        self._position: dict[int, int] = {}
+        self._bases: list[BasisFunction] = []
+        for b in bases:
+            if self._position.setdefault(id(b), len(self._bases)) == len(self._bases):
+                self._bases.append(b)
+        m = len(self._bases)
+        #: per basis, filled on first use: its column at the data (one
+        #: row each, then an all-zero row that pads short fits), its
+        #: weighted norm and its weighted column divided by that norm
+        self._rows = np.zeros((m + 1, self.n_points))
+        self._norms = np.empty(m)
+        self._scaled = np.empty((m, self.n_points))
+        self._finite: list[bool | None] = [None] * m  # None: not evaluated yet
 
     def weighted(self, design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``design`` (basis columns at the data) and the target, each
@@ -230,33 +252,87 @@ class FitData:
             return design, self.y
         return design * self._sqrt_w[:, None], self.y * self._sqrt_w
 
-    def solve(
-        self, basis: Sequence[BasisFunction]
-    ) -> tuple[np.ndarray, tuple[float, float]]:
-        """Coefficients of the weighted least-squares fit on ``basis``, and
-        their (unweighted) R² and relative RMSE at the data.
+    def evaluate(self, bases: Sequence[BasisFunction]) -> None:
+        """Evaluate the columns of ``bases`` not evaluated yet, in one batch."""
+        self._evaluate([self._position[id(b)] for b in bases])
+
+    def _evaluate(self, position: Sequence[int]) -> None:
+        todo = [j for j in position if self._finite[j] is None]
+        if not todo:
+            return
+        todo = list(dict.fromkeys(todo))
+        plain = np.array([self._bases[j].f(self.u) for j in todo])
+        weighted = plain if self._sqrt_w is None else plain * self._sqrt_w
+        # A norm over a design of >= 2 columns (a basis listed twice
+        # included) sums each column's squares in row order; the
+        # cumulative sum adds them in that order too.
+        norms = np.sqrt(np.cumsum(weighted * weighted, axis=1)[:, -1])
+        norms[norms == 0.0] = 1.0
+        # a non-finite column has a non-finite norm (a finite column's may
+        # overflow, so only those are looked at)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            finite = np.isfinite(weighted).all(axis=1)
+            norms[~finite] = 1.0  # never solved; keeps the division quiet
+        self._rows[todo] = plain
+        self._norms[todo] = norms
+        self._scaled[todo] = weighted / norms[:, None]
+        for j, ok in zip(todo, finite.tolist()):
+            self._finite[j] = ok
+
+    def solve(self, basis: Sequence[BasisFunction]) -> np.ndarray:
+        """Coefficients of the weighted least-squares fit on ``basis``.
 
         Raises
         ------
         FitError
-            If the numerical solve fails.
+            If a basis column is not finite at the data (it would reach
+            LAPACK, which reports it on stderr), or the solve fails.
         """
         position = [self._position[id(b)] for b in basis]
-        design = self._design.take(position, axis=1)
+        self._evaluate(position)
+        if not all(self._finite[j] for j in position):
+            names = [b.name for b in basis]
+            raise FitError(f"basis {names} is not finite at the data")
         # Column scaling keeps mixed-magnitude bases (e^u vs u^3) conditioned.
-        col_norms = np.linalg.norm(design, axis=0)
-        col_norms[col_norms == 0.0] = 1.0
+        if len(position) >= 2:
+            # LAPACK sees a copy in column order: the layout moves no bit
+            design = self._scaled[position].T
+            col_norms = self._norms.take(position)
+        else:
+            # a one-column norm sums pairwise, so it is not the shared one
+            design, _ = self.weighted(self._rows[position].T.copy())
+            col_norms = np.linalg.norm(design, axis=0)
+            col_norms[col_norms == 0.0] = 1.0
+            design = design / col_norms
         try:
-            coef_scaled, *_ = np.linalg.lstsq(
-                design / col_norms, self._target, rcond=None
-            )
+            coef_scaled, *_ = np.linalg.lstsq(design, self._target, rcond=None)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - lstsq rarely raises
             raise FitError(f"least-squares solve failed: {exc}") from exc
-        coef = coef_scaled / col_norms
-        # sum() over the transposed terms adds a_i * f_i(u) in coefficient
-        # order, starting from 0, as FitResult.predict does
-        y_hat = sum((self._columns.take(position, axis=1) * coef).T)
-        return coef, self.quality(y_hat)
+        return coef_scaled / col_norms
+
+    def qualities(
+        self, fits: Sequence[tuple[Sequence[BasisFunction], np.ndarray]]
+    ) -> list[tuple[float, float]]:
+        """(Unweighted) R² and relative RMSE of each solved
+        ``(basis, coefficients)`` fit at the data, in one table pass.
+
+        Each fit is a row of the table; a fit with fewer terms than the
+        widest is padded with zero coefficients on the all-zero row.  Each
+        row adds its terms in coefficient order, with the products
+        :meth:`FitResult.predict` forms, so its residuals are that fit's
+        own.
+        """
+        width = max(len(basis) for basis, _ in fits)
+        coef = np.zeros((len(fits), width, 1))
+        table = []
+        for i, (basis, a) in enumerate(fits):
+            coef[i, : len(basis), 0] = a
+            padding = [-1] * (width - len(basis))  # -1: the all-zero row
+            table.append([self._position[id(b)] for b in basis] + padding)
+        residual = self.y - (coef * self._rows[table]).sum(axis=1)
+        ss_res = (residual * residual).sum(axis=1).tolist()
+        return [_scores(ss, r, self._spread) for ss, r in zip(ss_res, residual)]
 
     def quality(self, y_hat: np.ndarray) -> tuple[float, float]:
         """R² and relative RMSE of predictions ``y_hat`` at the data."""
@@ -317,4 +393,5 @@ def fit_basis_model(
         raise FitError(
             f"{data.n_points} points cannot determine {len(basis)} coefficients"
         )
-    return data.result(basis, *data.solve(basis))
+    coef = data.solve(basis)
+    return data.result(basis, coef, data.qualities([(basis, coef)])[0])

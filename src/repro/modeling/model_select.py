@@ -13,6 +13,7 @@ the paper's 0.7 threshold).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,11 @@ __all__ = ["select_model", "adjusted_r2"]
 #: Adjusted-R² window within which a smaller model beats a bigger one.
 PARSIMONY_TOL = 1e-3
 
+#: A certified answer scores at least ``1 - PARSIMONY_TOL``, so the best
+#: sane score does too, and every candidate in its window scores at least
+#: this (rounded as the window's own bound is).
+_WINDOW_FLOOR = (1.0 - PARSIMONY_TOL) - PARSIMONY_TOL
+
 
 def adjusted_r2(r2: float, n_points: int, n_params: int) -> float:
     """Adjusted coefficient of determination.
@@ -50,6 +56,8 @@ def adjusted_r2(r2: float, n_points: int, n_params: int) -> float:
 #: then the value at the range edge and at the far end.
 _GRID_POINTS = 65
 _EDGE, _FAR = 2 * _GRID_POINTS, 2 * _GRID_POINTS + 1
+#: the all-zero table row that pads short fits
+_PADDING = np.zeros(_FAR + 1)
 
 
 class _SanityGrid:
@@ -67,9 +75,10 @@ class _SanityGrid:
 
     Every fit of one selection shares ``x_max`` and ``x_scale``, so each
     basis function's value and slope on the 65-point grid, and its value
-    at the range edge and far end, are computed once.  :meth:`accepts`
-    then combines them for all fits at once, term by term in coefficient
-    order, with the same products and sums :meth:`FitResult.predict` and
+    at the range edge and far end, are computed once, when a checked fit
+    first uses the basis.  :meth:`accepts` then combines them for many
+    fits at once, term by term in coefficient order, with the same
+    products and sums :meth:`FitResult.predict` and
     :meth:`FitResult.derivative` would form for each fit alone.
     """
 
@@ -83,15 +92,16 @@ class _SanityGrid:
         self._u_grid = np.asarray(grid, dtype=float) / x_scale
         self._u_edge = np.asarray(x_max, dtype=float) / x_scale
         self._u_far = np.asarray(x_max * extrapolation_slack, dtype=float) / x_scale
+        self._rows: dict[int, np.ndarray] = {}  # by id(), as in FitData
 
-    def _terms(self, bases: Sequence[BasisFunction]) -> np.ndarray:
-        """One row per basis, then an all-zero row that pads short fits."""
-        terms = np.zeros((len(bases) + 1, _FAR + 1))
-        terms[:-1, :_GRID_POINTS] = [b.f(self._u_grid) for b in bases]
-        terms[:-1, _GRID_POINTS:_EDGE] = [b.df(self._u_grid) for b in bases]
-        terms[:-1, _EDGE] = [b.f(self._u_edge) for b in bases]
-        terms[:-1, _FAR] = [b.f(self._u_far) for b in bases]
-        return terms
+    def _row(self, basis: BasisFunction) -> np.ndarray:
+        """``basis``'s table row, evaluated on first use."""
+        row = self._rows.get(id(basis))
+        if row is None:
+            ends = (basis.f(self._u_edge), basis.f(self._u_far))
+            row = np.concatenate((basis.f(self._u_grid), basis.df(self._u_grid), ends))
+            self._rows[id(basis)] = row
+        return row
 
     def accepts(
         self, fits: Sequence[tuple[Sequence[BasisFunction], np.ndarray]]
@@ -104,18 +114,16 @@ class _SanityGrid:
         adding those zeros changes no value the checks compare.
         """
         width = max(len(basis) for basis, _ in fits)
-        coef = np.zeros((len(fits), width))
-        table = np.full((len(fits), width), -1)  # -1: the padding row
-        index: dict[int, tuple[int, BasisFunction]] = {}  # by id(), as in FitData
+        coef = np.zeros((len(fits), width, 1))
         for i, (basis, a) in enumerate(fits):
-            coef[i, : len(basis)] = a
-            table[i, : len(basis)] = [
-                index.setdefault(id(b), (len(index), b))[0] for b in basis
+            coef[i, : len(basis), 0] = a
+        terms = np.array(
+            [
+                [self._row(b) for b in basis] + [_PADDING] * (width - len(basis))
+                for basis, _ in fits
             ]
-        products = coef[:, :, None] * self._terms([b for _, b in index.values()])[table]
-        total = np.zeros((len(fits), _FAR + 1))
-        for p in range(width):  # term by term, in coefficient order
-            total += products[:, p]
+        )
+        total = (coef * terms).sum(axis=1)  # term by term, in coefficient order
         values = total[:, :_GRID_POINTS]
         low, high = values.min(axis=1), values.max(axis=1)
         positive = (low > 0.0) & (high < np.inf)  # NaN fails both
@@ -177,6 +185,45 @@ def _clamped_linear_fit(data: FitData) -> FitResult | None:
     return data.result(basis, coef, data.quality(design @ coef))
 
 
+def _check_sanity(
+    grid: _SanityGrid,
+    ladder: Sequence[Sequence[BasisFunction]],
+    coefs: dict[int, np.ndarray],
+    indices: Sequence[int],
+    sane: list[bool | None],
+) -> None:
+    """Record in ``sane`` the sanity of the fits at ``indices`` not
+    checked yet (``None``), in one table pass."""
+    todo = [i for i in indices if sane[i] is None]
+    if todo:
+        fits = [(ladder[i], coefs[i]) for i in todo]
+        for i, ok in zip(todo, grid.accepts(fits).tolist()):
+            sane[i] = ok
+
+
+def _parsimonious(
+    fitted: Sequence[int],
+    widths: Sequence[int],
+    scores: dict[int, float],
+    sane: Sequence[bool | None],
+) -> int | None:
+    """The selection rule over the ``fitted`` candidates (in ladder order):
+    the smallest sane candidate within :data:`PARSIMONY_TOL` of the best
+    sane score, the better score among equals; None when none is sane.
+
+    Flexible candidates (cubics, exponentials) routinely edge out the
+    true model by a hair of adjusted R² while extrapolating far worse,
+    so among candidates within the window we keep the smallest model.
+    """
+    chosen = [i for i in fitted if sane[i]]
+    if not chosen:
+        return None
+    top = max(scores[i] for i in chosen)
+    near_best = [i for i in chosen if scores[i] >= top - PARSIMONY_TOL]
+    near_best.sort(key=lambda i: (widths[i], -scores[i]))
+    return near_best[0]
+
+
 def select_model(
     x: Sequence[float],
     y: Sequence[float],
@@ -186,7 +233,7 @@ def select_model(
     x_scale: float | None = None,
     require_sane: bool = True,
 ) -> FitResult:
-    """Fit every supportable candidate and return the best.
+    """Fit the supportable candidates and return the best.
 
     "Best" is the highest adjusted R² among *sane* candidates (positive
     and non-decreasing over the usable range — see :class:`_SanityGrid`);
@@ -196,15 +243,28 @@ def select_model(
     candidate when that fit fails (the R² threshold loop in Algorithm 1
     will keep probing).  Requires at least two points.
 
-    One pass: the inputs are validated once, and each basis function is
-    evaluated once on the data and once on the sanity grid
-    (:class:`~repro.modeling.least_squares.FitData`,
-    :class:`_SanityGrid`).  Each candidate then costs one column-scaled
-    ``lstsq`` solve on its own design and one residual reduction for its
-    R² and relative RMSE; one table pass checks every candidate's
-    sanity, and only the answer becomes a :class:`FitResult`.  The
-    result is bit-identical to fitting and checking each candidate on
-    its own.
+    The ladder is fitted one width class at a time, narrowest first
+    (ladder order within a class), and stops early once the answer is
+    certain.  After each class the rule above picks among the candidates
+    fitted so far; when that provisional answer scores at least
+    ``1 - PARSIMONY_TOL``, no wider candidate can displace it: adjusted
+    R² never exceeds 1, so the window's floor never rises above the
+    answer's score; every unfitted candidate is wider, so it sorts after
+    the answer; and a fitted candidate outside the window stays outside,
+    because the best score only grows.  The certificate is used only
+    when sanity is required and every score fitted so far is finite
+    (with NaN scores, ``max`` depends on order); otherwise the whole
+    ladder runs.  Either way the answer is the full ladder's, bit for bit.
+
+    Each class costs its candidates' column-scaled ``lstsq`` solves
+    (:meth:`~repro.modeling.least_squares.FitData.solve`, from basis
+    columns evaluated once, on first use) and one table pass for their
+    R² and relative RMSE.  Sanity (:class:`_SanityGrid`, one table pass)
+    is checked only where the rule needs it: while a certificate is
+    possible, for the candidates scoring at least
+    :data:`_WINDOW_FLOOR`, the only ones a certified answer's window can
+    hold; for the rest, once the ladder runs out.  Only the answer
+    becomes a :class:`FitResult`.
 
     Raises
     ------
@@ -223,39 +283,55 @@ def select_model(
     data = FitData(
         x, y, [b for cand in ladder for b in cand], x_scale=x_scale, weights=weights
     )
-    fits: list[tuple[Sequence[BasisFunction], np.ndarray]] = []
-    quality: list[tuple[float, float]] = []
-    for cand in ladder:
-        try:
-            coef, fit_quality = data.solve(cand)
-        except FitError:
+    grid = _SanityGrid(data.x_max, data.x_scale)
+    widths = [len(cand) for cand in ladder]
+    classes: dict[int, list[int]] = {}  # ladder indices by width
+    for i, width in enumerate(widths):
+        classes.setdefault(width, []).append(i)
+    # the fitted candidates' coefficients, qualities and scores, and every
+    # candidate's sanity (None: not checked yet), by ladder index
+    coefs: dict[int, np.ndarray] = {}
+    quality: dict[int, tuple[float, float]] = {}
+    scores: dict[int, float] = {}
+    sane: list[bool | None] = [None if require_sane else True] * len(ladder)
+    certifiable = require_sane
+    for width in sorted(classes):
+        members = classes[width]
+        data.evaluate([b for i in members for b in ladder[i]])
+        fitted = []
+        for i in members:
+            try:
+                coefs[i] = data.solve(ladder[i])
+            except FitError:
+                continue
+            fitted.append(i)
+        if not fitted:
             continue
-        fits.append((cand, coef))
-        quality.append(fit_quality)
-    scores = [
-        adjusted_r2(r2, data.n_points, len(cand))
-        for (cand, _), (r2, _) in zip(fits, quality)
-    ]
-    sane = [True] * len(fits)
-    if require_sane and fits:
-        sane = _SanityGrid(data.x_max, data.x_scale).accepts(fits).tolist()
+        fits = [(ladder[i], coefs[i]) for i in fitted]
+        for i, fit_quality in zip(fitted, data.qualities(fits)):
+            quality[i] = fit_quality
+            scores[i] = adjusted_r2(fit_quality[0], data.n_points, width)
+            certifiable = certifiable and math.isfinite(scores[i])
+        if certifiable and max(scores[i] for i in coefs) >= 1.0 - PARSIMONY_TOL:
+            # a certified answer and its window score at least _WINDOW_FLOOR
+            high = [i for i in sorted(coefs) if scores[i] >= _WINDOW_FLOOR]
+            _check_sanity(grid, ladder, coefs, high, sane)
+            answer = _parsimonious(high, widths, scores, sane)
+            if answer is not None and scores[answer] >= 1.0 - PARSIMONY_TOL:
+                return data.result(ladder[answer], coefs[answer], quality[answer])
+    fitted = sorted(coefs)
+    if require_sane:
+        _check_sanity(grid, ladder, coefs, fitted, sane)
+    answer = _parsimonious(fitted, widths, scores, sane)
     best: FitResult | None = None
-    chosen = [i for i in range(len(fits)) if sane[i]]
-    if chosen:
-        # Parsimony window: flexible candidates (cubics, exponentials)
-        # routinely edge out the true model by a hair of adjusted R2 while
-        # extrapolating far worse, so among candidates within
-        # PARSIMONY_TOL of the best score we keep the smallest model.
-        top = max(scores[i] for i in chosen)
-        near_best = [i for i in chosen if scores[i] >= top - PARSIMONY_TOL]
-        near_best.sort(key=lambda i: (len(fits[i][0]), -scores[i]))
-        best = data.result(*fits[near_best[0]], quality[near_best[0]])
+    if answer is not None:
+        best = data.result(ladder[answer], coefs[answer], quality[answer])
     else:
         fallback: int | None = None
         fallback_score = -np.inf
-        for i, score in enumerate(scores):
-            if score > fallback_score:
-                fallback, fallback_score = i, score
+        for i in fitted:
+            if scores[i] > fallback_score:
+                fallback, fallback_score = i, scores[i]
         if fallback is not None:
             # Every candidate is unphysical somewhere in the usable range
             # (e.g. strongly convex data pushes every affine fit's
@@ -264,7 +340,9 @@ def select_model(
             # solver a curve that goes negative.
             best = _clamped_linear_fit(data)
             if best is None:
-                best = data.result(*fits[fallback], quality[fallback])
+                best = data.result(
+                    ladder[fallback], coefs[fallback], quality[fallback]
+                )
     if best is None:
         # Too few points for any strict candidate: fall back to the
         # smallest candidate that is exactly determined (interpolation),

@@ -195,6 +195,9 @@ class PerfProfile:
         self.device_id = device_id
         self.max_points = int(max_points)
         self._points: list[ProfilePoint] = []
+        #: each retained point's block size, and the points per size
+        self._sizes: list[float] = []
+        self._counts: dict[float, int] = {}
         #: (points, candidates, recency_decay) of the last fit, and its model
         self._fitted: tuple[tuple, DeviceModel] | None = None
 
@@ -224,8 +227,11 @@ class PerfProfile:
         Retention is diversity-preserving: at most
         :data:`PER_SIZE_LIMIT` points per identical size are kept (the
         oldest duplicate is replaced), and the overall window drops the
-        oldest point of the *most populous* size first, so the profiled
-        size range survives arbitrarily long runs.
+        oldest point of the *most populous* size first (of equally
+        populous sizes, the one with the oldest retained point), so the
+        profiled size range survives arbitrarily long runs.  Per-size
+        counts are kept, so only an add that evicts looks for a point, and
+        only up to the one it drops.
         """
         point = ProfilePoint(
             units=units,
@@ -233,19 +239,25 @@ class PerfProfile:
             transfer_s=transfer_s,
             round_index=round_index,
         )
-        same_size = [i for i, p in enumerate(self._points) if p.units == units]
-        if len(same_size) >= self.PER_SIZE_LIMIT:
-            del self._points[same_size[0]]
+        sizes, counts = self._sizes, self._counts
+        if counts.get(units, 0) >= self.PER_SIZE_LIMIT:
+            self._drop(sizes.index(units))
         self._points.append(point)
-        while len(self._points) > self.max_points:
-            counts: dict[float, int] = {}
-            for p in self._points:
-                counts[p.units] = counts.get(p.units, 0) + 1
-            crowded = max(counts, key=lambda u: counts[u])
-            for i, p in enumerate(self._points):
-                if p.units == crowded:
-                    del self._points[i]
-                    break
+        sizes.append(units)
+        counts[units] = counts.get(units, 0) + 1
+        while len(sizes) > self.max_points:
+            # the oldest point of a most populous size: such sizes rank by
+            # their oldest retained point
+            top = max(counts.values())
+            self._drop(next(i for i, u in enumerate(sizes) if counts[u] == top))
+
+    def _drop(self, i: int) -> None:
+        """Drop the retained point at index ``i``."""
+        del self._points[i]
+        units = self._sizes.pop(i)
+        self._counts[units] -= 1
+        if not self._counts[units]:
+            del self._counts[units]
 
     def observed_sizes(self) -> np.ndarray:
         """Distinct block sizes observed so far, ascending."""
@@ -290,7 +302,7 @@ class PerfProfile:
         key = (tuple(self._points), candidates, recency_decay)
         if self._fitted is not None and self._fitted[0] == key:
             return self._fitted[1]
-        x = np.array([p.units for p in self._points], dtype=float)
+        x = np.array(self._sizes, dtype=float)
         y_exec = np.array([p.exec_s for p in self._points], dtype=float)
         y_xfer = np.array([p.transfer_s for p in self._points], dtype=float)
         n = x.size
@@ -307,4 +319,6 @@ class PerfProfile:
     def clear(self) -> None:
         """Drop all observations and the kept model (fresh profiling epoch)."""
         self._points.clear()
+        self._sizes.clear()
+        self._counts.clear()
         self._fitted = None

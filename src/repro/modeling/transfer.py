@@ -73,12 +73,12 @@ def fit_transfer_model(
             f"transfer fit needs equal-length non-empty 1-D data, got "
             f"{xa.shape} and {ya.shape}"
         )
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise FitError("transfer observations must be finite")
-    if np.any(xa <= 0.0):
+    if (xa <= 0.0).any():
         raise FitError("block sizes must be positive")
 
-    if xa.size == 1 or np.ptp(xa) == 0.0:
+    if xa.size == 1 or xa.max() == xa.min():
         slope = max(float(ya.mean() / xa.mean()), 0.0)
         pred = slope * xa
         return LinearTransferFit(
@@ -88,7 +88,8 @@ def fit_transfer_model(
             n_points=int(xa.size),
         )
 
-    design = np.column_stack([xa, np.ones_like(xa)])
+    design = np.ones((xa.size, 2))
+    design[:, 0] = xa
     (slope, intercept), *_ = np.linalg.lstsq(design, ya, rcond=None)
     slope = max(float(slope), 0.0)
     intercept = max(float(intercept), 0.0)

@@ -161,21 +161,24 @@ class DeviceCalibration:
     def drift(self) -> float:
         return self._drift
 
-    def to_dict(self) -> dict:
-        """JSON-friendly summary (NaN statistics become None)."""
+    def to_dict(self, *, series: bool = True) -> dict:
+        """JSON-friendly summary (NaN statistics become None); with
+        ``series=False`` it leaves out the per-block :attr:`series`."""
 
         def clean(v: float) -> float | None:
             return v if isfinite(v) else None
 
-        return {
+        out = {
             "device": self.device_id,
             "blocks": self.count,
             "skipped": self.skipped,
             "mape": clean(self.mape),
             "bias": clean(self.bias),
             "drift": clean(self.drift),
-            "series": list(self.series),
         }
+        if series:
+            out["series"] = list(self.series)
+        return out
 
 
 def summarize_calibration(

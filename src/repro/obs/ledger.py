@@ -22,7 +22,8 @@ Determinism: a ledger contains virtual times and pure solver/model
 numbers only — no wall-clock timestamps — so two runs of the same
 configuration (under a pinned overhead charge) produce byte-identical
 ledgers.  The sweep engine caches a ledger's :meth:`~DecisionLedger.summary`
-(counts, attribution, calibration; no decision records) next to the
+(counts, attribution, calibration statistics; no decision records, no
+per-block calibration series) next to the
 :class:`~repro.obs.report.RunReport`; the full ledger is read from the
 live run.
 """
@@ -286,10 +287,13 @@ class DecisionLedger:
             counts[d.trigger] = counts.get(d.trigger, 0) + 1
         return counts
 
-    def _totals(self) -> dict:
-        """The whole-run fields both plain-data forms carry."""
+    def _totals(self, *, series: bool) -> dict:
+        """The whole-run fields both plain-data forms carry; ``series``
+        keeps each device's per-block calibration series."""
         return {
-            "calibration": {d: c.to_dict() for d, c in self._calibrations.items()},
+            "calibration": {
+                d: c.to_dict(series=series) for d, c in self._calibrations.items()
+            },
             "attribution": {
                 "attributed": self.attributed_blocks,
                 "unattributed": self.unattributed_blocks,
@@ -300,14 +304,15 @@ class DecisionLedger:
 
     def summary(self) -> dict:
         """:meth:`to_dict` with a ``decision_count`` in place of its
-        ``decisions`` list, which is never built: the form sweep
-        payloads cache (JSON-safe)."""
+        ``decisions`` list, which is never built, and without each
+        device's calibration ``series`` (the dashboard's sparkline reads
+        it from the live run): the form sweep payloads cache (JSON-safe)."""
         return json_safe(
             {
                 "schema": EXPLAIN_SCHEMA,
                 "run_id": self.run_id,
                 "decision_count": len(self.decisions),
-                **self._totals(),
+                **self._totals(series=False),
             }
         )
 
@@ -335,7 +340,7 @@ class DecisionLedger:
                 "schema": EXPLAIN_SCHEMA,
                 "run_id": self.run_id,
                 "decisions": decisions,
-                **self._totals(),
+                **self._totals(series=True),
             }
         )
 

@@ -4,8 +4,9 @@ A key is a hash of the run's inputs in their JSON form, fault dicts and
 the service config's sweep JSON included, so any drift in those forms
 would silently orphan every cached entry.  The literals were computed
 before the config codec replaced the hand-written forms, and re-pinned
-when ``ALGORITHM_VERSION`` went from "7" to "8": under "7" the same
-inputs still hash to ``089d45e0…`` and ``6519c21f…``.
+with each ``ALGORITHM_VERSION`` bump: under "7" the same inputs hash to
+``089d45e0…`` and ``6519c21f…``, under "8" to ``1c819516…`` and
+``d4a48477…``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def test_faulted_run_key_is_pinned():
         tolerate_errors=True,
     )
     assert ResultCache.key(spec, TAG) == (
-        "1c8195163e7aece92992c88c6e9b13700bcccfa0a14a58730fa7f3ce009d1e2f"
+        "7ca3c8bf434867f3b9f9fb73c9c8037403df441c2a61121a7c34e74f81b3d298"
     )
 
 
@@ -71,5 +72,5 @@ def test_service_run_key_is_pinned():
         service_json=service.to_sweep_json(),
     )
     assert ResultCache.key(spec, TAG) == (
-        "d4a48477d59e847df664b43a8b60f01be0b9fe652a07d79271c978a1d75ed5aa"
+        "34b7754d64ff6076d75fc63dab58deef5f7aee17f04b5b2c686230fa9c356c2a"
     )

@@ -66,6 +66,9 @@ def reference_fit_basis_model(
         w = np.sqrt(w_raw)
         design = design * w[:, None]
         target = ya * w
+    if not np.all(np.isfinite(design)):
+        # such a design would reach LAPACK, which reports it on stderr
+        raise FitError(f"basis {[b.name for b in basis]} is not finite at the data")
 
     col_norms = np.linalg.norm(design, axis=0)
     col_norms[col_norms == 0.0] = 1.0

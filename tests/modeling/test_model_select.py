@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FitError
-from repro.modeling.basis import CONSTANT, CUBE, LINEAR, SQUARE, X_EXP
+from repro.modeling.basis import CONSTANT, CUBE, EXP, LINEAR, SQUARE, X_EXP
 from repro.modeling.model_select import (
     _MONOTONE_BASIS,
     _is_sane,
@@ -129,6 +129,17 @@ class TestSelectModel:
         with pytest.raises(FitError, match="weights must be finite"):
             select_model(x, y, weights=[1, 1, bad, 1, 1])
         assert "DLASCL" not in "".join(capfd.readouterr())
+
+    def test_non_finite_basis_columns_are_refused_silently(self, capfd):
+        # e^u overflows at u = x / 1: such a design used to reach LAPACK,
+        # which printed DLASCL errors before numpy raised
+        x, y = [1000, 2000, 3000, 4000, 5000, 6000], [1, 2, 3, 4.5, 5, 7]
+        with np.errstate(over="ignore"):
+            fit = select_model(x, y, x_scale=1.0)
+            with pytest.raises(FitError, match="not finite"):
+                fit_basis_model(x, y, (CONSTANT, LINEAR, EXP), x_scale=1.0)
+        assert "e^x" not in fit.names and "x e^x" not in fit.names
+        assert capfd.readouterr() == ("", "")
 
     def test_weights_passed_through(self):
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])

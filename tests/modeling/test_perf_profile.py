@@ -222,3 +222,67 @@ class TestFitMemo:
         for _ in range(2):
             with pytest.raises(FitError):
                 prof.fit()
+
+
+def _retained_by_scanning(adds, max_points):
+    """The retention rule as a full scan of the retained points per add."""
+    points = []
+    for units, exec_s in adds:
+        same_size = [i for i, p in enumerate(points) if p[0] == units]
+        if len(same_size) >= PerfProfile.PER_SIZE_LIMIT:
+            del points[same_size[0]]
+        points.append((units, exec_s))
+        while len(points) > max_points:
+            counts = {}
+            for p in points:
+                counts[p[0]] = counts.get(p[0], 0) + 1
+            crowded = max(counts, key=lambda u: counts[u])
+            del points[next(i for i, p in enumerate(points) if p[0] == crowded)]
+    return points
+
+
+class TestRetention:
+    """``add`` keeps per-size counts instead of scanning every point; what
+    it retains is the full scan's, point for point."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_full_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        max_points = int(rng.integers(2, 40))
+        n_sizes = int(rng.integers(1, 12))
+        sizes = rng.choice([8, 16, 24, 64, 100, 128, 256, 512, 1000, 4096, 65536], n_sizes)
+        # ints and floats of one size are one size
+        adds = [
+            (int(s) if rng.random() < 0.5 else float(s), float(i))
+            for i, s in enumerate(rng.choice(sizes, int(rng.integers(1, 300))))
+        ]
+        prof = PerfProfile("d", max_points=max_points)
+        for step in range(len(adds)):
+            prof.add(adds[step][0], adds[step][1], 0.0)
+            expected = _retained_by_scanning(adds[: step + 1], max_points)
+            assert [(p.units, p.exec_s) for p in prof.points] == expected
+
+    def test_both_evictions_are_exercised(self):
+        prof = PerfProfile("d", max_points=12)
+        for i in range(3 * PerfProfile.PER_SIZE_LIMIT):
+            prof.add(64, float(i), 0.0)
+        assert len(prof) == PerfProfile.PER_SIZE_LIMIT
+        assert [p.exec_s for p in prof.points][0] == 2 * PerfProfile.PER_SIZE_LIMIT
+        for size in (8, 16, 32, 128, 256):
+            prof.add(size, 1.0, 0.0)
+        # the window dropped the crowded size's oldest points first
+        assert len(prof) == 12
+        assert sum(p.units == 64 for p in prof.points) == 12 - 5
+
+    def test_clear_resets_the_counts(self):
+        prof = PerfProfile("d", max_points=4)
+        for i in range(PerfProfile.PER_SIZE_LIMIT):
+            prof.add(64, float(i), 0.0)
+        prof.clear()
+        for size in (8, 16, 32):
+            prof.add(size, 1.0, 0.0)
+        prof.add(64, 1.0, 0.0)
+        prof.add(64, 2.0, 0.0)
+        # 64 is now the one crowded size: the window drops its older point
+        assert [p.units for p in prof.points] == [8, 16, 32, 64]
+        assert prof.points[-1].exec_s == 2.0

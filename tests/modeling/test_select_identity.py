@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 from repro import PLBHeC, Runtime, paper_cluster
 from repro.apps import MatMul
 from repro.errors import FitError
-from repro.modeling import perf_profile
-from repro.modeling.basis import ALL_BASIS, CANDIDATE_MODELS, BasisFunction
+from repro.modeling import least_squares, perf_profile
+from repro.modeling.basis import (
+    ALL_BASIS,
+    CANDIDATE_MODELS,
+    CONSTANT,
+    LINEAR,
+    BasisFunction,
+)
 from repro.modeling.least_squares import FitResult, fit_basis_model
 from repro.modeling.model_select import _is_sane, select_model
 from repro.service.arrivals import ArrivalSpec
@@ -77,10 +83,25 @@ basis_subsets = st.lists(
     st.sampled_from(ALL_BASIS), min_size=0, max_size=len(ALL_BASIS)
 ).map(tuple)
 
+#: ladders that mix widths, one-basis candidates (whose column norm is
+#: their own, not the shared one) and candidates listing a basis twice
+mixed_ladders = st.tuples(
+    st.lists(st.sampled_from(CANDIDATE_MODELS), max_size=4),
+    st.lists(st.sampled_from(ALL_BASIS).map(lambda b: (b,)), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.sampled_from(ALL_BASIS), basis_subsets).map(
+            lambda pair: (pair[0], *pair[1], pair[0])
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+).flatmap(lambda parts: st.permutations([c for part in parts for c in part]))
+
 candidate_lists = st.one_of(
     st.just(CANDIDATE_MODELS),
     st.lists(st.sampled_from(CANDIDATE_MODELS), min_size=1, max_size=6),
     st.lists(basis_subsets, min_size=1, max_size=6),
+    mixed_ladders,
 )
 
 
@@ -137,12 +158,31 @@ def cases(draw) -> Case:
 
 FLAT = Case(x=(64.0, 128.0, 256.0, 512.0, 1024.0), y=(0.25,) * 5)
 CONVEX = Case(x=(100.0, 200.0, 400.0, 800.0), y=(10.0, 40.0, 160.0, 640.0))
+AFFINE = Case(
+    x=(64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0),
+    y=(0.564, 0.628, 0.756, 1.012, 1.524, 2.548, 4.596),
+)
+#: e^u and u e^u overflow at u = x: those candidates are refused
+OVERFLOW = Case(
+    x=(1000.0, 2000.0, 3000.0, 4000.0, 5000.0, 6000.0),
+    y=(1.0, 2.0, 3.0, 4.5, 5.0, 7.0),
+    x_scale=1.0,
+)
 
 
 class TestSelectModelIdentity:
     @given(cases())
     @example(FLAT)
     @example(CONVEX)
+    @example(AFFINE)
+    @example(OVERFLOW)
+    @example(
+        Case(
+            CONVEX.x + (1600.0, 3200.0),
+            CONVEX.y + (2560.0, 10240.0),
+            candidates=((LINEAR,), (CONSTANT, LINEAR, LINEAR), *CANDIDATE_MODELS),
+        )
+    )
     @example(Case(x=(10.0, 20.0), y=(1.0, 2.0)))
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, case):
@@ -181,9 +221,43 @@ class TestSelectModelIdentity:
     def test_bad_inputs_raise_in_both(self, x, y, weights):
         with pytest.raises(FitError):
             select_model(x, y, weights=weights)
-        # the reference scales an infinite weight's column by inf / inf
-        with np.errstate(invalid="ignore"), pytest.raises(FitError):
+        with pytest.raises(FitError):
             ref.reference_select_model(x, y, weights=weights)
+
+
+def solved_widths(monkeypatch) -> list[int]:
+    """The width of every candidate ``FitData.solve`` solves from now on."""
+    widths = []
+    real = least_squares.FitData.solve
+
+    def counting(self, basis):
+        widths.append(len(basis))
+        return real(self, basis)
+
+    monkeypatch.setattr(least_squares.FitData, "solve", counting)
+    return widths
+
+
+class TestCertificate:
+    """The ladder stops once its answer can no longer change, and the
+    answer is the full ladder's."""
+
+    def test_an_affine_profile_stops_after_the_width_2_class(self, monkeypatch):
+        widths = solved_widths(monkeypatch)
+        fit = check(AFFINE)
+        assert fit.names == ("1", "x")
+        assert widths == [2, 2, 2]
+
+    def test_a_convex_profile_runs_the_full_ladder(self, monkeypatch):
+        widths = solved_widths(monkeypatch)
+        assert check(CONVEX).names == NNLS_NAMES
+        ladder = [len(c) for c in CANDIDATE_MODELS if len(c) < len(CONVEX.x)]
+        assert widths == sorted(ladder)
+
+    def test_no_certificate_without_the_sanity_rule(self, monkeypatch):
+        widths = solved_widths(monkeypatch)
+        check(Case(AFFINE.x, AFFINE.y, require_sane=False))
+        assert len(widths) == len(CANDIDATE_MODELS) - 1  # all but the 9-term one
 
 
 def recorded_selections(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, dict]]:
@@ -224,7 +298,20 @@ class TestRecordedSelections:
         calls = recorded_selections(monkeypatch, ClusterService(config).run)
         assert sum(x.size >= 20 for x, _, _ in calls) >= 20
         assert all(kwargs["weights"] is None for _, _, kwargs in calls)
-        assert_replays_bit_identical(calls)
+        widths = solved_widths(monkeypatch)
+        ladders = stopped = 0
+        for x, y, kwargs in calls:
+            del widths[:]
+            assert_bit_identical(
+                outcome(select_model, x, y, **kwargs),
+                outcome(ref.reference_select_model, x, y, **kwargs),
+            )
+            if x.size >= 4:  # a ladder with candidates wider than 2
+                ladders += 1
+                stopped += max(widths) == 2
+        # the certificate stops 34 of these 72 ladders after the width-2
+        # class (and 345 of the 571 on a perfbench serve-overload cycle)
+        assert stopped >= 0.45 * ladders > 0
 
     def test_plb_hec_batch_run(self, monkeypatch):
         app = MatMul(n=16384)

@@ -313,6 +313,12 @@ class TestLedgerSummary:
         summary = ledger.summary()
         assert "decisions" not in summary
         assert summary.pop("decision_count") == len(full.pop("decisions")) > 0
+        # nor the per-block calibration series, which only the live
+        # run's dashboard sparkline reads
+        assert full["calibration"]
+        for device, entry in full["calibration"].items():
+            assert entry.pop("series") == ledger.device_calibration(device).series
+            assert "series" not in summary["calibration"][device]
         assert summary == full
         json.dumps(summary, allow_nan=False)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks import perf_gate
-from benchmarks.perf_gate import judge, render
+from benchmarks.perf_gate import digest_report, judge, render
 
 END_TO_END = (
     {"name": "throughput_per_s", "better": "higher", "bound": 0.24},
@@ -156,3 +156,42 @@ def test_both_trees_run_perfbench_with_bytecode_caches(monkeypatch):
     for kwargs in calls:
         assert "PYTHONDONTWRITEBYTECODE" not in kwargs["env"]
         assert kwargs["env"]["PERF_GATE_PROBE"] == "kept"
+
+
+class TestDigests:
+    """The gate reports whether virtual-time results moved, and never
+    fails a change for it."""
+
+    def test_perfbench_keeps_the_vt_digest_line(self, monkeypatch):
+        stdout = 'perfbench: workload=w\nvt digest: 0123abcd\nchecks: ok\n{"correct": true}\n'
+        monkeypatch.setattr(
+            perf_gate.subprocess, "run",
+            lambda cmd, **kwargs: subprocess.CompletedProcess(cmd, 0, stdout=stdout),
+        )
+        spec = {"command": ["python3", "perfbench/run.py"]}
+        got = perf_gate.perfbench(spec, Path("tree"), "w")
+        assert got == {"correct": True, "vt_digest": "0123abcd"}
+
+    def test_unchanged_and_moved_digests(self):
+        base = {**BASE, "vt_digest": "aaaa"}
+        moved = {**BASE, "vt_digest": "bbbb"}
+        runs = {"same": pairs(base, dict(base)), "moved": pairs(base, moved)}
+        assert digest_report(runs) == [
+            "same: vt digest base aaaa, change aaaa: unchanged",
+            "moved: vt digest base aaaa, change bbbb: MOVED: virtual-time results differ",
+        ]
+        # a report, not a verdict: moved results fail nothing
+        assert judge(END_TO_END, runs)[1] == []
+
+    def test_missing_or_disagreeing_digests_are_said_so(self):
+        base = {**BASE, "vt_digest": "aaaa"}
+        runs = {
+            "old": pairs(BASE, base),
+            "lost": [(base, None)],
+            "flaky": [(base, base), (base, {**BASE, "vt_digest": "cccc"})],
+        }
+        assert digest_report(runs) == [
+            "old: vt digest base -, change aaaa: not compared: a side printed no digest",
+            "lost: vt digest base aaaa, change -: not compared: a side printed no digest",
+            "flaky: vt digest base aaaa, change aaaa, cccc: runs of one side disagree",
+        ]

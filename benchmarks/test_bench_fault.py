@@ -11,7 +11,7 @@ should contain the damage best.
 from benchmarks.conftest import fast_mode
 from repro import Greedy, HDSS, PLBHeC, Runtime, paper_cluster
 from repro.apps import MatMul
-from repro.runtime.sim_executor import DeviceFailure
+from repro.runtime.faults import DeviceFailure
 from repro.util.tables import format_table
 
 
@@ -28,7 +28,7 @@ def test_bench_fault_tolerance(benchmark):
     def sweep():
         rows = []
         for policy in (Greedy(), HDSS(), PLBHeC(num_steps=8)):
-            rt = Runtime(cluster, app.codelet(), seed=9, failures=(failure,))
+            rt = Runtime(cluster, app.codelet(), seed=9, faults=(failure,))
             res = rt.run(
                 policy, app.total_units, app.default_initial_block_size()
             )

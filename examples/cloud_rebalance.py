@@ -17,7 +17,7 @@ Run:
 
 from repro import PLBHeC, Runtime, paper_cluster
 from repro.apps import MatMul
-from repro.runtime.sim_executor import Perturbation
+from repro.runtime.faults import Perturbation
 from repro.util.tables import format_table
 
 
@@ -45,7 +45,7 @@ def main() -> None:
         ("rebalancing off", PLBHeC(rebalance_threshold=1e9)),
     ]:
         runtime = Runtime(
-            cluster, app.codelet(), seed=21, perturbations=(perturbation,)
+            cluster, app.codelet(), seed=21, faults=(perturbation,)
         )
         result = runtime.run(
             policy, app.total_units, app.default_initial_block_size()

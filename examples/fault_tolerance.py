@@ -13,7 +13,7 @@ Run:
 
 from repro import Greedy, HDSS, PLBHeC, Runtime, paper_cluster
 from repro.apps import MatMul
-from repro.runtime.sim_executor import DeviceFailure
+from repro.runtime.faults import DeviceFailure
 from repro.util.tables import format_table
 
 
@@ -34,7 +34,7 @@ def main() -> None:
     rows = []
     plb = PLBHeC(num_steps=8)
     for policy in (Greedy(), HDSS(), plb):
-        rt = Runtime(cluster, app.codelet(), seed=9, failures=(failure,))
+        rt = Runtime(cluster, app.codelet(), seed=9, faults=(failure,))
         res = rt.run(policy, app.total_units, app.default_initial_block_size())
         rows.append(
             [

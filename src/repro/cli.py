@@ -830,8 +830,9 @@ def _split_fault_spec(spec: str, flag: str, syntax: str, sep: str) -> tuple:
     return (device, *map(float, numbers))
 
 
-def _parse_fault_flags(args: argparse.Namespace):
-    """Fault objects from the repeatable ``run`` injection flags.
+def _parse_fault_flags(args: argparse.Namespace) -> tuple:
+    """The fault tuple of the repeatable injection flags: failures, then
+    transients, then perturbations, each in flag order.
 
     Malformed specs (and malformed numbers inside them) surface as
     :class:`ConfigurationError` naming the flag; unknown device ids are
@@ -852,7 +853,7 @@ def _parse_fault_flags(args: argparse.Namespace):
             )
     except ValueError as exc:
         raise ConfigurationError(f"bad fault spec: {exc}") from exc
-    return faults["perturb"], faults["fail"], faults["transient"]
+    return faults["fail"] + faults["transient"] + faults["perturb"]
 
 
 def _simulate(
@@ -867,15 +868,12 @@ def _simulate(
     cluster = paper_cluster(args.machines)
     ground_truth = GroundTruth(cluster, app.kernel_characteristics())
     policy = make_policy(policy_name, ground_truth=ground_truth)
-    perturbations, failures, transients = _parse_fault_flags(args)
     runtime = Runtime(
         cluster,
         app.codelet(),
         seed=args.seed if seed is None else seed,
         noise_sigma=args.noise,
-        perturbations=perturbations,
-        failures=failures,
-        transients=transients,
+        faults=_parse_fault_flags(args),
     )
     result = runtime.run(
         policy, app.total_units, app.default_initial_block_size(),
@@ -1596,7 +1594,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         write_scorecard,
     )
 
-    perturbations, failures, transients = _parse_fault_flags(args)
     config = ServiceConfig(
         arrivals=ArrivalSpec(
             rate=args.rate,
@@ -1615,7 +1612,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sample_interval=args.sample_interval,
         noise_sigma=args.noise,
         seed=args.seed,
-        faults=(*failures, *transients, *perturbations),
+        faults=_parse_fault_flags(args),
     )
     service = ClusterService(config)
     card = service.run()

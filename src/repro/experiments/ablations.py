@@ -23,7 +23,7 @@ from repro.core import PLBHeC
 from repro.errors import ConfigurationError
 from repro.modeling.perf_profile import DeviceModel
 from repro.runtime import Runtime
-from repro.runtime.sim_executor import Perturbation
+from repro.runtime.faults import Perturbation
 from repro.solver.ipm import IPMOptions
 from repro.solver.partition import PartitionResult, solve_block_partition
 from repro.util.tables import format_table
@@ -118,10 +118,8 @@ class _ForcedSelectionPLB(PLBHeC):
         self._monitor.reset()
 
 
-def _run(policy, app, cluster, *, seed=3, perturbations=()) -> AblationRow:
-    runtime = Runtime(
-        cluster, app.codelet(), seed=seed, perturbations=tuple(perturbations)
-    )
+def _run(policy, app, cluster, *, seed=3, faults=()) -> AblationRow:
+    runtime = Runtime(cluster, app.codelet(), seed=seed, faults=faults)
     result = runtime.run(policy, app.total_units, app.default_initial_block_size())
     idle = result.idle_fractions
     return AblationRow(
@@ -187,7 +185,7 @@ def run_rebalance_ablation(
     ]:
         policy.variant_name = label  # type: ignore[attr-defined]
         rows.append(
-            _run(policy, app, cluster, seed=seed, perturbations=perturbations)
+            _run(policy, app, cluster, seed=seed, faults=perturbations)
         )
     return rows
 

@@ -98,8 +98,11 @@ __all__ = [
 #: every vt digest) but kept version "7", so those entries replayed the
 #: old partitions.
 #: "9": the ledger summary leaves out each device's per-block
-#: calibration ``series``, which no payload reader reads.)
-ALGORITHM_VERSION = "9"
+#: calibration ``series``, which no payload reader reads.
+#: "10": service episodes walk batch's transfer-retry timeline (backoff,
+#: jitter, give-up) instead of losing a block per in-window dispatch, so
+#: serve runs with a ``TransferFault`` moved.)
+ALGORITHM_VERSION = "10"
 
 _log = get_logger("experiments.parallel")
 _events = EventLog("experiments.parallel")
@@ -354,25 +357,12 @@ def _execute_run(
         ground_truth=ground_truth,
         fixed_overhead_s=spec.fixed_overhead_s,
     )
-    fault_kwargs = {}
-    if spec.faults:
-        from repro.resilience.faults import split_faults
-
-        perturbations, failures, transients, transfer_faults = split_faults(
-            spec.faults
-        )
-        fault_kwargs = {
-            "perturbations": perturbations,
-            "failures": failures,
-            "transients": transients,
-            "transfer_faults": transfer_faults,
-        }
     runtime = Runtime(
         cluster,
         app.codelet(),
         seed=spec.run_seed,
         noise_sigma=spec.noise_sigma,
-        **fault_kwargs,
+        faults=spec.faults,
     )
     sampler = None
     if spec.sample_interval is not None:

@@ -11,6 +11,7 @@ fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,10 +40,13 @@ class ProfilePoint:
     round_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.units <= 0:
-            raise FitError(f"profile point needs positive units, got {self.units}")
-        if self.exec_s < 0 or self.transfer_s < 0:
-            raise FitError("profile times must be non-negative")
+        # chained comparisons: NaN fails every one, infinity the bound
+        if not 0 < self.units < math.inf:
+            raise FitError(
+                f"profile point needs positive finite units, got {self.units}"
+            )
+        if not (0 <= self.exec_s < math.inf and 0 <= self.transfer_s < math.inf):
+            raise FitError("profile times must be finite and non-negative")
 
 
 class DeviceModel:

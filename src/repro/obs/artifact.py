@@ -49,8 +49,14 @@ def write_text(path: str | os.PathLike[str], text: str) -> Path:
     """Atomically replace ``path`` with ``text`` (UTF-8), creating parents.
 
     On any failure the temp file is removed and the target left as it was.
+    A target that exists and is not a regular file (``/dev/null``, a FIFO)
+    is written through in place, never replaced.
     """
     target = Path(path)
+    if target.exists() and not target.is_file():
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return target
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f"{target.name}.{secrets.token_hex(6)}.tmp")
     # "x": never another writer's file; permissions as for any new file

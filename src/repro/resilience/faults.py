@@ -1,6 +1,6 @@
 """Fault serialisation and seeded randomized fault-schedule generation.
 
-Faults are the frozen dataclasses of :mod:`repro.runtime.sim_executor`;
+Faults are the frozen dataclasses of :mod:`repro.runtime.faults`;
 this module adds a canonical dict form (for sweep cache keys, scorecard
 JSON and the campaign history) and a deterministic generator that turns
 a seeded random stream into a mixed fault schedule scaled to a run's
@@ -9,13 +9,13 @@ fault-free horizon.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.artifact import from_data, to_data
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Fault,
     Perturbation,
@@ -37,38 +37,6 @@ def fault_from_dict(data: dict) -> Fault:
     """Inverse of :func:`fault_to_dict`; an absent field takes its default
     (schedules serialized before a knob existed)."""
     return from_data(Fault, data)
-
-
-def split_faults(
-    faults: Iterable[Fault],
-) -> tuple[
-    tuple[Perturbation, ...],
-    tuple[DeviceFailure, ...],
-    tuple[TransientFailure, ...],
-    tuple[TransferFault, ...],
-]:
-    """Partition a mixed fault list into the four Runtime kwargs."""
-    perturbations: list[Perturbation] = []
-    failures: list[DeviceFailure] = []
-    transients: list[TransientFailure] = []
-    transfer_faults: list[TransferFault] = []
-    for f in faults:
-        if isinstance(f, Perturbation):
-            perturbations.append(f)
-        elif isinstance(f, DeviceFailure):
-            failures.append(f)
-        elif isinstance(f, TransientFailure):
-            transients.append(f)
-        elif isinstance(f, TransferFault):
-            transfer_faults.append(f)
-        else:
-            raise ConfigurationError(f"unknown fault object {f!r}")
-    return (
-        tuple(perturbations),
-        tuple(failures),
-        tuple(transients),
-        tuple(transfer_faults),
-    )
 
 
 def generate_schedule(

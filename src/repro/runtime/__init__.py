@@ -11,6 +11,9 @@ package provides the equivalent runtime surface:
 * :mod:`repro.runtime.scheduler_api` — the policy protocol: a policy is
   asked for the next block size when a worker goes idle and is told
   about every completion (the paper's ``FinishedTaskExecution`` hook);
+* :mod:`repro.runtime.faults` — the Sec. VI fault model both
+  executors share: the fault kinds and the :class:`FaultTimeline` that
+  answers what each one does;
 * :mod:`repro.runtime.sim_executor` — the virtual-time backend driving
   policies against the cluster ground truth;
 * :mod:`repro.runtime.real_executor` — a thread-pool backend running
@@ -33,13 +36,13 @@ from repro.runtime.scheduler_api import (
     SchedulingContext,
     SchedulingPolicy,
 )
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Perturbation,
-    SimulatedExecutor,
     TransferFault,
     TransientFailure,
 )
+from repro.runtime.sim_executor import SimulatedExecutor
 from repro.runtime.task import Task, TaskState
 
 __all__ = [

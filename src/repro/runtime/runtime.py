@@ -26,13 +26,8 @@ from repro.obs.profiler import profile_phase
 from repro.runtime.codelet import Codelet
 from repro.runtime.real_executor import RealExecutor
 from repro.runtime.scheduler_api import SchedulingPolicy
-from repro.runtime.sim_executor import (
-    DeviceFailure,
-    Perturbation,
-    SimulatedExecutor,
-    TransferFault,
-    TransientFailure,
-)
+from repro.runtime.faults import Fault
+from repro.runtime.sim_executor import SimulatedExecutor
 from repro.sim.trace import ExecutionTrace
 
 __all__ = ["Runtime", "RunResult"]
@@ -121,10 +116,10 @@ class Runtime:
         The application's codelet.
     backend:
         ``"sim"`` (virtual time, default) or ``"real"`` (host threads).
-    noise_sigma / seed / perturbations / failures / transients /
-    transfer_faults:
-        Simulation-backend knobs (ignored by the real backend).  Fault
-        device ids are validated against the cluster up front; an
+    noise_sigma / seed / faults:
+        Simulation-backend knobs (ignored by the real backend).  ``faults``
+        is one mixed tuple of :mod:`repro.runtime.faults` objects; their
+        device ids are validated against the cluster up front, and an
         unknown id raises :class:`ConfigurationError` naming it.
     speed_factors:
         Real-backend heterogeneity emulation (ignored by sim).
@@ -138,10 +133,7 @@ class Runtime:
         backend: str = "sim",
         noise_sigma: float = 0.005,
         seed: int = 0,
-        perturbations: tuple[Perturbation, ...] = (),
-        failures: tuple[DeviceFailure, ...] = (),
-        transients: tuple[TransientFailure, ...] = (),
-        transfer_faults: tuple[TransferFault, ...] = (),
+        faults: tuple[Fault, ...] = (),
         speed_factors: dict[str, float] | None = None,
     ) -> None:
         if backend not in ("sim", "real"):
@@ -157,10 +149,7 @@ class Runtime:
                 codelet.kernel,
                 noise_sigma=noise_sigma,
                 seed=seed,
-                perturbations=perturbations,
-                failures=failures,
-                transients=transients,
-                transfer_faults=transfer_faults,
+                faults=faults,
             )
         else:
             self._executor = RealExecutor(

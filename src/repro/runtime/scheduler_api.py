@@ -163,7 +163,7 @@ class SchedulingPolicy(abc.ABC):
     def on_device_recovered(self, device_id: str, now: float) -> None:
         """A transiently-failed device came back online.
 
-        Fired by :class:`~repro.runtime.sim_executor.TransientFailure`
+        Fired by :class:`~repro.runtime.faults.TransientFailure`
         at ``time + downtime``.  The runtime resumes polling the device
         immediately after this hook; policies that dropped the device in
         :meth:`on_device_failed` should fold it back into their

@@ -8,7 +8,7 @@ it, failure re-opens it with a doubled (capped) cooldown.  The cooldown
 carries seeded jitter so breakers that opened together do not re-probe
 in lock-step, mirroring the transfer-backoff jitter satellite.
 
-A :class:`~repro.runtime.sim_executor.TransientFailure` recovery hooks
+A :class:`~repro.runtime.faults.TransientFailure` recovery hooks
 in through :meth:`on_device_recovered`: an open breaker moves straight
 to half-open (probe now) instead of waiting out its cooldown, because
 the platform just told us the device is worth probing.

@@ -34,15 +34,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs.artifact import from_data, to_data
 from repro.obs.metrics import get_registry
 from repro.obs.timeseries import TimeSeriesStore, jain_fairness
-from repro.runtime.sim_executor import (
-    DeviceFailure,
-    Fault,
-    Perturbation,
-    TransferFault,
-    TransientFailure,
-    slowdown_at,
-    transfer_fault_at,
-)
+from repro.runtime.faults import Fault, FaultTimeline
 from repro.service.admission import SHED_POLICIES, AdmissionQueue
 from repro.service.arrivals import ArrivalSpec, generate_arrivals
 from repro.service.balancer import BALANCER_FLAVORS, ContinuousBalancer
@@ -149,6 +141,8 @@ class ClusterService:
         self.order = [d.device_id for d in self.cluster.devices()]
         self.engine = Engine()
         self.streams = RandomStreams(config.seed)
+        #: the episode's faults, and which devices they hold down
+        self.timeline = FaultTimeline(config.faults, self.order, self.streams)
         spec = config.arrivals
 
         from repro.experiments.runner import make_application
@@ -199,13 +193,7 @@ class ClusterService:
         self.jobs: list[Job] = []
         self.active: list[Job] = []
         self.busy: dict[str, tuple[Job, int, float, float, float]] = {}
-        self.failed: set[str] = set()
-        self.perm_failed: set[str] = set()
-        self._perturb: list[Perturbation] = []
-        self._transfer_faults: list[TransferFault] = []
         self._deadline_events: dict[int, object] = {}
-        self._fault_events: list = []
-        self._pending_recoveries = 0
         self._arrivals_pending = 0
         self._finished = False
         self.end_time = 0.0
@@ -244,7 +232,7 @@ class ClusterService:
             engine.schedule_at(
                 arr.time, lambda a=arr: self._arrive(a), tag="arrive"
             )
-        self._schedule_faults()
+        self.timeline.schedule(engine, self._device_down, self._device_up)
         interval = self.config.sample_interval or self.config.rebalance_interval
         self._rebalance_task = engine.schedule_periodic(
             self.config.rebalance_interval,
@@ -274,10 +262,7 @@ class ClusterService:
         return build_scorecard(self)
 
     def _ticking(self) -> bool:
-        if self._finished:
-            return False
-        alive = any(d not in self.failed for d in self.order)
-        return alive or self._pending_recoveries > 0
+        return not (self._finished or self.timeline.stranded)
 
     def _finish(self, now: float) -> None:
         # close the telemetry with the drained state, so last(...) SLO
@@ -287,9 +272,7 @@ class ClusterService:
         self.end_time = now
         self._rebalance_task.cancel()
         self._sampler_task.cancel()
-        for ev in self._fault_events:
-            self.engine.cancel(ev)
-        self._fault_events.clear()
+        self.timeline.cancel(self.engine)
         for ev in self._deadline_events.values():
             self.engine.cancel(ev)
         self._deadline_events.clear()
@@ -359,8 +342,9 @@ class ClusterService:
     def _dispatch(self, now: float) -> None:
         if self._finished:
             return
+        timeline = self.timeline
         for device_id in self.order:
-            if device_id in self.busy or device_id in self.failed:
+            if device_id in self.busy or device_id in timeline.down:
                 continue
             job = self.balancer.pick_job(self.active)
             if job is None:
@@ -376,8 +360,8 @@ class ClusterService:
             )
             gt = self.templates[job.template]["gt"]
             transfer = gt.transfer_time(device_id, units)
-            exec_s = gt.exec_time(device_id, units) * slowdown_at(
-                self._perturb, device_id, now
+            exec_s = gt.exec_time(device_id, units) * timeline.slowdown_at(
+                device_id, now
             )
             if self.config.noise_sigma > 0.0:
                 exec_s *= self.streams.lognormal_factor(
@@ -385,20 +369,20 @@ class ClusterService:
                     self.config.noise_sigma,
                 )
             job.remaining -= units
-            fault = transfer_fault_at(self._transfer_faults, device_id, now)
-            if fault is not None:
-                # the window eats the dispatch: charge the timeout, then
-                # count the block as lost on this device
-                base = transfer if transfer > 0.0 else 0.1 * exec_s
-                stall = fault.timeout_factor * base
+            retry_time, gave_up = 0.0, False
+            if timeline.transfer_faults:
+                retry_time, _, gave_up = timeline.transfer_stall(
+                    device_id, now, transfer, exec_s
+                )
+            if gave_up:
                 event = self.engine.schedule_after(
-                    stall,
-                    lambda d=device_id: self._block_failed(d),
-                    tag="serve:transfer-fault",
+                    retry_time,
+                    lambda d=device_id: self._give_up(d),
+                    tag="serve:giveup",
                 )
             else:
                 event = self.engine.schedule_after(
-                    transfer + exec_s,
+                    transfer + exec_s + retry_time,
                     lambda d=device_id: self._block_done(d),
                     tag="serve:block",
                 )
@@ -407,7 +391,7 @@ class ClusterService:
 
     def _block_done(self, device_id: str) -> None:
         now = self.engine.now
-        if device_id in self.failed:
+        if device_id in self.timeline.down:
             self.invariant_errors.append(
                 f"block completed on downed device {device_id} at {now:.4f}"
             )
@@ -440,16 +424,6 @@ class ClusterService:
         if event is not None:
             self.engine.cancel(event)
         self._activate_next(now)
-
-    def _block_failed(self, device_id: str) -> None:
-        """A transfer-fault window swallowed the in-flight block."""
-        now = self.engine.now
-        job, units, _t0, _transfer, _exec = self.busy.pop(device_id)
-        job.in_flight.pop(device_id, None)
-        self.breakers[device_id].record_failure(now)
-        self._lose_block(job, units, now)
-        self._dispatch(now)
-        self._maybe_finish(now)
 
     def _lose_block(self, job: Job, units: int, now: float) -> None:
         """Requeue lost units against the tenant's retry budget."""
@@ -495,49 +469,8 @@ class ClusterService:
 
     # ---- faults ------------------------------------------------------
 
-    def _schedule_faults(self) -> None:
-        from repro.resilience.faults import split_faults
-
-        perturbations, failures, transients, transfer_faults = split_faults(
-            self.config.faults
-        )
-        for f in self.config.faults:
-            if f.device_id not in self.order:
-                raise ConfigurationError(
-                    f"fault targets unknown device {f.device_id!r}"
-                )
-        self._perturb = list(perturbations)
-        self._transfer_faults = list(transfer_faults)
-        for f in failures:
-            self._fault_events.append(
-                self.engine.schedule_at(
-                    f.time,
-                    lambda d=f.device_id: self._device_down(d, permanent=True),
-                    tag="serve:failure",
-                )
-            )
-        for f in transients:
-            self._fault_events.append(
-                self.engine.schedule_at(
-                    f.time,
-                    lambda d=f.device_id: self._device_down(d, permanent=False),
-                    tag="serve:transient",
-                )
-            )
-            self._pending_recoveries += 1
-            self._fault_events.append(
-                self.engine.schedule_at(
-                    f.time + f.downtime,
-                    lambda d=f.device_id: self._device_up(d),
-                    tag="serve:recovery",
-                )
-            )
-
-    def _device_down(self, device_id: str, *, permanent: bool) -> None:
+    def _device_down(self, device_id: str) -> None:
         now = self.engine.now
-        self.failed.add(device_id)
-        if permanent:
-            self.perm_failed.add(device_id)
         self.breakers[device_id].force_open(now)
         entry = self.busy.pop(device_id, None)
         if entry is not None:
@@ -550,12 +483,15 @@ class ClusterService:
         self._dispatch(now)
         self._maybe_finish(now)
 
+    def _give_up(self, device_id: str) -> None:
+        """Every retry landed in the window: lose the block, and the
+        device for good (its give-up event has fired, so the cancel in
+        :meth:`_device_down` is a no-op)."""
+        if self.timeline.fail(device_id, permanent=True):
+            self._device_down(device_id)
+
     def _device_up(self, device_id: str) -> None:
         now = self.engine.now
-        self._pending_recoveries -= 1
-        if device_id in self.perm_failed or self._finished:
-            return
-        self.failed.discard(device_id)
         self.breakers[device_id].on_device_recovered(now)
         self._dispatch(now)
 
@@ -614,7 +550,7 @@ class ClusterService:
             store.record("serve_tenant_fairness", now, jain_fairness(served))
         for device_id in self.order:
             busy = 1.0 if device_id in self.busy else 0.0
-            if device_id in self.failed:
+            if device_id in self.timeline.down:
                 busy = 0.0
             store.record("serve_device_busy", now, busy, device=device_id)
 

@@ -33,6 +33,7 @@ that fails, a measured-rate proportional split caps the damage
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -250,8 +251,10 @@ def solve_block_partition(
     if not model_list:
         raise ConfigurationError("need at least one device model")
     q = float(total_units)
-    if q <= 0.0:
-        raise ConfigurationError(f"total_units must be positive, got {total_units}")
+    if not math.isfinite(q) or q <= 0.0:
+        raise ConfigurationError(
+            f"total_units must be positive and finite, got {total_units}"
+        )
 
     n = len(model_list)
     t_start = time.perf_counter()

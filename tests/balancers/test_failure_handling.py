@@ -9,7 +9,7 @@ import pytest
 
 from repro import Acosta, Greedy, HDSS, PLBHeC, Runtime
 from repro.apps import MatMul
-from repro.runtime.sim_executor import DeviceFailure
+from repro.runtime.faults import DeviceFailure
 
 
 def run_with(policy, small_cluster, *, fail, at, n=8192, seed=5):
@@ -18,7 +18,7 @@ def run_with(policy, small_cluster, *, fail, at, n=8192, seed=5):
         small_cluster,
         app.codelet(),
         seed=seed,
-        failures=(DeviceFailure(device_id=fail, time=at),),
+        faults=(DeviceFailure(device_id=fail, time=at),),
     )
     return rt.run(policy, app.total_units, app.default_initial_block_size())
 

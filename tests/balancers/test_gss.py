@@ -6,7 +6,7 @@ from repro.apps import MatMul
 from repro.balancers import GuidedSelfScheduling
 from repro.errors import ConfigurationError
 from repro.runtime import Runtime
-from repro.runtime.sim_executor import DeviceFailure
+from repro.runtime.faults import DeviceFailure
 
 
 class TestConfig:
@@ -67,7 +67,7 @@ class TestBehaviour:
             small_cluster,
             app.codelet(),
             seed=0,
-            failures=(DeviceFailure(device_id="beta.cpu", time=0.2),),
+            faults=(DeviceFailure(device_id="beta.cpu", time=0.2),),
         )
         res = rt.run(GuidedSelfScheduling(), app.total_units, 8)
         assert res.trace.total_units() >= 4096

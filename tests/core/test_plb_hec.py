@@ -7,7 +7,7 @@ from repro.balancers import Greedy
 from repro.core import PLBHeC
 from repro.errors import ConfigurationError
 from repro.runtime import Runtime
-from repro.runtime.sim_executor import Perturbation
+from repro.runtime.faults import Perturbation
 
 
 class TestConfigValidation:
@@ -155,7 +155,7 @@ class TestRebalancing:
         )
         policy = PLBHeC(num_steps=10)
         rt = Runtime(
-            small_cluster, app.codelet(), seed=2, perturbations=(perturbation,)
+            small_cluster, app.codelet(), seed=2, faults=(perturbation,)
         )
         res = rt.run(policy, app.total_units, app.default_initial_block_size())
         assert res.num_rebalances >= 1
@@ -168,7 +168,7 @@ class TestRebalancing:
         )
         policy = PLBHeC(num_steps=10)
         rt = Runtime(
-            small_cluster, app.codelet(), seed=2, perturbations=(perturbation,)
+            small_cluster, app.codelet(), seed=2, faults=(perturbation,)
         )
         rt.run(policy, app.total_units, app.default_initial_block_size())
         history = policy.selection_history
@@ -183,7 +183,7 @@ class TestRebalancing:
             device_id="alpha.gpu0", start_time=1.0, factor=5.0
         )
         rt = Runtime(
-            small_cluster, app.codelet(), seed=2, perturbations=(perturbation,)
+            small_cluster, app.codelet(), seed=2, faults=(perturbation,)
         )
         res = rt.run(
             PLBHeC(rebalance_threshold=1e12),

@@ -6,14 +6,14 @@ would silently orphan every cached entry.  The literals were computed
 before the config codec replaced the hand-written forms, and re-pinned
 with each ``ALGORITHM_VERSION`` bump: under "7" the same inputs hash to
 ``089d45e0…`` and ``6519c21f…``, under "8" to ``1c819516…`` and
-``d4a48477…``.
+``d4a48477…``, under "9" to ``7ca3c8bf…`` and ``34b7754d…``.
 """
 
 from __future__ import annotations
 
 from repro.cluster import paper_cluster
 from repro.experiments.parallel import ResultCache, RunSpec, _factory_tag
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Perturbation,
     TransferFault,
@@ -46,7 +46,7 @@ def test_faulted_run_key_is_pinned():
         tolerate_errors=True,
     )
     assert ResultCache.key(spec, TAG) == (
-        "7ca3c8bf434867f3b9f9fb73c9c8037403df441c2a61121a7c34e74f81b3d298"
+        "fec033926e60b5ad3f1bfe03a10f6f88dff2db29c94fbf0e95bfffc8320c04fd"
     )
 
 
@@ -72,5 +72,5 @@ def test_service_run_key_is_pinned():
         service_json=service.to_sweep_json(),
     )
     assert ResultCache.key(spec, TAG) == (
-        "34b7754d64ff6076d75fc63dab58deef5f7aee17f04b5b2c686230fa9c356c2a"
+        "efdf0fa71e3ba2802dd1a79f8b4bd7efc20eed5efb3f9852d7a15cfe6e41fd7b"
     )

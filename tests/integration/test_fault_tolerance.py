@@ -16,11 +16,8 @@ from repro.errors import ConfigurationError, ConvergenceError
 from repro.experiments.runner import make_policy
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import check_conservation
-from repro.runtime.sim_executor import (
-    DeviceFailure,
-    SimulatedExecutor,
-    TransientFailure,
-)
+from repro.runtime.faults import DeviceFailure, TransientFailure
+from repro.runtime.sim_executor import SimulatedExecutor
 
 
 def run_with_failure(small_cluster, policy, *, n=8192, fail="alpha.gpu0", at=0.5):
@@ -36,7 +33,7 @@ def run_with_failure(small_cluster, policy, *, n=8192, fail="alpha.gpu0", at=0.5
         small_cluster,
         app.codelet(),
         seed=5,
-        failures=(DeviceFailure(device_id=fail, time=t_fail),),
+        faults=(DeviceFailure(device_id=fail, time=t_fail),),
     )
     return base, rt.run(policy, app.total_units, app.default_initial_block_size())
 
@@ -47,7 +44,7 @@ class TestFailureValidation:
             SimulatedExecutor(
                 small_cluster,
                 mm_kernel,
-                failures=(DeviceFailure(device_id="ghost", time=1.0),),
+                faults=(DeviceFailure(device_id="ghost", time=1.0),),
             )
 
     def test_unknown_transient_device_rejected(self, small_cluster, mm_kernel):
@@ -55,7 +52,7 @@ class TestFailureValidation:
             SimulatedExecutor(
                 small_cluster,
                 mm_kernel,
-                transients=(
+                faults=(
                     TransientFailure(device_id="ghost", time=1.0, downtime=1.0),
                 ),
             )
@@ -65,7 +62,7 @@ class TestFailureValidation:
             SimulatedExecutor(
                 small_cluster,
                 mm_kernel,
-                failures=tuple(
+                faults=tuple(
                     DeviceFailure(device_id=d.device_id, time=1.0)
                     for d in small_cluster.devices()
                 ),
@@ -190,7 +187,7 @@ class TestAllPoliciesFailureMatrix:
             small_cluster,
             app.codelet(),
             seed=5,
-            failures=(DeviceFailure(device_id="alpha.gpu0", time=t_fail),),
+            faults=(DeviceFailure(device_id="alpha.gpu0", time=t_fail),),
         )
         res = rt.run(
             _named_policy(name, small_cluster, app),
@@ -208,14 +205,10 @@ class TestTransientRecovery:
         base_makespan = _baseline_makespan("plb-hec", small_cluster, app)
         t_down, downtime = base_makespan * 0.3, base_makespan * 0.25
         if transient:
-            faults = {
-                "transients": (
-                    TransientFailure("alpha.gpu0", t_down, downtime),
-                )
-            }
+            fault = TransientFailure("alpha.gpu0", t_down, downtime)
         else:
-            faults = {"failures": (DeviceFailure("alpha.gpu0", t_down),)}
-        rt = Runtime(small_cluster, app.codelet(), seed=5, **faults)
+            fault = DeviceFailure("alpha.gpu0", t_down)
+        rt = Runtime(small_cluster, app.codelet(), seed=5, faults=(fault,))
         res = rt.run(
             _named_policy("plb-hec", small_cluster, app),
             app.total_units,
@@ -246,7 +239,7 @@ EVERY_POLICY = ALL_POLICIES + ("plb-hec-free", "oracle")
 _RECOVERY_BASELINES: dict[str, float] = {}
 
 
-def _paper_run(name, transients=()):
+def _paper_run(name, faults=()):
     cluster = paper_cluster(2)
     app = MatMul(n=2048)
     policy = make_policy(
@@ -254,7 +247,7 @@ def _paper_run(name, transients=()):
         ground_truth=GroundTruth(cluster, app.kernel_characteristics()),
         fixed_overhead_s=0.002,
     )
-    rt = Runtime(cluster, app.codelet(), seed=1, transients=transients)
+    rt = Runtime(cluster, app.codelet(), seed=1, faults=faults)
     return rt.run(policy, app.total_units, app.default_initial_block_size())
 
 
@@ -284,14 +277,14 @@ class TestTransientRecoveryMatrix:
 class TestSolverFallbackChain:
     def _perturbed_run(self, small_cluster, policy):
         """The rebalance-provoking scenario of tests/core/test_plb_hec."""
-        from repro.runtime.sim_executor import Perturbation
+        from repro.runtime.faults import Perturbation
 
         app = MatMul(n=16384)
         rt = Runtime(
             small_cluster,
             app.codelet(),
             seed=2,
-            perturbations=(
+            faults=(
                 Perturbation(device_id="alpha.gpu0", start_time=1.0, factor=5.0),
             ),
         )

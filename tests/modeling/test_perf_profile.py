@@ -17,12 +17,22 @@ def linear_profile(slope=0.01, intercept=0.5, xfer_slope=1e-5, sizes=(8, 16, 64,
 
 class TestProfilePoint:
     def test_nonpositive_units_rejected(self):
-        with pytest.raises(FitError):
-            ProfilePoint(units=0, exec_s=1.0, transfer_s=0.0)
+        # NaN and infinity too: `nan <= 0` is False, so only an explicit
+        # finiteness check keeps them out of every later fit
+        for units in (0, -3.0, float("nan"), float("inf")):
+            with pytest.raises(FitError):
+                ProfilePoint(units=units, exec_s=1.0, transfer_s=0.0)
+            with pytest.raises(FitError):
+                PerfProfile("d").add(units, 1.0, 0.0)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(FitError):
-            ProfilePoint(units=1, exec_s=-1.0, transfer_s=0.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(FitError):
+                ProfilePoint(units=1, exec_s=bad, transfer_s=0.0)
+            with pytest.raises(FitError):
+                ProfilePoint(units=1, exec_s=1.0, transfer_s=bad)
+            with pytest.raises(FitError):
+                PerfProfile("d").add(100, bad, 0.0)
 
 
 class TestPerfProfile:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.obs.report import _SCHEMA, RunReport, config_hash
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Perturbation,
     TransferFault,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -371,6 +372,21 @@ def test_writer_creates_parents_and_leaves_no_temp(tmp_path):
     path = write_text(tmp_path / "a" / "b" / "c.txt", "hello")
     assert path.read_text() == "hello"
     assert [p.name for p in path.parent.iterdir()] == ["c.txt"]
+
+
+def test_writer_writes_through_a_special_file(tmp_path):
+    # a FIFO stands in for /dev/null: the writer must write through it,
+    # not replace it with a regular file (never point this at /dev)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text(fifo, "through\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 64) == b"through\n"
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_refused_or_unserialisable_write_leaves_target_unchanged(docs, tmp_path):

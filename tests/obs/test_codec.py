@@ -17,7 +17,7 @@ from repro.obs.artifact import from_data
 from repro.obs.report import RunReport
 from repro.resilience.campaign import ChaosConfig
 from repro.resilience.faults import fault_from_dict, fault_to_dict
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Perturbation,
     TransferFault,

@@ -353,11 +353,11 @@ class TestRealRun:
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_faulted_run_exact(self, small_cluster):
-        from repro.runtime.sim_executor import TransientFailure
+        from repro.runtime.faults import TransientFailure
 
         result = self._run(
             small_cluster,
-            transients=(
+            faults=(
                 TransientFailure("alpha.gpu0", time=0.05, downtime=0.03),
             ),
         )

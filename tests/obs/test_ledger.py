@@ -263,7 +263,7 @@ class TestPolicyLedger:
         assert any(c.count > 0 for c in ledger.calibration().values())
 
     def test_fault_and_recovery_open_decisions(self, small_cluster):
-        from repro.runtime.sim_executor import TransientFailure
+        from repro.runtime.faults import TransientFailure
 
         app = MatMul(n=4096)
         baseline = run_plbhec(small_cluster, seed=5, n=4096)
@@ -273,7 +273,7 @@ class TestPolicyLedger:
             app.codelet(),
             seed=5,
             noise_sigma=0.02,
-            transients=(
+            faults=(
                 TransientFailure(
                     device_id="beta.gpu0",
                     time=t_down,

@@ -10,9 +10,8 @@ from repro.resilience.faults import (
     fault_from_dict,
     fault_to_dict,
     generate_schedule,
-    split_faults,
 )
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Perturbation,
     TransferFault,
@@ -46,13 +45,6 @@ class TestSerialisation:
     def test_unknown_object_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fault object"):
             fault_to_dict(object())
-
-    def test_split_faults_partitions(self):
-        perturbations, failures, transients, transfers = split_faults(ALL_KINDS)
-        assert perturbations == (ALL_KINDS[1],)
-        assert failures == (ALL_KINDS[0],)
-        assert transients == (ALL_KINDS[2],)
-        assert transfers == (ALL_KINDS[3],)
 
 
 class TestGenerateSchedule:
@@ -149,7 +141,7 @@ class TestTransferFaultRuntime:
             victim.transfer_time * 2.0,
         )
         res = Runtime(
-            small_cluster, app.codelet(), seed=5, transfer_faults=(fault,)
+            small_cluster, app.codelet(), seed=5, faults=(fault,)
         ).run(Greedy(), app.total_units, app.default_initial_block_size())
         retried = [r for r in res.trace.records if r.retries > 0]
         assert retried, "the in-window transfer must have retried"
@@ -175,7 +167,7 @@ class TestTransferFaultRuntime:
             max_retries=1,
         )
         res = Runtime(
-            small_cluster, app.codelet(), seed=5, transfer_faults=(fault,)
+            small_cluster, app.codelet(), seed=5, faults=(fault,)
         ).run(Greedy(), app.total_units, app.default_initial_block_size())
         assert "alpha.gpu0" in {d for _, d in res.trace.failures}
         assert any(d == "alpha.gpu0" for _, d, _, _ in res.trace.lost_blocks)
@@ -186,7 +178,7 @@ class TestTransferFaultRuntime:
         app = MatMul(n=4096)
         plain = self._baseline(small_cluster, MatMul(n=4096))
         wired = Runtime(
-            small_cluster, app.codelet(), seed=5, transfer_faults=()
+            small_cluster, app.codelet(), seed=5, faults=()
         ).run(Greedy(), app.total_units, app.default_initial_block_size())
         assert plain.trace.to_dict() == wired.trace.to_dict()
 
@@ -196,7 +188,7 @@ class TestTransferJitter:
 
     def _run(self, small_cluster, app, fault):
         return Runtime(
-            small_cluster, app.codelet(), seed=5, transfer_faults=(fault,)
+            small_cluster, app.codelet(), seed=5, faults=(fault,)
         ).run(Greedy(), app.total_units, app.default_initial_block_size())
 
     def _window(self, small_cluster, app):

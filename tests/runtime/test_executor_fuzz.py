@@ -18,13 +18,13 @@ from repro.resilience.invariants import (
     check_fault_isolation,
 )
 from repro.runtime.scheduler_api import SchedulingPolicy
-from repro.runtime.sim_executor import (
+from repro.runtime.faults import (
     DeviceFailure,
     Perturbation,
-    SimulatedExecutor,
     TransferFault,
     TransientFailure,
 )
+from repro.runtime.sim_executor import SimulatedExecutor
 
 #: One drawn fault: (kind, device index, start and length as fractions
 #: of the fault-free makespan, transfer jitter, perturbation factor).
@@ -42,7 +42,7 @@ FAULT_SPECS = st.lists(
 
 
 def fault_schedule(specs, device_ids, survivor, span):
-    """Executor fault kwargs from drawn specs, scaled to ``span``.
+    """An executor fault tuple from drawn specs, scaled to ``span``.
 
     Permanent failures and transfer faults (which escalate to a
     permanent failure when every retry lands in the window) never hit
@@ -51,30 +51,25 @@ def fault_schedule(specs, device_ids, survivor, span):
     device are not modelled.
     """
     killable = [d for d in device_ids if d != survivor]
-    faults = {"failures": [], "transients": [], "transfer_faults": [],
-              "perturbations": []}
+    faults = []
     down = set()
     for kind, index, start, length, jitter, factor in specs:
         t = start * span
         if kind == "failure":
             device = killable[index % len(killable)]
-            faults["failures"].append(DeviceFailure(device, t))
+            faults.append(DeviceFailure(device, t))
         elif kind == "transfer":
             device = killable[index % len(killable)]
-            faults["transfer_faults"].append(
-                TransferFault(device, t, length * span, jitter=jitter)
-            )
+            faults.append(TransferFault(device, t, length * span, jitter=jitter))
         elif kind == "transient":
             device = device_ids[index % len(device_ids)]
             if device not in down:
                 down.add(device)
-                faults["transients"].append(
-                    TransientFailure(device, t, length * span)
-                )
+                faults.append(TransientFailure(device, t, length * span))
         else:
             device = device_ids[index % len(device_ids)]
-            faults["perturbations"].append(Perturbation(device, t, factor))
-    return {kind: tuple(items) for kind, items in faults.items()}
+            faults.append(Perturbation(device, t, factor))
+    return tuple(faults)
 
 
 class RandomPolicy(SchedulingPolicy):
@@ -152,10 +147,12 @@ class TestExecutorInvariantsUnderFuzz:
             device_ids[1:][survivor % (len(device_ids) - 1)],
             base_span,
         )
-        faults["failures"] += (
+        faults += (
             DeviceFailure(device_id=device_ids[0], time=base_span * fail_frac),
         )
-        executor = SimulatedExecutor(cluster, self.kernel(), seed=seed, **faults)
+        executor = SimulatedExecutor(
+            cluster, self.kernel(), seed=seed, faults=faults
+        )
         trace, makespan = executor.run(RandomPolicy(seed, 0.0, 64), total, 8)
         # every unit completed exactly once (lost blocks are replayed), no
         # dispatch to a down device, no worker running two blocks at once

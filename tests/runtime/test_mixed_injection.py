@@ -4,7 +4,7 @@ import pytest
 
 from repro import Greedy, PLBHeC, Runtime
 from repro.apps import MatMul
-from repro.runtime.sim_executor import DeviceFailure, Perturbation
+from repro.runtime.faults import DeviceFailure, Perturbation
 
 
 class TestMixedInjection:
@@ -15,10 +15,10 @@ class TestMixedInjection:
             small_cluster,
             app.codelet(),
             seed=4,
-            perturbations=(
+            faults=(
                 Perturbation(device_id="alpha.gpu0", start_time=0.2, factor=3.0),
+                DeviceFailure(device_id="alpha.gpu0", time=0.5),
             ),
-            failures=(DeviceFailure(device_id="alpha.gpu0", time=0.5),),
         )
         res = rt.run(PLBHeC(num_steps=8), app.total_units, 8)
         assert res.trace.total_units() >= 8192
@@ -30,7 +30,7 @@ class TestMixedInjection:
             small_cluster,
             app.codelet(),
             seed=4,
-            failures=(
+            faults=(
                 DeviceFailure(device_id="alpha.gpu0", time=0.2),
                 DeviceFailure(device_id="beta.gpu0", time=0.4),
             ),
@@ -46,7 +46,7 @@ class TestMixedInjection:
             small_cluster,
             app.codelet(),
             seed=4,
-            failures=(DeviceFailure(device_id="beta.gpu0", time=0.0),),
+            faults=(DeviceFailure(device_id="beta.gpu0", time=0.0),),
         )
         res = rt.run(Greedy(), app.total_units, 8)
         assert res.trace.total_units() == 4096
@@ -62,7 +62,7 @@ class TestMixedInjection:
             small_cluster,
             app.codelet(),
             seed=4,
-            failures=(
+            faults=(
                 DeviceFailure(
                     device_id="alpha.gpu0", time=base.makespan * 100
                 ),
@@ -77,7 +77,7 @@ class TestMixedInjection:
             small_cluster,
             app.codelet(),
             seed=4,
-            failures=(
+            faults=(
                 DeviceFailure(device_id="beta.cpu", time=0.1),
                 DeviceFailure(device_id="beta.cpu", time=0.15),
             ),
@@ -93,10 +93,10 @@ class TestMixedInjection:
             small_cluster,
             app.codelet(),
             seed=4,
-            perturbations=(
+            faults=(
                 Perturbation(device_id="beta.gpu0", start_time=0.3, factor=2.0),
+                DeviceFailure(device_id="alpha.cpu", time=0.6),
             ),
-            failures=(DeviceFailure(device_id="alpha.cpu", time=0.6),),
         )
         res = rt.run(PLBHeC(num_steps=8), app.total_units, 16)
         assert res.trace.total_units() >= 16384

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.runtime.scheduler_api import SchedulingPolicy
-from repro.runtime.sim_executor import Perturbation, SimulatedExecutor
+from repro.runtime.faults import Perturbation
+from repro.runtime.sim_executor import SimulatedExecutor
 from repro.sim.trace import TaskRecord
 
 
@@ -134,7 +135,7 @@ class TestSimulatedExecutor:
             mm_kernel,
             noise_sigma=0.0,
             seed=0,
-            perturbations=(
+            faults=(
                 Perturbation(device_id="alpha.gpu0", start_time=0.0, factor=3.0),
             ),
         )
@@ -148,7 +149,7 @@ class TestSimulatedExecutor:
             SimulatedExecutor(
                 small_cluster,
                 mm_kernel,
-                perturbations=(
+                faults=(
                     Perturbation(device_id="nope", start_time=0.0, factor=2.0),
                 ),
             )

@@ -5,11 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime.sim_executor import (
-    DeviceFailure,
-    TransferFault,
-    TransientFailure,
-)
+from repro.runtime.faults import DeviceFailure, TransferFault, TransientFailure
 from repro.service import ClusterService, ServiceConfig, validate_scorecard
 from repro.service.arrivals import ArrivalSpec
 from repro.service.jobs import JobStatus
@@ -151,12 +147,16 @@ class TestFaultsAndRetries:
         assert card["invariant_errors"] == []
 
     def test_retry_budget_exhaustion_fails_jobs(self):
-        # a transfer fault window wide enough that retries keep losing
-        # blocks; a tiny budget must eventually fail a job, not loop
+        # two transfer-fault windows no retry escapes: each device gives
+        # up and loses its in-flight block, so a budget of one lost
+        # block per tenant must fail a job instead of looping
         service, card = run_episode(
             seed=4, retry_budget=1,
             arrivals=ArrivalSpec(rate=3.0, duration=8.0),
-            faults=(TransferFault("A.gpu0", 1.0, 30.0, max_retries=1),),
+            faults=(
+                TransferFault("A.gpu0", 1.0, 30.0, max_retries=1),
+                TransferFault("B.gpu0", 1.0, 30.0, max_retries=1),
+            ),
         )
         assert card["retries"]["consumed"]
         assert card["jobs"]["failed"] >= 1

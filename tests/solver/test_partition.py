@@ -78,8 +78,12 @@ class TestSolveBlockPartition:
             solve_block_partition({}, 100.0)
 
     def test_nonpositive_quantum_rejected(self):
-        with pytest.raises(ConfigurationError):
-            solve_block_partition({"a": model("a", 0.01)}, -5.0)
+        one = {"a": model("a", 0.01)}
+        three = {d: model(d, 0.01 * (i + 1)) for i, d in enumerate("abc")}
+        for q in (-5.0, 0.0, float("nan"), float("inf")):
+            for models in (one, three):
+                with pytest.raises(ConfigurationError):
+                    solve_block_partition(models, q)
 
     def test_never_raises_with_fallback(self):
         # a deliberately degenerate model set: identical flat curves

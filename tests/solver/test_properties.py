@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ReproError
 from repro.modeling.basis import CONSTANT, CUBE, EXP, LINEAR, SQRT, X_EXP
 from repro.modeling.perf_profile import PerfProfile
 from repro.solver import solve_block_partition, waterfill_partition
@@ -26,6 +27,35 @@ def affine_models(slopes, intercepts):
 
 
 slopes_st = st.lists(st.floats(1e-5, 1e-2), min_size=2, max_size=6)
+
+
+class TestDegenerateInputs:
+    """All-equal devices at any quantum, down to 1e-9 units: an exact
+    equal-time split, or a typed error, never garbage."""
+
+    @given(
+        n=st.integers(2, 8),
+        intercept=st.floats(0.0, 1.0),
+        slope=st.floats(1e-6, 1.0),
+        transfer=st.floats(0.0, 1e-3),
+        log_q=st.floats(-9.0, 5.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_all_equal_devices(self, n, intercept, slope, transfer, log_q):
+        q = 10.0**log_q
+        models = [
+            make_model(i, (CONSTANT, LINEAR), (intercept, slope), 100.0,
+                       transfer, 0.0)
+            for i in range(n)
+        ]
+        try:
+            result = solve_block_partition(models, q)
+        except ReproError:
+            return
+        assert result.units.sum() == pytest.approx(q, rel=1e-9, abs=1e-15)
+        assert np.all(result.units >= 0.0)
+        times = [m.E(u) for m, u in zip(models, result.units)]
+        assert max(times) - min(times) <= TOL * max(1.0, max(times))
 
 
 class TestPartitionProperties:

@@ -201,12 +201,12 @@ class TestTutorialProfiling:
 class TestTutorialResilience:
     def test_transient_snippet_runs(self, small_cluster):
         """The §9 fault-model snippet, verbatim in structure."""
-        from repro.runtime.sim_executor import TransientFailure
+        from repro.runtime.faults import TransientFailure
 
         app = RayBatch(100_000)
         rt = Runtime(
             small_cluster, app.codelet(), seed=3,
-            transients=(
+            faults=(
                 TransientFailure("alpha.gpu0", time=0.05, downtime=0.03),
             ),
         )

@@ -101,8 +101,12 @@ __all__ = [
 #: calibration ``series``, which no payload reader reads.
 #: "10": service episodes walk batch's transfer-retry timeline (backoff,
 #: jitter, give-up) instead of losing a block per in-window dispatch, so
-#: serve runs with a ``TransferFault`` moved.)
-ALGORITHM_VERSION = "10"
+#: serve runs with a ``TransferFault`` moved.
+#: "11": an entry holds only what its key determines: the run report
+#: carries no registry delta, and the delta, the host wall clock and a
+#: profile travel with fresh runs only (``ResultCache.FRESH_ONLY``), so
+#: two fills of one key write identical bytes.)
+ALGORITHM_VERSION = "11"
 
 _log = get_logger("experiments.parallel")
 _events = EventLog("experiments.parallel")
@@ -243,7 +247,8 @@ def _execute_service_run(
     The payload keeps the batch-run column shape (``makespan`` is the
     episode's virtual end time, ``rebalances`` the balancer cycles) so
     SweepPoint aggregation and campaign plumbing work unchanged, and
-    adds the ``"serve"`` scorecard plus the service time series.
+    adds the ``"serve"`` scorecard plus the service time series.  Its
+    fresh-only keys are those of :func:`_execute_run`.
     """
     from repro.errors import ReproError
     from repro.service.server import ClusterService, ServiceConfig
@@ -285,7 +290,6 @@ def _execute_service_run(
         rebalances=card["balancer"]["rebalances"],
         solver_overhead_s=0.0,
         phase_summary={},
-        metrics=diff_snapshots(metrics_before, get_registry().snapshot()),
         run_id=run_id,
     )
     interval = (
@@ -298,6 +302,7 @@ def _execute_service_run(
         "overhead": 0.0,
         "rebalances": card["balancer"]["rebalances"],
         "wall_s": time.perf_counter() - wall0,
+        "metrics": diff_snapshots(metrics_before, get_registry().snapshot()),
         "report": report.to_dict(),
         "serve": card,
         "series": {
@@ -317,19 +322,16 @@ def _execute_run(
 
     Must stay a module-level function — it is pickled into pool workers.
 
-    Besides the aggregate outcomes, the payload carries the run's full
-    telemetry manifest (:class:`~repro.obs.report.RunReport`: config
-    hash, phase summary, per-run metrics delta), host wall clock and,
-    for a ledger-keeping policy, the decision ledger's summary.
-    Because the manifest is computed *here* and cached with the payload,
-    a warm-cache replay serves byte-identical telemetry to the original
-    execution.
-
-    With ``profile=True`` the run executes under a
-    :func:`repro.obs.profiler.profiling` scope and the payload gains a
-    ``"profile"`` snapshot — plain data, so it crosses the process
-    boundary unchanged and the parent can merge every worker's profile
-    into one stats object.
+    Besides the aggregate outcomes, the payload carries the run's
+    manifest (:class:`~repro.obs.report.RunReport`, without metrics)
+    and, for a ledger-keeping policy, the decision ledger's summary:
+    pure functions of the spec, which a warm cache replays as computed.
+    The :attr:`ResultCache.FRESH_ONLY` keys describe this execution and
+    reach :func:`run_sweep` only: ``"wall_s"``, ``"metrics"`` (the
+    registry delta over the run; pool workers execute several runs per
+    process) and, with ``profile=True``, a ``"profile"`` snapshot of a
+    :func:`repro.obs.profiler.profiling` scope — plain data, so the
+    parent merges every worker's profile into one stats object.
     """
     from repro.cluster import GroundTruth
     from repro.errors import ReproError
@@ -405,9 +407,6 @@ def _execute_run(
         rebalances=result.num_rebalances,
         solver_overhead_s=result.solver_overhead_s,
         phase_summary=result.trace.phase_summary(),
-        # pool workers execute several runs per process; the delta
-        # isolates this run's contribution to the worker's registry
-        metrics=diff_snapshots(metrics_before, get_registry().snapshot()),
         run_id=run_id,
     )
     payload = {
@@ -417,6 +416,7 @@ def _execute_run(
         "overhead": result.solver_overhead_s,
         "rebalances": result.num_rebalances,
         "wall_s": time.perf_counter() - wall0,
+        "metrics": diff_snapshots(metrics_before, get_registry().snapshot()),
         "report": report.to_dict(),
     }
     if result.ledger is not None:
@@ -470,10 +470,21 @@ class ResultCache:
     """Content-addressed on-disk store of run payloads.
 
     Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the SHA-256
-    of the canonical JSON of every run-determining input.  Writes are
-    atomic (temp file + rename), so concurrent sweeps sharing one cache
-    directory can never observe torn entries.
+    of the canonical JSON of every run-determining input.  An entry
+    holds only what its key determines: a payload without its
+    :attr:`FRESH_ONLY` keys, so two fills of one key write identical
+    bytes.  Writes are atomic (temp file + rename), so concurrent sweeps
+    sharing one cache directory can never observe torn entries.
     """
+
+    #: payload keys that describe one execution, not the run: host wall
+    #: clock, registry delta and profile differ between executions of
+    #: one key, so they travel with fresh runs only
+    FRESH_ONLY = ("wall_s", "metrics", "profile")
+    #: the columns every payload holds; an entry without them is unreadable
+    RESULT_KEYS = frozenset(
+        ("makespan", "idle_fractions", "distribution", "overhead", "rebalances")
+    )
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
@@ -514,19 +525,32 @@ class ResultCache:
         return self.root / key[:2] / (key + ".json")
 
     def load(self, key: str) -> dict | None:
-        """Return the stored payload, or None on miss/corruption."""
+        """Return the stored payload, or None on a miss.
+
+        An entry that is not JSON, or not a dict holding every
+        :attr:`RESULT_KEYS` column, is unreadable: it is dropped with a
+        warning, so the sweep re-runs the spec and overwrites it.
+        """
         path = self._path(key)
         try:
             with path.open("r", encoding="utf-8") as fh:
-                return json.load(fh)
+                payload = json.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
-            _log.warning("dropping unreadable cache entry %s", path)
-            return None
+        except (OSError, ValueError):
+            payload = None
+        if isinstance(payload, dict) and payload.keys() >= self.RESULT_KEYS:
+            return payload
+        _log.warning("dropping unreadable cache entry %s", path)
+        return None
+
+    @classmethod
+    def entry(cls, payload: dict) -> dict:
+        """What an entry holds of ``payload``: all but its fresh-only keys."""
+        return {k: v for k, v in payload.items() if k not in cls.FRESH_ONLY}
 
     def store(self, key: str, payload: dict) -> None:
-        """Atomically persist one payload.
+        """Atomically persist one payload's :meth:`entry`.
 
         The cache is an optimisation: an unwritable cache directory
         (read-only volume, ``REPRO_CACHE`` pointing at a file) degrades
@@ -534,7 +558,7 @@ class ResultCache:
         """
         path = self._path(key)
         try:
-            write_json(path, payload, "compact")
+            write_json(path, self.entry(payload), "compact")
         except OSError as exc:
             _log.warning("cannot write cache entry %s: %s", path, exc)
 
@@ -549,12 +573,14 @@ class SweepStats:
     executed: int = 0
     wall_s: float = 0.0
     fell_back_serial: bool = False
-    #: raw run payloads in aggregation order (cached and fresh alike);
-    #: chaos campaigns read per-run resilience sections from here
+    #: run payloads in aggregation order, in their cached form
+    #: (:meth:`ResultCache.entry`) whether cached or fresh; chaos
+    #: campaigns read per-run resilience sections from here
     payloads: list = field(default_factory=list)
     #: run manifests in aggregation order (cached and fresh alike)
     reports: list = field(default_factory=list)
-    #: sweep-wide metrics snapshot merged over every run's delta
+    #: metrics snapshot merged over the fresh runs' registry deltas: the
+    #: work this sweep did, so a fully warm sweep merges none
     metrics: dict = field(default_factory=dict)
     #: merged phase-attributed CPU profile (profiled sweeps only)
     profile: dict = field(default_factory=dict)
@@ -669,7 +695,11 @@ def run_sweep(
         A :class:`ResultCache`, ``None`` to disable, or unset to honour
         the ``REPRO_CACHE`` environment variable.
     stats:
-        Optional out-parameter; filled with what the sweep did.
+        Optional out-parameter; filled with what the sweep did.  Its
+        payloads and reports are equal whether served cold or warm; the
+        fresh-only telemetry (registry deltas into ``stats.metrics``,
+        wall clocks into ``sweep.job_wall_s`` and the history store,
+        profiles) comes from the runs this call executed.
     profile:
         Capture a phase-attributed CPU profile of every run (default:
         the ``REPRO_PROFILE`` environment variable).  Worker profiles
@@ -718,16 +748,14 @@ def run_sweep(
     fresh = _execute_batch(tasks, jobs, stats, profile)
     stats.executed = len(fresh)
     for slot, payload in zip(miss_slots, fresh):
-        payloads[slot] = payload
+        payloads[slot] = ResultCache.entry(payload)
+        if "metrics" in payload:
+            merge_snapshots(stats.metrics, payload["metrics"])
         snapshot = payload.get("profile")
         if snapshot is not None:
             merge_profiles(stats.profile, snapshot)
         if cache is not None and keys[slot] is not None:
-            # belt and braces: profiled payloads are never cached (the
-            # profile-implies-no-cache rule above), and the snapshot
-            # itself must never leak into an entry either way
-            stored = {k: v for k, v in payload.items() if k != "profile"}
-            cache.store(keys[slot], stored)
+            cache.store(keys[slot], payload)
 
     results: list[SweepPoint] = []
     cursor = 0
@@ -758,7 +786,6 @@ def run_sweep(
         report = payload.get("report")
         if report is not None:
             stats.reports.append(report)
-            merge_snapshots(stats.metrics, report.get("metrics", {}))
 
     # Record freshly executed runs (never cache hits — replays would
     # double-count samples) when REPRO_HISTORY enables the store.  The

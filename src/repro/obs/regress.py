@@ -247,7 +247,12 @@ def detect_anomalies(
 
 
 def detect_report_anomalies(report: Mapping[str, Any], **kwargs: Any) -> list[Anomaly]:
-    """Run the detectors over a RunReport dict (as stored by sweeps)."""
+    """Run the detectors over a RunReport dict (``repro run --metrics-out``).
+
+    A sweep's reports carry no metrics (a run's registry delta is
+    fresh-only and reaches ``SweepStats.metrics`` merged), so only the
+    phase-summary detectors see them.
+    """
     return detect_anomalies(
         phase_summary=report.get("phase_summary", {}),
         metrics=report.get("metrics", {}),

@@ -1,11 +1,12 @@
 """Per-run telemetry manifest (:class:`RunReport`).
 
 One run = one manifest: what configuration ran (and its content hash),
-what the run did (makespan, rebalances, phase summary) and what the
-instruments measured while it ran (a metrics-registry snapshot).  The
-sweep engine stores the manifest inside every cache entry, so a
-cache-served run carries *identical* telemetry to a freshly executed
-one — warm-cache figure regeneration stays fully observable.
+what the run did (makespan, rebalances, phase summary) and, for
+``repro run --metrics-out``, what the instruments measured while it ran
+(a metrics-registry delta).  The sweep engine stores the manifest
+without metrics inside every cache entry, so a cache-served run carries
+the manifest a fresh one does; the registry delta travels only with the
+fresh run (``SweepStats.metrics``).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class RunReport:
     phase_summary:
         :meth:`~repro.sim.trace.ExecutionTrace.phase_summary` output.
     metrics:
-        Metrics-registry snapshot (or per-run delta) captured at run
-        completion.
+        Metrics-registry delta over the run (``repro run --metrics-out``);
+        empty in sweep payloads, whose delta is fresh-only.
     """
 
     run_id: str

@@ -200,6 +200,27 @@ class TestResultCache:
         # the recomputed payload was re-stored and is valid JSON again
         assert json.loads(entry.read_text())["makespan"] > 0
 
+    @pytest.mark.parametrize(
+        "blob", [b"{}", b"[]", b'"x"', b"null", b'{"makespan": 1.0}', b"\xff"]
+    )
+    def test_entry_that_is_no_payload_is_recomputed(self, tmp_path, caplog, blob):
+        import logging
+
+        cache = ResultCache(tmp_path)
+        spec = PointSpec("matmul", 1024, 1, ("greedy",), replications=1)
+        run_sweep([spec], jobs=1, cache=cache)
+        (entry,) = list(tmp_path.rglob("*.json"))
+        good = entry.read_bytes()
+        entry.write_bytes(blob)
+        stats = SweepStats()
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
+            run_sweep([spec], jobs=1, cache=cache, stats=stats)
+        assert stats.cache_hits == 0
+        assert stats.executed == 1
+        assert "dropping unreadable cache entry" in caplog.text
+        # overwritten with what the first fill wrote
+        assert entry.read_bytes() == good
+
     def test_unwritable_cache_root_degrades_to_warning(self, tmp_path):
         # REPRO_CACHE pointing at a regular file must not crash the
         # sweep (nor discard its computed results).
@@ -248,7 +269,9 @@ class TestTelemetry:
         report = RunReport.from_dict(payload["report"])  # hash verifies
         assert report.config["app"] == "matmul"
         assert report.makespan == payload["makespan"]
-        assert report.metrics["counters"]["plbhec.probe_rounds"] > 0
+        # the registry delta is fresh-only: beside the manifest, not in it
+        assert payload["metrics"]["counters"]["plbhec.probe_rounds"] > 0
+        assert report.metrics == {}
         assert "probe" in report.phase_summary
 
     def test_sweep_counters_cold_then_warm(self, tmp_path):
@@ -283,11 +306,15 @@ class TestTelemetry:
         warm_stats = SweepStats()
         run_sweep([SMALL], jobs=1, cache=cache, stats=warm_stats)
         assert len(cold_stats.reports) == len(warm_stats.reports) == 6
-        # cache replay serves byte-identical telemetry manifests
+        # cache replay serves byte-identical manifests and payloads
         assert warm_stats.reports == cold_stats.reports
-        merged = warm_stats.metrics["counters"]
+        assert warm_stats.payloads == cold_stats.payloads
+        # the registry deltas of the runs the sweep executed...
+        merged = cold_stats.metrics["counters"]
         assert merged["plbhec.probe_rounds"] > 0
         assert merged["sim.events_dispatched"] > 0
+        # ...and a fully warm sweep executed none
+        assert warm_stats.metrics == {}
 
 
 class TestBatching:

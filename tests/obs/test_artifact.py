@@ -233,8 +233,14 @@ def test_every_artifact_round_trips(docs, tmp_path):
     ]
     assert explain["calibration"]["devices"] == docs["ledger"]["calibration"]
     cache = ResultCache(tmp_path / "cache")
-    cache.store("ab" * 32, docs["scorecard"])
-    assert cache.load("ab" * 32) == _plain(docs["scorecard"])
+    # a service run's entry: the outcome columns every entry holds, and
+    # the episode's scorecard
+    card = docs["scorecard"]
+    entry = {"makespan": card["duration_s"], "idle_fractions": {},
+             "distribution": {}, "overhead": 0.0,
+             "rebalances": card["balancer"]["rebalances"], "serve": card}
+    cache.store("ab" * 32, entry)
+    assert cache.load("ab" * 32) == _plain(entry)
     assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -166,7 +166,7 @@ from repro.errors import ConfigurationError
 from repro.obs.artifact import check, read_json, write_json, write_text
 from repro.obs.events import new_run_id, push_run_id
 from repro.obs.ledger import decision_rows, ledger_summary, write_explain
-from repro.obs.metrics import diff_snapshots, get_registry, snapshot_to_prometheus
+from repro.obs.metrics import get_registry, snapshot_to_prometheus
 from repro.obs.profiler import (
     collapsed_stacks,
     hot_function_rows,
@@ -1060,7 +1060,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         or args.slo
     ):
         sampler = ClusterSampler(args.sample_interval)
-    metrics_before = get_registry().snapshot()
+    metrics_mark = get_registry().mark()
     run_id, policy, result, prof_snapshot = _run_once(
         args, sampler=sampler, profile=args.profile
     )
@@ -1108,7 +1108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.metrics_out:
         # this run's own counters, not the process's lifetime totals
-        metrics = diff_snapshots(metrics_before, get_registry().snapshot())
+        metrics = get_registry().delta_since(metrics_mark)
         if args.metrics_format == "prom":
             write_text(args.metrics_out, snapshot_to_prometheus(metrics))
         else:

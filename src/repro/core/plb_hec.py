@@ -41,7 +41,7 @@ from repro.errors import ConfigurationError, FitError, SolverError
 from repro.modeling.perf_profile import DeviceModel, PerfProfile
 from repro.obs.events import EventLog, current_run_id
 from repro.obs.ledger import DecisionLedger
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Gauge, get_registry
 from repro.obs.profiler import profile_phase
 from repro.runtime.scheduler_api import SchedulingContext, SchedulingPolicy
 from repro.sim.trace import TaskRecord
@@ -186,6 +186,9 @@ class PLBHeC(SchedulingPolicy):
         # after a rebalance refit replaced `self._models`.
         self.ledger = DecisionLedger(current_run_id() or "")
         self._decision_models: dict[str, dict[str, DeviceModel]] = {}
+        # per device: its plbhec.calibration.{mape,bias,drift} gauges,
+        # resolved on the device's first attributed block of this run
+        self._calibration_gauges: dict[str, tuple[Gauge, Gauge, Gauge]] = {}
         self._vnow = 0.0
 
         # Warm start: a later phase over the same devices reuses the
@@ -826,10 +829,17 @@ class PLBHeC(SchedulingPolicy):
         )
         cal = self.ledger.device_calibration(d)
         if cal is not None and cal.count:
-            registry = get_registry()
-            registry.set_gauge("plbhec.calibration.mape", cal.mape, device=d)
-            registry.set_gauge("plbhec.calibration.bias", cal.bias, device=d)
-            registry.set_gauge("plbhec.calibration.drift", cal.drift, device=d)
+            gauges = self._calibration_gauges.get(d)
+            if gauges is None:
+                registry = get_registry()
+                gauges = self._calibration_gauges[d] = tuple(
+                    registry.gauge(f"plbhec.calibration.{stat}", device=d)
+                    for stat in ("mape", "bias", "drift")
+                )
+            mape, bias, drift = gauges
+            mape.set(cal.mape)
+            bias.set(cal.bias)
+            drift.set(cal.drift)
 
     # ------------------------------------------------------------------
     # introspection for experiments

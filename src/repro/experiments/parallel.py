@@ -57,7 +57,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import PolicyOutcome, SweepPoint
 from repro.obs.artifact import write_json
 from repro.obs.events import EventLog, push_run_id
-from repro.obs.metrics import diff_snapshots, get_registry, merge_snapshots
+from repro.obs.metrics import get_registry, merge_snapshots
 from repro.obs.profiler import merge_profiles, profiling
 from repro.obs.report import RunReport, config_hash
 from repro.util.logging import configure_logging, current_config, get_logger
@@ -254,7 +254,7 @@ def _execute_service_run(
     from repro.service.server import ClusterService, ServiceConfig
 
     wall0 = time.perf_counter()
-    metrics_before = get_registry().snapshot()
+    metrics_mark = get_registry().mark()
     service_dict = json.loads(spec.service_json)
     config = {
         "kind": "serve",
@@ -302,7 +302,7 @@ def _execute_service_run(
         "overhead": 0.0,
         "rebalances": card["balancer"]["rebalances"],
         "wall_s": time.perf_counter() - wall0,
-        "metrics": diff_snapshots(metrics_before, get_registry().snapshot()),
+        "metrics": get_registry().delta_since(metrics_mark),
         "report": report.to_dict(),
         "serve": card,
         "series": {
@@ -345,7 +345,7 @@ def _execute_run(
     if spec.service_json is not None:
         return _execute_service_run(spec, cluster_factory)
     wall0 = time.perf_counter()
-    metrics_before = get_registry().snapshot()
+    metrics_mark = get_registry().mark()
     config = spec.config()
     # The deterministic id RunReport.build would derive anyway; pushing
     # it around the execution tags worker-side events and log records
@@ -416,7 +416,7 @@ def _execute_run(
         "overhead": result.solver_overhead_s,
         "rebalances": result.num_rebalances,
         "wall_s": time.perf_counter() - wall0,
-        "metrics": diff_snapshots(metrics_before, get_registry().snapshot()),
+        "metrics": get_registry().delta_since(metrics_mark),
         "report": report.to_dict(),
     }
     if result.ledger is not None:

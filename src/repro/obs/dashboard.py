@@ -182,7 +182,7 @@ def collect_dashboard_data(
     from repro.cluster import paper_cluster
     from repro.experiments.runner import make_application, make_policy, run_policies
     from repro.experiments.solver_overhead import fitted_models_for_scenario
-    from repro.obs.metrics import diff_snapshots, get_registry
+    from repro.obs.metrics import get_registry
     from repro.obs.regress import detect_anomalies
     from repro.runtime import Runtime
     from repro.solver.diagnostics import analyze_convergence
@@ -222,7 +222,7 @@ def collect_dashboard_data(
 
     application = make_application(app, size)
     registry = get_registry()
-    before = registry.snapshot()
+    mark = registry.mark()
     runtime = Runtime(
         paper_cluster(machines), application.codelet(), seed=seed, noise_sigma=noise
     )
@@ -239,7 +239,7 @@ def collect_dashboard_data(
             sampler=sampler,
         )
     data.profile = prof.snapshot()
-    delta = diff_snapshots(before, registry.snapshot())
+    delta = registry.delta_since(mark)
     data.trace = result.trace
     if result.ledger is not None:
         data.ledger = result.ledger.to_dict()

@@ -38,8 +38,9 @@ Usage::
 
 from __future__ import annotations
 
+import itertools
 import threading
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.util.logging import get_logger
@@ -101,23 +102,32 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (last write wins)."""
+    """A value that can go up and down (last write wins).
 
-    __slots__ = ("_lock", "value")
+    ``written`` is the registry's write clock at the last ``set`` or
+    ``add`` (0: never written), so a run's delta can keep the gauges
+    that run wrote (:meth:`MetricsRegistry.delta_since`).
+    """
 
-    def __init__(self, lock: threading.RLock) -> None:
+    __slots__ = ("_lock", "_clock", "value", "written")
+
+    def __init__(self, lock: threading.RLock, clock: Iterator[int]) -> None:
         self._lock = lock
+        self._clock = clock
         self.value = 0.0
+        self.written = 0
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
         with self._lock:
             self.value = float(value)
+            self.written = next(self._clock)
 
     def add(self, delta: float) -> None:
         """Shift the gauge by ``delta`` (negative allowed)."""
         with self._lock:
             self.value += float(delta)
+            self.written = next(self._clock)
 
 
 class Histogram:
@@ -208,6 +218,8 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         self._label_sets: dict[str, int] = {}  # metric name -> distinct series
         self._overflowed: set[str] = set()
+        # ticks on every gauge write; a mark is one tick
+        self._clock = itertools.count(1)
 
     # ------------------------------------------------------------------
     # instrument access
@@ -247,7 +259,7 @@ class MetricsRegistry:
             key = self._key(name, labels, self._gauges)
             inst = self._gauges.get(key)
             if inst is None:
-                inst = self._gauges[key] = Gauge(self._lock)
+                inst = self._gauges[key] = Gauge(self._lock, self._clock)
             return inst
 
     def histogram(self, name: str, **labels: str) -> Histogram:
@@ -291,6 +303,32 @@ class MetricsRegistry:
                 "histograms": {k: h.summary() for k, h in self._histograms.items()},
             }
 
+    def mark(self) -> tuple[int, dict]:
+        """Where a run's metrics start: a write-clock tick and a snapshot.
+
+        Pass it to :meth:`delta_since` when the run ends.
+        """
+        with self._lock:
+            return next(self._clock), self.snapshot()
+
+    def delta_since(self, mark: tuple[int, dict]) -> dict:
+        """The metrics of the run that began at ``mark``.
+
+        :func:`diff_snapshots` of the mark's snapshot and the registry
+        now, keeping only the gauges written since the mark: a level an
+        earlier run left is not this run's, and a gauge this run rewrote
+        to its old value is.
+        """
+        tick, before = mark
+        with self._lock:
+            after = self.snapshot()
+            written = {k for k, g in self._gauges.items() if g.written > tick}
+        delta = diff_snapshots(before, after)
+        delta["gauges"] = {
+            k: v for k, v in delta["gauges"].items() if k in written
+        }
+        return delta
+
     def to_prometheus(self) -> str:
         """The registry in Prometheus text exposition format.
 
@@ -313,9 +351,9 @@ def diff_snapshots(before: dict, after: dict) -> dict:
 
     Counters and histogram counts/sums subtract; gauges take the
     ``after`` value (a gauge is a level, not a flow).  Series absent
-    from ``before`` pass through unchanged.  Used by pool workers that
-    process several runs in one process: the delta isolates one run's
-    contribution.
+    from ``before`` pass through unchanged.  A snapshot does not say
+    which gauges a run wrote, so every ``after`` gauge passes;
+    :meth:`MetricsRegistry.delta_since` keeps only the run's own.
     """
     out = {"counters": {}, "gauges": dict(after.get("gauges", {})), "histograms": {}}
     before_c = before.get("counters", {})

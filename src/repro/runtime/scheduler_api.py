@@ -107,6 +107,8 @@ class SchedulingContext:
 
     def drain_overhead(self) -> float:
         """Executor-side: collect and clear pending overhead charges."""
+        if not self._overhead_charges:
+            return 0.0
         total = sum(s for s, _ in self._overhead_charges)
         self._overhead_charges.clear()
         return total

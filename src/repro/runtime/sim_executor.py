@@ -163,6 +163,8 @@ class SimulatedExecutor:
         registry = get_registry()
 
         def work_remaining() -> int:
+            if not pending_retry:
+                return domain.remaining
             return domain.remaining + sum(u for _, u in pending_retry)
 
         def grant(requested: int) -> tuple[int, int]:

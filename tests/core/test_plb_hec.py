@@ -146,6 +146,29 @@ class TestSelectionAndExecution:
         res = rt.run(PLBHeC(), app.total_units, app.default_initial_block_size())
         assert res.num_rebalances == 0
 
+    def test_calibration_gauges_follow_each_run(self, small_cluster):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        app = MatMul(n=4096)
+        policy = PLBHeC()
+        for seed in (2, 3):
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
+            try:
+                Runtime(small_cluster, app.codelet(), seed=seed).run(
+                    policy, app.total_units, app.default_initial_block_size()
+                )
+            finally:
+                set_registry(previous)
+            # the policy is reused: its second run writes the registry
+            # current at that run, not the first run's
+            gauges = registry.snapshot()["gauges"]
+            for device in (d.device_id for d in small_cluster.devices()):
+                cal = policy.ledger.device_calibration(device)
+                for stat in ("mape", "bias", "drift"):
+                    key = f"plbhec.calibration.{stat}{{device={device}}}"
+                    assert gauges[key] == getattr(cal, stat)
+
 
 class TestRebalancing:
     def test_perturbation_triggers_rebalance(self, small_cluster):

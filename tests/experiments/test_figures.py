@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.ablations import (
     render_ablation,
     run_probe_ablation,
@@ -48,6 +49,10 @@ class TestFig1:
         for c in curves:
             if c.device_id == "A.cpu":
                 assert c.max_relative_error < 0.25
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ConfigurationError, match="sigma must be finite"):
+            run_fig1(points=4, noise_sigma=float("nan"))
 
     def test_render(self):
         curves = run_fig1(points=6, sizes={"matmul": 4096, "blackscholes": 20_000})

@@ -316,6 +316,35 @@ class TestTelemetry:
         # ...and a fully warm sweep executed none
         assert warm_stats.metrics == {}
 
+    def test_sweep_merges_only_the_gauges_its_runs_wrote(self):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        greedy = PointSpec(
+            "matmul", 1024, 1, ("greedy",), replications=1, seed=5,
+            fixed_overhead_s=0.01,
+        )
+        plbhec = PointSpec(
+            "matmul", 2048, 2, ("plb-hec",), replications=1, seed=3,
+            fixed_overhead_s=0.01,
+        )
+
+        def greedy_gauges(before: list[PointSpec]) -> dict:
+            previous = set_registry(MetricsRegistry())
+            try:
+                if before:
+                    run_sweep(before, jobs=1, cache=None)
+                stats = SweepStats()
+                run_sweep([greedy], jobs=1, cache=None, stats=stats)
+                return stats.metrics["gauges"]
+            finally:
+                set_registry(previous)
+
+        first = greedy_gauges([])
+        assert first.keys() == {"sim.queue_max_depth"}
+        # the PLB-HeC sweep leaves its plbhec.* levels in the registry;
+        # the Greedy runs did not write them, so their deltas omit them
+        assert greedy_gauges([plbhec]) == first
+
 
 class TestBatching:
     def test_multi_point_sweep_preserves_order(self):

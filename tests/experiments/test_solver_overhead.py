@@ -22,6 +22,11 @@ class TestFittedModels:
         result = solve_block_partition(models, 2000.0)
         assert result.units.sum() == pytest.approx(2000.0, rel=1e-6)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma must be finite"):
+            fitted_models_for_scenario(size=16384, num_machines=2, noise_sigma=sigma)
+
     def test_probe_ladder_scaled_by_speed(self):
         models = fitted_models_for_scenario(size=16384, num_machines=2)
         # the GPU was probed over a wider range than the CPU

@@ -210,6 +210,30 @@ class TestDiffMerge:
         assert delta["histograms"]["h"]["count"] == 1
         assert delta["histograms"]["h"]["sum"] == 3.0
 
+    def test_delta_since_keeps_the_gauges_written_since_the_mark(self):
+        reg = MetricsRegistry()
+        reg.inc("c", 5)
+        reg.set_gauge("earlier", 1.0)
+        reg.set_gauge("same", 4.0)
+        reg.set_gauge("shifted", 2.0)
+        handle = reg.gauge("handle", device="A.gpu0")
+        mark = reg.mark()
+        reg.inc("c", 2)
+        reg.set_gauge("same", 4.0)  # rewritten to its old value
+        reg.gauge("shifted").add(0.0)
+        handle.set(3.0)
+        reg.set_gauge("new", 7.0)
+        delta = reg.delta_since(mark)
+        assert delta["counters"] == {"c": 2.0}
+        assert delta["gauges"] == {
+            "same": 4.0,
+            "shifted": 2.0,
+            "handle{device=A.gpu0}": 3.0,
+            "new": 7.0,
+        }
+        # a snapshot diff cannot tell: every gauge passes
+        assert "earlier" in diff_snapshots(mark[1], reg.snapshot())["gauges"]
+
     def test_diff_drops_unchanged_series(self):
         reg = MetricsRegistry()
         reg.inc("c")

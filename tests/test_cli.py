@@ -846,6 +846,17 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert f"argument {argv[1]}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--size", "1024", "--machines", "1"], ["serve", "--duration", "1"]],
+        ids=["run", "serve"],
+    )
+    def test_negative_seed_is_a_configuration_error(self, argv):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            main(argv + ["--seed", "-1"])
+
     def test_boundary_numbers_accepted(self):
         args = build_parser().parse_args(
             ["top", "--interval", "0", "--frames", "1", "--width", "1"]

@@ -112,7 +112,8 @@ configure console logging; the ``REPRO_LOG`` environment variable
 supplies defaults that the flags override.  See docs/TUTORIAL.md §6.
 
 A usage error (an unknown flag or a bad value) exits 1, like every
-other error; ``repro --help`` lists the exit codes.
+other error; a library error prints one ``repro <command>: error:
+<ErrorType>: <message>`` line.  ``repro --help`` lists the exit codes.
 
 Examples
 --------
@@ -162,7 +163,7 @@ from repro.experiments.runner import (
 from repro.experiments.solver_overhead import run_solver_overhead
 from repro.experiments.table1 import render_table1
 from repro.cluster import GroundTruth, paper_cluster
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.artifact import check, read_json, write_json, write_text
 from repro.obs.events import new_run_id, push_run_id
 from repro.obs.ledger import decision_rows, ledger_summary, write_explain
@@ -1796,10 +1797,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_from_env(level=args.log_level, fmt=args.log_format)
-    if getattr(args, "slo_report_out", None) and not args.slo:
-        raise ConfigurationError("--slo-report-out requires --slo")
-    # a handler returns its exit code; the print-only ones return None
-    return args.handler(args) or 0
+    try:
+        if getattr(args, "slo_report_out", None) and not args.slo:
+            raise ConfigurationError("--slo-report-out requires --slo")
+        # a handler returns its exit code; the print-only ones return None
+        return args.handler(args) or 0
+    except ReproError as exc:
+        # one line, in the form argparse gives a usage error
+        print(
+            f"repro {args.command}: error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

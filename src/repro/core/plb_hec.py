@@ -504,9 +504,7 @@ class PLBHeC(SchedulingPolicy):
     ) -> None:
         quantum = min(self._quantum, float(remaining))
         registry = get_registry()
-        restorations_before = registry.snapshot()["counters"].get(
-            "ipm.restorations", 0
-        )
+        restorations_before = registry.counter_value("ipm.restorations")
         t0 = time.perf_counter()
         try:
             with _events.span("plbhec.solve", remaining=remaining):
@@ -540,8 +538,7 @@ class PLBHeC(SchedulingPolicy):
             sizes[best] = 1
         self._block_sizes = sizes
         restorations = (
-            registry.snapshot()["counters"].get("ipm.restorations", 0)
-            - restorations_before
+            registry.counter_value("ipm.restorations") - restorations_before
         )
         self._open_partition_decision(
             trigger=trigger,

@@ -95,7 +95,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    diff_snapshots,
     get_registry,
     merge_snapshots,
     reset_registry,
@@ -198,7 +197,6 @@ __all__ = [
     "detect_critpath_anomalies",
     "detect_report_anomalies",
     "detect_slo_anomalies",
-    "diff_snapshots",
     "emit_slo_alerts",
     "evaluate_slo",
     "ewma_drift",

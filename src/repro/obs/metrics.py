@@ -7,8 +7,11 @@ visible without attaching a debugger.  This module provides the
 substrate: a :class:`MetricsRegistry` of named instruments with
 optional labels, safe to update from multiple threads, whose
 :meth:`~MetricsRegistry.snapshot` is a plain JSON-compatible dict that
-crosses process boundaries (the parallel sweep engine ships per-run
-snapshots back from its pool workers).
+crosses process boundaries.  One run's share comes from
+:meth:`~MetricsRegistry.mark` and :meth:`~MetricsRegistry.delta_since`
+(the parallel sweep engine ships those per-run deltas back from its
+pool workers), and costs what the run recorded, not what the process
+has recorded so far.
 
 Design choices, deliberately boring:
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.util.logging import get_logger
@@ -53,8 +56,8 @@ __all__ = [
     "get_registry",
     "set_registry",
     "reset_registry",
-    "diff_snapshots",
     "merge_snapshots",
+    "percentile",
     "snapshot_to_prometheus",
 ]
 
@@ -62,6 +65,12 @@ _log = get_logger("obs.metrics")
 
 #: Snapshot key of a labelled series: ``name{k=v,k2=v2}`` (sorted keys).
 _OVERFLOW_LABELS = {"overflow": "true"}
+
+#: The percentiles a histogram summary reports.
+_SUMMARY_PERCENTILES = (("p50", 50.0), ("p90", 90.0), ("p99", 99.0))
+
+#: What :meth:`MetricsRegistry.mark` returns.
+Mark = tuple[int, dict[str, float], dict[str, tuple[int, float]]]
 
 
 def _series_key(name: str, labels: Mapping[str, str] | None) -> str:
@@ -165,38 +174,46 @@ class Histogram:
                 del self._samples[0 : len(self._samples) - self.max_samples]
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) over the retained reservoir.
-
-        Linear interpolation between closest ranks; 0.0 on an empty
-        histogram.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
+        """The ``q``-th :func:`percentile` (0..100) of the retained reservoir."""
         with self._lock:
-            if not self._samples:
-                return 0.0
-            ordered = sorted(self._samples)
-        rank = (q / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+            return percentile(sorted(self._samples), q)
 
     def summary(self) -> dict[str, float]:
         """count/sum/min/max/mean plus p50/p90/p99."""
         with self._lock:
             if self.count == 0:
                 return {"count": 0, "sum": 0.0}
-            return {
-                "count": self.count,
-                "sum": self.total,
-                "min": self.min,
-                "max": self.max,
-                "mean": self.total / self.count,
-                "p50": self.percentile(50.0),
-                "p90": self.percentile(90.0),
-                "p99": self.percentile(99.0),
-            }
+            return _summary(
+                self.count, self.total, self.min, self.max, sorted(self._samples)
+            )
+
+
+def _summary(
+    count: int, total: float, low: float, high: float, ordered: list[float]
+) -> dict[str, float]:
+    """A histogram summary: the totals given, percentiles of ``ordered``."""
+    out = {"count": count, "sum": total, "min": low, "max": high, "mean": total / count}
+    for stat, q in _SUMMARY_PERCENTILES:
+        out[stat] = percentile(ordered, q)
+    return out
+
+
+def percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of the ascending list ``ordered``.
+
+    Linear interpolation between closest ranks; 0.0 on an empty list.
+    Every percentile in :mod:`repro.obs` (histogram summaries, run
+    deltas, time-series windows, SLO aggregates) is this function.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
+    if not ordered:
+        return 0.0
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class MetricsRegistry:
@@ -303,31 +320,58 @@ class MetricsRegistry:
                 "histograms": {k: h.summary() for k, h in self._histograms.items()},
             }
 
-    def mark(self) -> tuple[int, dict]:
-        """Where a run's metrics start: a write-clock tick and a snapshot.
+    def mark(self) -> Mark:
+        """Where a run's metrics start: what :meth:`delta_since` subtracts.
 
-        Pass it to :meth:`delta_since` when the run ends.
+        The write-clock tick, counter values and each histogram's
+        ``(count, total)``; no summaries, whatever the reservoirs hold.
         """
         with self._lock:
-            return next(self._clock), self.snapshot()
+            return (
+                next(self._clock),
+                {k: c.value for k, c in self._counters.items()},
+                {k: (h.count, h.total) for k, h in self._histograms.items()},
+            )
 
-    def delta_since(self, mark: tuple[int, dict]) -> dict:
-        """The metrics of the run that began at ``mark``.
+    def delta_since(self, mark: Mark) -> dict:
+        """The metrics of the run that began at ``mark``, shaped like a snapshot.
 
-        :func:`diff_snapshots` of the mark's snapshot and the registry
-        now, keeping only the gauges written since the mark: a level an
-        earlier run left is not this run's, and a gauge this run rewrote
-        to its old value is.
+        Counters that moved, by how much; gauges written since the mark
+        (a level an earlier run left is not this run's; a rewrite to the
+        old value is); and each histogram the run observed, summarised
+        over the run's own samples: ``count`` and ``sum`` are the running
+        totals minus the mark's, ``mean`` is ``sum / count``, and ``min``,
+        ``max`` and the percentiles cover the reservoir's last ``count``
+        entries (every retained entry if the run evicted some).  Runs
+        sharing a registry must not overlap.
         """
-        tick, before = mark
+        tick, counters_before, histograms_before = mark
+        counters: dict[str, float] = {}
+        histograms: dict[str, dict[str, float]] = {}
         with self._lock:
-            after = self.snapshot()
-            written = {k for k, g in self._gauges.items() if g.written > tick}
-        delta = diff_snapshots(before, after)
-        delta["gauges"] = {
-            k: v for k, v in delta["gauges"].items() if k in written
-        }
-        return delta
+            for key, counter in self._counters.items():
+                delta = counter.value - counters_before.get(key, 0.0)
+                if delta != 0.0:
+                    counters[key] = delta
+            gauges = {
+                k: g.value for k, g in self._gauges.items() if g.written > tick
+            }
+            for key, hist in self._histograms.items():
+                count_before, total_before = histograms_before.get(key, (0, 0.0))
+                count = hist.count - count_before
+                if count > 0:
+                    run = hist._samples[-count:]
+                    total = hist.total - total_before
+                    histograms[key] = _summary(
+                        count, total, min(run), max(run), sorted(run)
+                    )
+        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+
+    def counter_value(self, name: str, **labels: str) -> float:
+        """The named counter's value; 0.0, creating no series, if absent."""
+        with self._lock:
+            counter = self._counters.get(_series_key(name, labels))
+            return 0.0 if counter is None else counter.value
 
     def to_prometheus(self) -> str:
         """The registry in Prometheus text exposition format.
@@ -346,45 +390,15 @@ class MetricsRegistry:
             self._overflowed.clear()
 
 
-def diff_snapshots(before: dict, after: dict) -> dict:
-    """Per-run metrics from two global snapshots (after minus before).
-
-    Counters and histogram counts/sums subtract; gauges take the
-    ``after`` value (a gauge is a level, not a flow).  Series absent
-    from ``before`` pass through unchanged.  A snapshot does not say
-    which gauges a run wrote, so every ``after`` gauge passes;
-    :meth:`MetricsRegistry.delta_since` keeps only the run's own.
-    """
-    out = {"counters": {}, "gauges": dict(after.get("gauges", {})), "histograms": {}}
-    before_c = before.get("counters", {})
-    for key, value in after.get("counters", {}).items():
-        delta = value - before_c.get(key, 0.0)
-        if delta != 0.0:
-            out["counters"][key] = delta
-    before_h = before.get("histograms", {})
-    for key, summ in after.get("histograms", {}).items():
-        prev = before_h.get(key)
-        if prev is None:
-            out["histograms"][key] = dict(summ)
-            continue
-        count = summ.get("count", 0) - prev.get("count", 0)
-        if count <= 0:
-            continue
-        delta = {"count": count, "sum": summ.get("sum", 0.0) - prev.get("sum", 0.0)}
-        # min/max/percentiles are not subtractable; keep the after-view
-        for stat in ("min", "max", "mean", "p50", "p90", "p99"):
-            if stat in summ:
-                delta[stat] = summ[stat]
-        out["histograms"][key] = delta
-    return out
-
-
 def merge_snapshots(into: dict, other: dict) -> dict:
     """Accumulate ``other`` into ``into`` (counters/histograms add).
 
     Gauges take ``other``'s value when present.  Returns ``into`` for
-    chaining.  The inverse of :func:`diff_snapshots` for aggregating
-    per-run deltas shipped back from sweep workers.
+    chaining; aggregates the per-run deltas
+    (:meth:`MetricsRegistry.delta_since`) shipped back from sweep
+    workers.  A merged histogram keeps ``count``, ``sum``, ``min``,
+    ``max`` and ``mean = sum / count``; percentiles of separate runs
+    cannot be merged, so it carries none.
     """
     into.setdefault("counters", {})
     into.setdefault("gauges", {})
@@ -394,17 +408,15 @@ def merge_snapshots(into: dict, other: dict) -> dict:
     for key, value in other.get("gauges", {}).items():
         into["gauges"][key] = value
     for key, summ in other.get("histograms", {}).items():
-        prev = into["histograms"].get(key)
-        if prev is None:
-            into["histograms"][key] = dict(summ)
-            continue
-        merged = dict(prev)
-        merged["count"] = prev.get("count", 0) + summ.get("count", 0)
-        merged["sum"] = prev.get("sum", 0.0) + summ.get("sum", 0.0)
-        if "min" in summ:
-            merged["min"] = min(prev.get("min", summ["min"]), summ["min"])
-        if "max" in summ:
-            merged["max"] = max(prev.get("max", summ["max"]), summ["max"])
+        prev = into["histograms"].get(key, {})
+        merged = {
+            "count": prev.get("count", 0) + summ.get("count", 0),
+            "sum": prev.get("sum", 0.0) + summ.get("sum", 0.0),
+        }
+        for stat, pick in (("min", min), ("max", max)):
+            values = [part[stat] for part in (prev, summ) if stat in part]
+            if values:
+                merged[stat] = pick(values)
         if merged["count"] > 0:
             merged["mean"] = merged["sum"] / merged["count"]
         into["histograms"][key] = merged

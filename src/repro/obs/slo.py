@@ -37,7 +37,6 @@ on the Chrome-trace scheduler track (via the ``alerts`` parameter of
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -48,7 +47,7 @@ from repro.obs.artifact import (
     write_json,
 )
 from repro.obs.events import EventLog
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import percentile
 from repro.obs.timeseries import TimeSeriesStore
 
 __all__ = [
@@ -255,7 +254,7 @@ DEFAULT_SLO_SPEC = SLOSpec(
 )
 
 
-def _aggregate(values: list[float], agg: str, max_samples: int) -> float:
+def _aggregate(values: list[float], agg: str) -> float:
     if agg == "min":
         return min(values)
     if agg == "max":
@@ -264,10 +263,7 @@ def _aggregate(values: list[float], agg: str, max_samples: int) -> float:
         return sum(values) / len(values)
     if agg == "last":
         return values[-1]
-    hist = Histogram(threading.RLock(), max_samples=max(max_samples, len(values)))
-    for v in values:
-        hist.observe(v)
-    return hist.percentile(float(agg[1:]))
+    return percentile(sorted(values), float(agg[1:]))
 
 
 def evaluate_slo(
@@ -308,7 +304,7 @@ def evaluate_slo(
             rows.append(row)
             continue
         values = [v for _, v in merged]
-        measured = _aggregate(values, obj.agg, store.max_points)
+        measured = _aggregate(values, obj.agg)
         violating = [(t, v) for t, v in merged if not obj.holds(v)]
         fraction = len(violating) / len(merged)
         t_lo, t_hi = merged[0][0], merged[-1][0]

@@ -22,9 +22,9 @@ Design constraints, in order of importance:
   simulation state, so series ride sweep payloads cache-compatibly and
   parallel sweeps merge series identical to serial ones.
 
-The store's windowed aggregation (mean/max/p50/p95/p99) reuses the
-metrics registry's bounded-reservoir :class:`~repro.obs.metrics.Histogram`
-machinery, and :func:`publish_windowed_gauges` exposes the aggregates as
+The store's windowed aggregation (mean/max/p50/p95/p99) takes its
+percentiles from :func:`repro.obs.metrics.percentile`, as the registry
+does, and :func:`publish_windowed_gauges` exposes the aggregates as
 ``ts.*`` gauges for the Prometheus exposition.  ``series.jsonl`` is the
 on-disk artifact (:func:`write_series` / :func:`read_series` /
 :func:`validate_series`); :func:`render_top` turns it into the
@@ -34,7 +34,6 @@ on-disk artifact (:func:`write_series` / :func:`read_series` /
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -44,10 +43,10 @@ from repro.obs.artifact import (
     FINITE, NAME, STR, check, list_of, map_of, one_of, read_json, write_json,
 )
 from repro.obs.metrics import (
-    Histogram,
     _parse_series_key,
     _series_key,
     get_registry,
+    percentile,
 )
 
 __all__ = [
@@ -161,30 +160,30 @@ class TimeSeriesStore:
 
         Returns ``{count, mean, min, max, last, p50, p95, p99}`` over the
         samples with ``t_min <= t <= t_max`` (whole series by default).
-        Percentiles come from the metrics registry's bounded-reservoir
-        histogram, so the two aggregation paths can never disagree.
+        Percentiles come from the metrics registry's :func:`percentile`,
+        so the two aggregation paths can never disagree.
         An empty window returns ``{"count": 0}``.
         """
-        hist = Histogram(threading.RLock(), max_samples=self.max_points)
-        last = None
-        for t, v in self._series.get(key, ()):
-            if t_min is not None and t < t_min:
-                continue
-            if t_max is not None and t > t_max:
-                continue
-            hist.observe(v)
-            last = v
-        if hist.count == 0:
+        window = [
+            v
+            for t, v in self._series.get(key, ())
+            if (t_min is None or t >= t_min) and (t_max is None or t <= t_max)
+        ]
+        if not window:
             return {"count": 0}
+        total = 0.0
+        for v in window:
+            total += v
+        ordered = sorted(window)
         return {
-            "count": hist.count,
-            "mean": hist.total / hist.count,
-            "min": hist.min,
-            "max": hist.max,
-            "last": last,
-            "p50": hist.percentile(50.0),
-            "p95": hist.percentile(95.0),
-            "p99": hist.percentile(99.0),
+            "count": len(window),
+            "mean": total / len(window),
+            "min": min(window),
+            "max": max(window),
+            "last": window[-1],
+            "p50": percentile(ordered, 50.0),
+            "p95": percentile(ordered, 95.0),
+            "p99": percentile(ordered, 99.0),
         }
 
     def to_payload(self) -> dict[str, Any]:

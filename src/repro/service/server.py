@@ -442,12 +442,20 @@ class ClusterService:
         self.counts["failed"] += 1
 
     def _terminate(self, job: Job, status: JobStatus, now: float) -> None:
-        """Move a running job to a terminal state, reclaiming its blocks."""
+        """Move a running job to a terminal state, reclaiming its blocks.
+
+        A pending give-up stays, with its device's ``busy`` entry: every
+        retry of that block lands in the fault window whatever becomes of
+        the job, so the device goes down for good when it fires, as in
+        batch (:meth:`_lose_block` then finds the job done).
+        """
         for device_id, (event, units) in list(job.in_flight.items()):
+            job.lost_units += units
+            if event.tag == "serve:giveup":
+                continue
             self.engine.cancel(event)
             self.busy.pop(device_id, None)
-            job.lost_units += units
-        job.in_flight.clear()
+            del job.in_flight[device_id]
         job.status = status
         job.finished_at = now
         if job in self.active:

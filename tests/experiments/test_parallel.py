@@ -259,6 +259,25 @@ class TestResultCache:
 
 
 class TestTelemetry:
+    @pytest.mark.parametrize("policy", ["greedy", "plb-hec"])
+    def test_a_run_summarises_only_its_own_samples(self, policy, monkeypatch):
+        """A run's metrics cost what it recorded: no whole-registry
+        snapshot and no summary of a process-wide reservoir."""
+        from repro.experiments.parallel import _execute_run
+        from repro.obs.metrics import Histogram, MetricsRegistry
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run summarised the whole registry")
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", refuse)
+        monkeypatch.setattr(Histogram, "summary", refuse)
+        monkeypatch.setattr(Histogram, "percentile", refuse)
+        spec = RunSpec("matmul", 4096, 2, policy, 3000, 0.005, 0.01)
+        metrics = _execute_run(spec, paper_cluster)["metrics"]
+        assert metrics["counters"]["sim.events_dispatched"] > 0
+        if policy == "plb-hec":
+            assert metrics["histograms"]["plbhec.solve_ms"]["count"] > 0
+
     def test_payload_carries_report_and_wall_clock(self):
         from repro.experiments.parallel import _execute_run
         from repro.obs.report import RunReport

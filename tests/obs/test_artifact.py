@@ -338,12 +338,14 @@ TOP_REPORTS = {
 
 
 @pytest.mark.parametrize("case", sorted(TOP_REPORTS))
-def test_top_refuses_malformed_slo_report(series_file, tmp_path, case):
+def test_top_refuses_malformed_slo_report(series_file, tmp_path, case, capsys):
     report = tmp_path / "slo_report.json"
     report.write_text(TOP_REPORTS[case])
-    with pytest.raises(ConfigurationError):
-        main(["top", "--once", "--series", str(series_file),
-              "--slo-report", str(report)])
+    code = main(["top", "--once", "--series", str(series_file),
+                 "--slo-report", str(report)])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro top: error: ConfigurationError: ")
 
 
 DASHBOARD_SCORECARDS = {
@@ -354,12 +356,14 @@ DASHBOARD_SCORECARDS = {
 
 
 @pytest.mark.parametrize("case", sorted(DASHBOARD_SCORECARDS))
-def test_dashboard_refuses_malformed_scorecard(tmp_path, case):
+def test_dashboard_refuses_malformed_scorecard(tmp_path, case, capsys):
     card = tmp_path / "chaos_scorecard.json"
     card.write_text(DASHBOARD_SCORECARDS[case])
-    with pytest.raises(ConfigurationError):
-        main(["dashboard", "--scorecard", str(card),
-              "--out", str(tmp_path / "d.html")])
+    code = main(["dashboard", "--scorecard", str(card),
+                 "--out", str(tmp_path / "d.html")])
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro dashboard: error: ConfigurationError: ")
     assert not (tmp_path / "d.html").exists()
 
 

@@ -49,6 +49,41 @@ class TestEngineMetrics:
 
 
 class TestEndToEndCounters:
+    def test_ledger_restorations_are_each_solves_counter_delta(
+        self, registry, monkeypatch
+    ):
+        import repro.core.plb_hec as plb_hec
+        from repro import PLBHeC, Runtime, paper_cluster
+        from repro.apps import MatMul
+        from repro.solver import partition
+
+        def restorations():
+            return registry.snapshot()["counters"].get("ipm.restorations", 0.0)
+
+        solve, deltas = plb_hec.solve_block_partition, []
+
+        def counted(*args, **kwargs):
+            # stand-in restorations, a different count for every solve
+            before = restorations()
+            registry.inc("ipm.restorations", len(deltas) + 1)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                deltas.append(restorations() - before)
+
+        monkeypatch.setattr(partition, "_certify", lambda *args: None)
+        monkeypatch.setattr(plb_hec, "solve_block_partition", counted)
+        app = MatMul(n=16384)
+        result = Runtime(paper_cluster(2), app.codelet(), seed=0).run(
+            PLBHeC(), app.total_units, app.default_initial_block_size()
+        )
+        solved = [
+            d.solver for d in result.ledger.decisions if d.trigger != "probe-round"
+        ]
+        assert len(solved) >= 2 and {s["method"] for s in solved} == {"ipm"}
+        assert [s["restorations"] for s in solved] == deltas
+        assert deltas[0] < deltas[1]
+
     def test_plb_hec_run_populates_registry(self, registry, small_cluster):
         from repro import PLBHeC, Runtime
         from repro.apps import MatMul
@@ -68,6 +103,8 @@ class TestEndToEndCounters:
         ]
         assert len(solved) == counters["plbhec.solves"]
         assert {s["method"] for s in solved} == {"certified"}
+        # reading the restoration counter around each solve creates none
+        assert not [k for part in snap.values() for k in part if k.startswith("ipm.")]
         # per-device R2 gauges carry a device label
         r2_keys = [k for k in snap["gauges"] if k.startswith("plbhec.r2{device=")]
         assert len(r2_keys) == len(small_cluster.devices())

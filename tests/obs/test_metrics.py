@@ -13,9 +13,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     _parse_series_key,
     _series_key,
-    diff_snapshots,
     get_registry,
     merge_snapshots,
+    percentile,
     reset_registry,
     set_registry,
 )
@@ -195,20 +195,58 @@ class TestSnapshot:
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
+def reference_percentile(samples, q):
+    """The percentile rule as ``Histogram.percentile`` first wrote it."""
+    if not 0.0 <= q <= 100.0:
+        raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+class TestPercentile:
+    @given(
+        samples=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            max_size=40,
+        ),
+        q=st.floats(min_value=0.0, max_value=100.0),
+    )
+    def test_matches_the_reference_rule(self, samples, q):
+        expected = reference_percentile(samples, q)
+        assert percentile(sorted(samples), q) == expected
+        h = MetricsRegistry().histogram("h")
+        for v in samples:
+            h.observe(v)
+        assert h.percentile(q) == expected
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ConfigurationError):
+            percentile([1.0], -0.5)
+
+
 class TestDiffMerge:
     def test_diff_isolates_one_run(self):
         reg = MetricsRegistry()
         reg.inc("c", 5)
         reg.observe("h", 1.0)
-        before = reg.snapshot()
+        mark = reg.mark()
         reg.inc("c", 2)
         reg.set_gauge("g", 9.0)
         reg.observe("h", 3.0)
-        delta = diff_snapshots(before, reg.snapshot())
+        delta = reg.delta_since(mark)
         assert delta["counters"] == {"c": 2.0}
         assert delta["gauges"]["g"] == 9.0
         assert delta["histograms"]["h"]["count"] == 1
         assert delta["histograms"]["h"]["sum"] == 3.0
+        # statistics of the run's sample, not of the process's two
+        assert delta["histograms"]["h"]["min"] == 3.0
+        assert delta["histograms"]["h"]["p50"] == 3.0
 
     def test_delta_since_keeps_the_gauges_written_since_the_mark(self):
         reg = MetricsRegistry()
@@ -231,16 +269,68 @@ class TestDiffMerge:
             "handle{device=A.gpu0}": 3.0,
             "new": 7.0,
         }
-        # a snapshot diff cannot tell: every gauge passes
-        assert "earlier" in diff_snapshots(mark[1], reg.snapshot())["gauges"]
 
     def test_diff_drops_unchanged_series(self):
         reg = MetricsRegistry()
         reg.inc("c")
-        snap = reg.snapshot()
-        delta = diff_snapshots(snap, reg.snapshot())
-        assert delta["counters"] == {}
-        assert delta["histograms"] == {}
+        reg.observe("h", 1.0)
+        reg.histogram("idle")
+        delta = reg.delta_since(reg.mark())
+        assert delta == {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def test_first_run_in_a_fresh_registry_equals_its_snapshot(self):
+        reg = MetricsRegistry()
+        mark = reg.mark()
+        reg.inc("c", 3)
+        reg.set_gauge("g", 2.0, device="A.gpu0")
+        for v in (0.1, 0.7, 0.2, 0.3):
+            reg.observe("h", v)
+        assert reg.delta_since(mark) == reg.snapshot()
+
+    def test_run_statistics_ignore_earlier_samples(self):
+        reg = MetricsRegistry()
+        for v in range(8192):  # a full reservoir before the run
+            reg.observe("h", 100.0 + v)
+        mark = reg.mark()
+        for v in (3.0, 1.0, 2.0):
+            reg.observe("h", v)
+        summ = reg.delta_since(mark)["histograms"]["h"]
+        run = [3.0, 1.0, 2.0]
+        assert summ["count"] == 3
+        assert summ["sum"] == 6.0
+        assert summ["min"] == 1.0 and summ["max"] == 3.0
+        assert summ["mean"] == 2.0
+        for stat, q in (("p50", 50.0), ("p90", 90.0), ("p99", 99.0)):
+            assert summ[stat] == reference_percentile(run, q)
+
+    def test_a_run_past_the_reservoir_keeps_exact_totals(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("h")
+        h.max_samples = 10
+        for _ in range(5):
+            h.observe(-1.0)
+        mark = reg.mark()
+        for v in range(25):
+            h.observe(float(v))
+        summ = reg.delta_since(mark)["histograms"]["h"]
+        assert summ["count"] == 25
+        assert summ["sum"] == float(sum(range(25)))
+        assert summ["mean"] == summ["sum"] / 25
+        # min, max and percentiles cover the retained tail: 15..24
+        assert summ["min"] == 15.0 and summ["max"] == 24.0
+        assert summ["p50"] == reference_percentile(range(15, 25), 50.0)
+
+    def test_merged_run_deltas_carry_no_percentiles(self):
+        reg = MetricsRegistry()
+        total = {}
+        for run in ((1.0, 4.0), (2.0, 8.0, 0.5)):
+            mark = reg.mark()
+            for v in run:
+                reg.observe("h", v)
+            merge_snapshots(total, reg.delta_since(mark))
+        h = total["histograms"]["h"]
+        assert h == {"count": 5, "sum": 15.5, "min": 0.5, "max": 8.0, "mean": 3.1}
+        assert h["mean"] == h["sum"] / h["count"]
 
     def test_merge_is_inverse_of_diff_for_counters(self):
         total = {}

@@ -163,6 +163,41 @@ class TestFaultsAndRetries:
         assert card["retries"]["budget_exhausted_jobs"] >= 1
         assert card["invariant_errors"] == []
 
+    def test_a_give_up_outlives_its_timed_out_job(self):
+        # a job times out while its block on A.gpu0 walks a fault
+        # window no retry escapes: the pending give-up must still fire
+        class Recording(ClusterService):
+            def _dispatch(self, now):
+                idle = set(self.order) - set(self.busy)
+                super()._dispatch(now)
+                for d in idle & set(self.busy):
+                    event = self.busy[d][0].in_flight[d][0]
+                    dispatched.append((now, d, event))
+
+            def _give_up(self, device_id):
+                gave_up.append((self.engine.now, device_id))
+                super()._give_up(device_id)
+
+        dispatched, gave_up = [], []
+        service = Recording(ServiceConfig(
+            arrivals=ArrivalSpec(rate=6.0, duration=8.0),
+            deadline_factor=1.5, seed=2,
+            faults=(TransferFault("A.gpu0", 1.0, 30.0),),
+        ))
+        card = service.run()
+        to_gpu = [(t, e) for t, d, e in dispatched if d == "A.gpu0"]
+        first = next(
+            i for i, (_, e) in enumerate(to_gpu) if e.tag == "serve:giveup"
+        )
+        # A.gpu0 gets no block after its first give-up, which fires
+        # when due and takes the device down for good
+        assert first == len(to_gpu) - 1
+        assert gave_up == [(to_gpu[first][1].time, "A.gpu0")]
+        assert service.timeline.perm_down == {"A.gpu0"}
+        assert card["jobs"]["timeout"] > 0
+        assert card["invariant_errors"] == []
+        assert len(service.engine.queue) == 0
+
     def test_all_devices_dead_starves_cleanly(self):
         service, card = run_episode(
             seed=1, machines=1,

@@ -32,6 +32,16 @@ def test_cold_start_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def library_error(argv, capsys):
+    """Run ``main(argv)`` that fails in the library: it returns 1 and
+    prints one stderr line, which this returns."""
+    code = main(argv)
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert "Traceback" not in line
+    return line
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -408,18 +418,18 @@ class TestFaultInjectionCommand:
         ) == 0
         assert "down event" in capsys.readouterr().out
 
-    def test_unknown_device_named_in_error(self):
-        from repro.errors import ConfigurationError
+    def test_unknown_device_named_in_error(self, capsys):
+        line = library_error(
+            ["run", "--app", "matmul", "--size", "1024", "--fail", "ghost@0.1"],
+            capsys,
+        )
+        assert line.startswith("repro run: error: ConfigurationError: ")
+        assert "'ghost'" in line
 
-        with pytest.raises(ConfigurationError, match="'ghost'"):
-            main(["run", "--app", "matmul", "--size", "1024",
-                  "--fail", "ghost@0.1"])
-
-    def test_malformed_spec_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="--transient wants"):
-            main(["run", "--transient", "A.gpu0@nope"])
+    def test_malformed_spec_rejected(self, capsys):
+        line = library_error(["run", "--transient", "A.gpu0@nope"], capsys)
+        assert line.startswith("repro run: error: ConfigurationError: ")
+        assert "--transient wants" in line
 
 
 class TestChaosCommand:
@@ -650,11 +660,11 @@ class TestTelemetryCommands:
         assert alerts, "SLO violations must stamp alert instants"
         assert any("no-goodput" in a.get("name", "") for a in alerts)
 
-    def test_slo_report_out_requires_slo(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(self.RUN + ["--slo-report-out", "r.json"])
+    def test_slo_report_out_requires_slo(self, capsys):
+        line = library_error(self.RUN + ["--slo-report-out", "r.json"], capsys)
+        assert line == (
+            "repro run: error: ConfigurationError: --slo-report-out requires --slo"
+        )
 
     def test_top_once_renders_frame(self, capsys, tmp_path):
         series = tmp_path / "series.jsonl"
@@ -851,11 +861,12 @@ class TestUsageErrors:
         [["run", "--size", "1024", "--machines", "1"], ["serve", "--duration", "1"]],
         ids=["run", "serve"],
     )
-    def test_negative_seed_is_a_configuration_error(self, argv):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
-            main(argv + ["--seed", "-1"])
+    def test_negative_seed_is_a_configuration_error(self, argv, capsys):
+        line = library_error(argv + ["--seed", "-1"], capsys)
+        assert line == (
+            f"repro {argv[0]}: error: ConfigurationError: "
+            "seed must be >= 0, got -1"
+        )
 
     def test_boundary_numbers_accepted(self):
         args = build_parser().parse_args(
@@ -876,12 +887,12 @@ class TestSharedPipeline:
         [["run", *RUN], ["serve", "--rate", "2", "--duration", "3"]],
         ids=["run", "serve"],
     )
-    def test_slo_report_out_requires_slo(self, argv, tmp_path, monkeypatch):
-        from repro.errors import ConfigurationError
-
+    def test_slo_report_out_requires_slo(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ConfigurationError, match="requires --slo"):
-            main(argv + ["--slo-report-out", "r.json"])
+        line = library_error(argv + ["--slo-report-out", "r.json"], capsys)
+        assert "ConfigurationError: --slo-report-out requires --slo" in line
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.runtime.scheduler_api import SchedulingContext, SchedulingPolicy
 from repro.sim.trace import TaskRecord
+from repro.util.stats import left_sum
 
 __all__ = ["Acosta"]
 
@@ -139,7 +140,7 @@ class Acosta(SchedulingPolicy):
                     (1.0 - self.smoothing) * self._smoothed_rp[d]
                     + self.smoothing * float(rp[i])
                 )
-            srp = sum(self._smoothed_rp.values())
+            srp = left_sum(self._smoothed_rp.values())
             self._shares = {d: self._smoothed_rp[d] / srp for d in self._ids}
         if remaining > 0:
             self._remaining = remaining
@@ -153,7 +154,7 @@ class Acosta(SchedulingPolicy):
         self._step_times.pop(device_id, None)
         self._requested.discard(device_id)
         self._smoothed_rp.pop(device_id, None)
-        srp = sum(self._smoothed_rp.values())
+        srp = left_sum(self._smoothed_rp.values())
         if srp > 0:
             self._shares = {d: self._smoothed_rp[d] / srp for d in self._ids}
         # the failure may have been holding the step barrier

@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.runtime.scheduler_api import SchedulingContext, SchedulingPolicy
 from repro.sim.trace import TaskRecord
+from repro.util.stats import left_sum
 
 __all__ = ["HDSS"]
 
@@ -158,7 +159,7 @@ class HDSS(SchedulingPolicy):
             if worker_id in self._in_round or worker_id in self._done_round:
                 return 0
             return self._size_for_round(self._uniform_round)
-        share = self._weights[worker_id] / sum(self._weights.values())
+        share = self._weights[worker_id] / left_sum(self._weights.values())
         block = int(round(self._remaining_estimate * share * self.taper))
         return max(block, self._min_block)
 

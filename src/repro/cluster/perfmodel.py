@@ -43,6 +43,7 @@ from repro.cluster.device import CPUSpec, Device, DeviceKind, GPUSpec
 from repro.cluster.network import TransferModel
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError
+from repro.util.stats import left_sum
 from repro.util.validation import check_in_range, check_positive
 
 __all__ = ["KernelCharacteristics", "DevicePerformance", "GroundTruth"]
@@ -278,7 +279,7 @@ class GroundTruth:
         t_hi = max(self.total_time(d, total_units) for d in devices)
         for _ in range(80):
             t_mid = 0.5 * (t_lo + t_hi)
-            assigned = sum(units_at_time(d, t_mid) for d in devices)
+            assigned = left_sum(units_at_time(d, t_mid) for d in devices)
             if assigned >= total_units:
                 t_hi = t_mid
             else:

@@ -4,11 +4,13 @@ Three phases:
 
 1. **Performance modeling** (Algorithm 1).  Synchronised probe rounds
    with exponentially growing, speed-ratio-scaled block sizes
-   (:class:`~repro.core.probe_plan.ProbePlan`).  After the fourth round
-   the per-device curves ``F_p`` / ``G_p`` are least-squares fitted; if
-   any device's R² is below the 0.7 threshold, further rounds are probed
-   until the fit is acceptable or 20 % of the application data has been
-   consumed.
+   (:class:`~repro.core.probe_plan.ProbePlan`).  From the fourth round
+   on, each closed round runs the stop rule: profiling ends once every
+   device's curves ``F_p`` / ``G_p`` fit with R² ≥ 0.7 and the round
+   probed deep enough (:meth:`PLBHeC._deep_enough`), or once 20 % of
+   the application data or ``max_probe_rounds`` is used up.  The
+   fit-independent conditions are checked first, and the curves are
+   least-squares fitted only when the round can end profiling.
 2. **Block-size selection** (Sec. III.C).  The fitted models form the
    equal-finish-time system (eq. 5), solved to the interior-point
    method's tolerance (a certified Newton polish of the waterfill
@@ -50,6 +52,7 @@ from repro.solver.partition import PartitionResult, solve_block_partition
 from repro.core.probe_plan import ProbePlan
 from repro.core.rebalance import SkewMonitor
 from repro.util.logging import get_logger
+from repro.util.stats import left_sum
 
 __all__ = ["PLBHeC"]
 
@@ -74,11 +77,14 @@ class PLBHeC(SchedulingPolicy):
         run (1.0 = charge it as measured; 0.0 = free scheduler, for
         ablations).
     fixed_overhead_s:
-        When set, charge this constant per fit/solve call instead of the
-        measured wall time.  Measured charging reflects reality but
-        makes virtual time depend on host speed; fixed charging gives
-        bit-reproducible simulations (used by the determinism tests and
-        available for experiments that need it).
+        When set, charge this constant per scheduler decision instead of
+        its measured wall time: once per probe-round stop-rule
+        evaluation from round ``min_probe_rounds`` on (whether it fits
+        or not), once per warm-start or rebalance refit, and once per
+        solve.  Measured charging reflects reality but makes virtual
+        time depend on host speed; fixed charging gives bit-reproducible
+        simulations (used by the determinism tests and available for
+        experiments that need it).
     warm_start:
         Retain the fitted device profiles across runs of the *same*
         policy object.  Data-parallel applications typically execute
@@ -294,7 +300,11 @@ class PLBHeC(SchedulingPolicy):
 
         The failed device is dropped from the probe plan / models /
         assignments, and — when the execution phase is already running —
-        the block sizes are re-solved over the remaining devices.
+        the block sizes are re-solved over the remaining devices.  A
+        failure that closes a probe round closes it as a completion
+        would (:meth:`_close_round`), with ``ctx.total_units -
+        self._consumed`` as the remaining units, the count the
+        execution-phase branch uses too.
         """
         self._vnow = now
         self._ids = tuple(d for d in self._ids if d != device_id)
@@ -323,15 +333,11 @@ class PLBHeC(SchedulingPolicy):
                 and set(self._ids) <= set(self._round_times)
                 and not self._in_flight
             ):
-                # the failure closed the current round; a fake completion
-                # is not available, so advance the round directly
-                self._round += 1
-                self._round_sizes = self._plan.sizes(self._round, self._round_rates)
-                self._round_requested = set()
-                self._round_dispatched = set()
-                self._round_times = {}
-                self._open_probe_decision(
-                    trigger="fault", detail={"device": device_id}
+                # the failure closed the current round
+                self._close_round(
+                    self.ctx.total_units - self._consumed,
+                    trigger="fault",
+                    detail={"device": device_id},
                 )
         else:
             remaining = self.ctx.total_units - self._consumed
@@ -406,17 +412,32 @@ class PLBHeC(SchedulingPolicy):
         # workers were ever dispatched.
         if not set(self._ids) <= set(self._round_times) or self._in_flight:
             return  # barrier: the round is still running
-        get_registry().inc("plbhec.probe_rounds")
         if remaining == 0:
-            return  # tiny input: the whole domain fit inside profiling
-        if self._round >= self.min_probe_rounds:
-            fits_ok, models = self._try_fit()
-            consumed_frac = self._consumed / self.ctx.total_units
-            if (
-                (fits_ok and self._deep_enough(remaining))
-                or consumed_frac >= self.max_profile_fraction
-                or self._round >= self.max_probe_rounds
-            ):
+            # tiny input: the whole domain fit inside profiling
+            get_registry().inc("plbhec.probe_rounds")
+            return
+        self._close_round(remaining)
+
+    def _close_round(
+        self,
+        remaining: int,
+        *,
+        trigger: str = "probe-round",
+        detail: dict | None = None,
+    ) -> None:
+        """Count a closed probe round, run its stop rule, then execute or probe on.
+
+        A completion passes the executor's count of the units left; a
+        device failure passes ``ctx.total_units - self._consumed``,
+        which leaves out the failed device's lost block.  The executor
+        hands that block out again, so a round whose count is not
+        positive still opens the next round.  The next round's decision
+        carries ``trigger`` and ``detail``.
+        """
+        get_registry().inc("plbhec.probe_rounds")
+        if self._round >= self.min_probe_rounds and remaining > 0:
+            models = self._stop_rule(remaining)
+            if models is not None:
                 self._models = models
                 self._enter_execution(remaining)
                 return
@@ -425,7 +446,29 @@ class PLBHeC(SchedulingPolicy):
         self._round_requested = set()
         self._round_dispatched = set()
         self._round_times = {}
-        self._open_probe_decision()
+        self._open_probe_decision(trigger=trigger, detail=detail)
+
+    def _stop_rule(self, remaining: int) -> dict[str, DeviceModel] | None:
+        """Algorithm 1's stop rule: the models profiling ends with, or None.
+
+        Profiling ends at the data cap (``max_profile_fraction``) or the
+        round cap (``max_probe_rounds``), whatever the fits say, or once
+        the round probed deep enough (:meth:`_deep_enough`) and every
+        device's fit is acceptable.  The fit-independent conditions come
+        first: a round that cannot end profiling fits nothing and
+        charges only its own evaluation time, so every evaluation is one
+        scheduler decision, fitted or not.
+        """
+        t0 = time.perf_counter()
+        at_limit = (
+            self._consumed / self.ctx.total_units >= self.max_profile_fraction
+            or self._round >= self.max_probe_rounds
+        )
+        if not at_limit and not self._deep_enough(remaining):
+            self._charge(time.perf_counter() - t0)
+            return None
+        fits_ok, models = self._try_fit()
+        return models if at_limit or fits_ok else None
 
     def _deep_enough(self, remaining: int) -> bool:
         """Has profiling explored block sizes near the execution scale?
@@ -436,7 +479,7 @@ class PLBHeC(SchedulingPolicy):
         meaningful fraction of the *expected execution-step duration*
         (estimated from the measured rates).
         """
-        total_rate = sum(self._round_rates.values())
+        total_rate = left_sum(self._round_rates.values())
         if total_rate <= 0.0 or not self._round_times:
             return False
         expected_step = (remaining / self.num_steps) / total_rate
@@ -444,7 +487,13 @@ class PLBHeC(SchedulingPolicy):
         return round_time >= self.probe_depth_factor * expected_step
 
     def _try_fit(self) -> tuple[bool, dict[str, DeviceModel]]:
-        """Fit every profile; charge the measured wall time as overhead."""
+        """Fit every live profile; charge the measured wall time as overhead.
+
+        Runs where a fit decides something: the warm-start fit and a
+        stop-rule evaluation that can end profiling (:meth:`_stop_rule`).
+        Returns whether every device's fit is acceptable, and the models
+        that fitted.
+        """
         registry = get_registry()
         registry.inc("plbhec.fit_attempts")
         t0 = time.perf_counter()
@@ -681,7 +730,7 @@ class PLBHeC(SchedulingPolicy):
                 for d, u in prev.units_by_device.items()
                 if d in live and u > 0.0
             }
-            total = sum(shares.values())
+            total = left_sum(shares.values())
             if shares and total > 0.0:
                 return "last-good", {
                     d: quantum * u / total for d, u in shares.items()
@@ -697,7 +746,7 @@ class PLBHeC(SchedulingPolicy):
             elapsed = p.exec_s + p.transfer_s
             if elapsed > 0.0:
                 rates[d] = p.units / elapsed
-        total_rate = sum(rates.values())
+        total_rate = left_sum(rates.values())
         if rates and total_rate > 0.0:
             return "speed-ratio", {
                 d: quantum * r / total_rate for d, r in rates.items()

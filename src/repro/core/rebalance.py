@@ -12,6 +12,7 @@ against the threshold times the step's mean block duration.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
+from repro.util.stats import left_sum
 
 __all__ = ["SkewMonitor"]
 
@@ -69,7 +70,7 @@ class SkewMonitor:
         if expected is None or len(bucket) < expected:
             return False
         durations = [t for _, t in bucket.values()]
-        mean_duration = sum(durations) / len(durations)
+        mean_duration = left_sum(durations) / len(durations)
         # single-device steps can never skew
         if len(bucket) < 2 or mean_duration <= 0.0:
             self._cleanup(step)

@@ -21,6 +21,7 @@ from repro.cluster.topology import Cluster
 from repro.core import PLBHeC
 from repro.errors import ConfigurationError
 from repro.runtime import Runtime
+from repro.util.stats import left_sum
 from repro.util.tables import format_table
 
 __all__ = ["HeterogeneityPoint", "build_spread_cluster", "run_heterogeneity"]
@@ -60,7 +61,7 @@ def build_spread_cluster(spread: float, *, num_machines: int = 4) -> Cluster:
         raise ConfigurationError("need at least 2 machines")
     exponents = [i / (num_machines - 1) - 0.5 for i in range(num_machines)]
     raw = [spread**e for e in exponents]
-    scale = num_machines / sum(raw)
+    scale = num_machines / left_sum(raw)
     machines = []
     for i in range(num_machines):
         factor = raw[i] * scale

@@ -29,6 +29,7 @@ from math import isfinite
 from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.util.stats import left_sum
 
 __all__ = [
     "DeviceCalibration",
@@ -78,7 +79,7 @@ def mape(predicted: Sequence[float], observed: Sequence[float]) -> float:
     errors = relative_errors(predicted, observed)
     if not errors:
         return float("nan")
-    return sum(abs(e) for e in errors) / len(errors)
+    return left_sum(abs(e) for e in errors) / len(errors)
 
 
 def signed_bias(
@@ -91,7 +92,7 @@ def signed_bias(
     errors = relative_errors(predicted, observed)
     if not errors:
         return float("nan")
-    return sum(errors) / len(errors)
+    return left_sum(errors) / len(errors)
 
 
 def ewma_drift(

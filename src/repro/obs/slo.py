@@ -49,6 +49,7 @@ from repro.obs.artifact import (
 from repro.obs.events import EventLog
 from repro.obs.metrics import percentile
 from repro.obs.timeseries import TimeSeriesStore
+from repro.util.stats import left_sum
 
 __all__ = [
     "SLO_REPORT_SCHEMA",
@@ -260,7 +261,7 @@ def _aggregate(values: list[float], agg: str) -> float:
     if agg == "max":
         return max(values)
     if agg == "mean":
-        return sum(values) / len(values)
+        return left_sum(values) / len(values)
     if agg == "last":
         return values[-1]
     return percentile(sorted(values), float(agg[1:]))

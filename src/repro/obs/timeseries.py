@@ -48,6 +48,7 @@ from repro.obs.metrics import (
     get_registry,
     percentile,
 )
+from repro.util.stats import left_sum
 
 __all__ = [
     "SERIES_SCHEMA",
@@ -90,8 +91,8 @@ def jain_fairness(values: Sequence[float]) -> float:
     """
     if not values:
         return 1.0
-    total = float(sum(values))
-    squares = float(sum(v * v for v in values))
+    total = float(left_sum(values))
+    squares = float(left_sum(v * v for v in values))
     if squares <= 0.0:
         return 1.0
     return (total * total) / (len(values) * squares)

@@ -29,6 +29,7 @@ from repro.runtime.scheduler_api import SchedulingPolicy
 from repro.runtime.faults import Fault
 from repro.runtime.sim_executor import SimulatedExecutor
 from repro.sim.trace import ExecutionTrace
+from repro.util.stats import left_sum
 
 __all__ = ["Runtime", "RunResult"]
 
@@ -93,7 +94,7 @@ class RunResult:
     def summary(self) -> str:
         """One-paragraph human-readable run summary."""
         idle = self.idle_fractions
-        mean_idle = sum(idle.values()) / len(idle) if idle else 0.0
+        mean_idle = left_sum(idle.values()) / len(idle) if idle else 0.0
         phases = self.trace.phase_summary()
         probe_share = phases.get("probe", {}).get("unit_share", 0.0)
         return (

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.cluster.device import Device, DeviceKind
 from repro.errors import SchedulingError
 from repro.sim.trace import TaskRecord
+from repro.util.stats import left_sum
 
 __all__ = ["DeviceInfo", "SchedulingContext", "SchedulingPolicy"]
 
@@ -109,7 +110,7 @@ class SchedulingContext:
         """Executor-side: collect and clear pending overhead charges."""
         if not self._overhead_charges:
             return 0.0
-        total = sum(s for s, _ in self._overhead_charges)
+        total = left_sum(s for s, _ in self._overhead_charges)
         self._overhead_charges.clear()
         return total
 

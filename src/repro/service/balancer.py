@@ -22,6 +22,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.modeling.perf_profile import PerfProfile
 from repro.service.jobs import Job
 from repro.solver.partition import solve_block_partition
+from repro.util.stats import left_sum
 
 __all__ = ["ContinuousBalancer", "BALANCER_FLAVORS", "FALLBACK_STAGES"]
 
@@ -175,7 +176,7 @@ class ContinuousBalancer:
                 if r is not None and units > 0:
                     rate += r * units
             weights[d] = rate
-        total = sum(weights.values())
+        total = left_sum(weights.values())
         if total <= 0.0:
             return None
         self.fractions = {d: weights[d] / total for d in self.device_ids}

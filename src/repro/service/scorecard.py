@@ -16,6 +16,7 @@ from repro.obs.artifact import (
     COUNT, NON_NEGATIVE, OBJECT, STR, check, list_of, number, one_of, write_json,
 )
 from repro.obs.timeseries import jain_fairness
+from repro.util.stats import left_sum
 
 __all__ = [
     "SERVE_SCHEMA",
@@ -48,7 +49,7 @@ def build_scorecard(service) -> dict:
             "p50": percentile(latencies, 50),
             "p95": percentile(latencies, 95),
             "p99": percentile(latencies, 99),
-            "mean": sum(latencies) / len(latencies),
+            "mean": left_sum(latencies) / len(latencies),
             "max": max(latencies),
         }
     else:

@@ -43,6 +43,7 @@ from repro.service.jobs import Job, JobStatus
 from repro.sim.engine import Engine
 from repro.sim.random import RandomStreams
 from repro.util.logging import get_logger
+from repro.util.stats import left_sum
 from repro.util.validation import check_positive
 
 __all__ = ["ServiceConfig", "ClusterService", "run_service"]
@@ -154,7 +155,7 @@ class ClusterService:
             gt = GroundTruth(self.cluster, app.kernel_characteristics())
             units = app.total_units
             probe = max(units // 64, 1)
-            capacity = sum(
+            capacity = left_sum(
                 probe / max(gt.total_time(d, probe), 1e-12) for d in self.order
             )
             self.templates.append(

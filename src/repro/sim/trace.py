@@ -185,7 +185,12 @@ class ExecutionTrace:
 
     def busy_time(self, worker_id: str) -> float:
         """Total busy seconds of one worker."""
-        return sum(b.duration for b in self.busy_intervals(worker_id))
+        # left to right from 0, as repro.util.stats.left_sum adds (which
+        # this module cannot import: repro.util imports it)
+        total = 0
+        for b in self.busy_intervals(worker_id):
+            total += b.duration
+        return total
 
     def idle_fraction(self, worker_id: str) -> float:
         """Fraction of the run during which the worker sat idle.
@@ -282,7 +287,10 @@ class ExecutionTrace:
     @property
     def total_solver_overhead(self) -> float:
         """Summed model-fit/solve overhead seconds charged to the run."""
-        return sum(self.solver_overheads)
+        total = 0
+        for seconds in self.solver_overheads:  # as busy_time adds
+            total += seconds
+        return total
 
     def phase_summary(self) -> dict[str, dict[str, float]]:
         """Per-phase aggregates: units, busy seconds, wall span, share.

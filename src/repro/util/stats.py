@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["RunningStats", "mean_std", "relative_error", "summarize"]
+__all__ = ["RunningStats", "left_sum", "mean_std", "relative_error", "summarize"]
 
 
 @dataclass
@@ -80,6 +82,18 @@ class RunningStats:
     def maximum(self) -> float:
         """Largest observation (-inf when empty)."""
         return self._max
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` left to right from 0, rounding after every addition.
+
+    This is the order Python 3.11's built-in ``sum()`` adds floats in.
+    From 3.12 on ``sum()`` compensates the rounding, so one list of
+    floats can total differently on the two; virtual-time totals use
+    this instead and read the same bits on every Python.  Like
+    ``sum()``, an empty input totals to the integer 0.
+    """
+    return reduce(add, values, 0)
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:

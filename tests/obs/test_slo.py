@@ -170,6 +170,15 @@ class TestEvaluate:
         assert by_name["bad"]["first_violation_t"] == 0.0
         assert report["ok"] is False and report["violations"] == 1
 
+    def test_mean_adds_left_to_right(self):
+        # 1e16 / 3 on every Python; 3.12's compensated sum() would give
+        # 1.0000000000000002e16 / 3
+        spec = SLOSpec(
+            name="t", objectives=(parse_objective("m", "mean(x) > 0"),)
+        )
+        (row,) = evaluate_slo(spec, _store(x=[1e16, 1.0, 1.0]))["objectives"]
+        assert row["measured"] == 1e16 / 3
+
     def test_missing_series_is_no_data_not_fail(self):
         spec = SLOSpec(
             name="t", objectives=(parse_objective("m", "mean(absent) < 1"),)

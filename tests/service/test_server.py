@@ -9,6 +9,7 @@ from repro.runtime.faults import DeviceFailure, TransferFault, TransientFailure
 from repro.service import ClusterService, ServiceConfig, validate_scorecard
 from repro.service.arrivals import ArrivalSpec
 from repro.service.jobs import JobStatus
+from repro.service.scorecard import build_scorecard
 
 
 def run_episode(**overrides):
@@ -51,6 +52,13 @@ class TestHealthyEpisode:
         service, _ = run_episode(seed=0)
         with pytest.raises(SimulationError, match="single-use"):
             service.run()
+
+    def test_mean_latency_adds_left_to_right(self):
+        # 1e16 / 3 on every Python; 3.12's compensated sum() would give
+        # 1.0000000000000002e16 / 3
+        service, _ = run_episode(seed=0)
+        service.latencies = [1e16, 1.0, 1.0]
+        assert build_scorecard(service)["latency_s"]["mean"] == 1e16 / 3
 
 
 class TestDeterminism:

@@ -62,6 +62,15 @@ class TestExecutionTrace:
         tr.add_record(record("a", 2.0, 4.0))
         assert tr.busy_time("a") == pytest.approx(3.0)
 
+    def test_busy_time_adds_left_to_right(self):
+        # durations 1e16, 1, 1 in start order: 1e16 on every Python
+        # (a compensated sum, 3.12's sum(), gives 1.0000000000000002e16)
+        tr = ExecutionTrace(["a"])
+        tr.add_record(record("a", 3.0, 4.0))
+        tr.add_record(record("a", 0.0, 1e16))
+        tr.add_record(record("a", 1.0, 2.0))
+        assert tr.busy_time("a") == 1e16
+
     def test_idle_fraction(self):
         tr = ExecutionTrace(["a", "b"])
         tr.add_record(record("a", 0.0, 4.0))
@@ -143,6 +152,12 @@ class TestExecutionTrace:
         tr.record_solver_overhead(0.05)
         assert tr.num_rebalances == 2
         assert tr.total_solver_overhead == pytest.approx(0.15)
+
+    def test_solver_overhead_adds_left_to_right(self):
+        tr = ExecutionTrace(["a"])
+        for seconds in (1e16, 1.0, 1.0):
+            tr.record_solver_overhead(seconds)
+        assert tr.total_solver_overhead == 1e16
 
     def test_records_for_ordered_by_completion(self):
         tr = ExecutionTrace(["a"])

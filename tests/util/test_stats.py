@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import RunningStats, mean_std, relative_error, summarize
+from repro.util.stats import (
+    RunningStats,
+    left_sum,
+    mean_std,
+    relative_error,
+    summarize,
+)
+
+#: Python 3.11's sum() gives 1e16; a compensated sum (3.12's) 1.0000000000000002e16
+LOSSY = [1e16, 1.0, 1.0]
 
 
 class TestRunningStats:
@@ -77,6 +86,23 @@ class TestMeanStd:
         m, s = mean_std([1.0, 3.0])
         assert m == 2.0
         assert s == pytest.approx(math.sqrt(2.0))
+
+
+class TestLeftSum:
+    def test_rounds_after_every_addition(self):
+        assert left_sum(LOSSY) == 1e16
+        assert left_sum(iter(LOSSY)) == 1e16
+
+    def test_empty_input_totals_to_integer_zero(self):
+        total = left_sum([])
+        assert total == 0 and type(total) is int
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_adds_left_to_right_from_zero(self, values):
+        total = 0
+        for v in values:
+            total += v
+        assert left_sum(values) == total
 
 
 class TestRelativeError:

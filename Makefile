@@ -16,6 +16,6 @@ dashboard:
 	$(PYTHON) -m repro dashboard
 
 clean:
-	rm -rf .repro_cache .benchmarks .repro_history
+	rm -rf .repro_cache .benchmarks
 	rm -f dashboard.html
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -73,9 +73,8 @@ Commands
     work-conservation and fault-isolation invariants on every run, and
     write the resilience scorecard JSON.  Exits non-zero when any
     invariant is violated.  Same seed → bit-identical scorecard; see
-    docs/TUTORIAL.md §9.  The campaign summary is appended to the
-    history store (``.repro_history/``, see ``REPRO_HISTORY``;
-    ``--history -`` disables it).  ``--serve`` runs the same campaign
+    docs/TUTORIAL.md §9.  It writes only the scorecard (``--out``) and
+    the optional ``--dashboard``.  ``--serve`` runs the same campaign
     and flags over *service episodes* instead of batch runs: seeded
     fault schedules are injected while the cluster keeps admitting,
     shedding and completing jobs; see docs/TUTORIAL.md §13.
@@ -185,6 +184,7 @@ from repro.obs.timeseries import (
 from repro.obs.trace_export import trace_to_chrome, write_chrome_trace
 from repro.runtime import Runtime
 from repro.util.logging import configure_from_env
+from repro.util.stats import left_sum
 from repro.util.tables import format_table
 
 __all__ = ["main", "build_parser", "EXIT_CODE_TABLE"]
@@ -688,13 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="also render an HTML dashboard with the resilience section",
             ),
-            _flag(
-                "--history",
-                metavar="PATH",
-                default=None,
-                help="history store to append the campaign summary to "
-                "('-' disables; default: REPRO_HISTORY, else .repro_history/)",
-            ),
             _JOBS,
         )),
         ("serve", _cmd_serve,
@@ -1072,7 +1065,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
              "rebalances", "overhead_ms"],
             [[
                 args.app, args.size, args.machines, policy.name,
-                result.makespan, sum(idle.values()) / len(idle),
+                result.makespan, left_sum(idle.values()) / len(idle),
                 result.num_rebalances, result.solver_overhead_s * 1e3,
             ]],
         )
@@ -1400,7 +1393,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ]
         if not samples:
             return "-"
-        return f"{sum(samples) / len(samples):.1%}"
+        return f"{left_sum(samples) / len(samples):.1%}"
 
     rows = []
     for name, outcome in point.outcomes.items():
@@ -1537,26 +1530,6 @@ def _cmd_report(args: argparse.Namespace) -> None:
     print(generate_report(replications=args.replications, fast=args.fast))
 
 
-def _resolve_history(flag: str | None):
-    """The history store a command should use, or None when disabled.
-
-    Precedence: an explicit ``--history`` flag (``-`` disables), then
-    the ``REPRO_HISTORY`` environment variable (including its off
-    values), then the default ``.repro_history/`` directory.
-    """
-    import os
-
-    from repro.obs.history import DEFAULT_HISTORY_DIR, HistoryStore
-
-    if flag == "-":
-        return None
-    if flag:
-        return HistoryStore(flag)
-    if os.environ.get("REPRO_HISTORY", "").strip():
-        return HistoryStore.from_env()
-    return HistoryStore(DEFAULT_HISTORY_DIR)
-
-
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import collect_dashboard_data, write_dashboard
     from repro.resilience.campaign import SCORECARD_SPEC
@@ -1672,7 +1645,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.obs.history import chaos_entry
     from repro.resilience import ChaosConfig, run_campaign
     from repro.service.campaign import ServeChaosConfig
 
@@ -1785,11 +1757,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
         path = write_dashboard(args.dashboard, chaos_dashboard_data(scorecard))
         print(f"dashboard written to {path}")
-    history = _resolve_history(args.history)
-    if history is not None:
-        stored = history.append(chaos_entry(scorecard))
-        print(f"history: appended to {history.path} "
-              f"(config {stored['config_hash'][:12]})")
     return 0 if ok else 3
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.device import CPUSpec, Device, DeviceKind, GPUSpec
 from repro.errors import ConfigurationError
+from repro.util.stats import left_sum
 
 __all__ = ["Machine"]
 
@@ -80,4 +81,4 @@ class Machine:
     @property
     def total_peak_gflops(self) -> float:
         """Aggregate theoretical peak of the machine (CPU + all GPUs)."""
-        return self.cpu.peak_gflops + sum(g.peak_gflops for g in self.gpus)
+        return self.cpu.peak_gflops + left_sum(g.peak_gflops for g in self.gpus)

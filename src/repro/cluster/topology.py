@@ -9,6 +9,7 @@ from repro.cluster.device import Device
 from repro.cluster.machine import Machine
 from repro.cluster.network import NetworkSpec, PCIeSpec, TransferModel
 from repro.errors import ConfigurationError
+from repro.util.stats import left_sum
 
 __all__ = ["Cluster"]
 
@@ -102,7 +103,7 @@ class Cluster:
     @property
     def total_peak_gflops(self) -> float:
         """Aggregate theoretical peak of all processing units."""
-        return sum(d.peak_gflops for d in self.devices())
+        return left_sum(d.peak_gflops for d in self.devices())
 
     def __len__(self) -> int:
         return len(self.machines)

@@ -26,6 +26,7 @@ from repro.runtime import Runtime
 from repro.runtime.faults import Perturbation
 from repro.solver.ipm import IPMOptions
 from repro.solver.partition import PartitionResult, solve_block_partition
+from repro.util.stats import left_sum
 from repro.util.tables import format_table
 
 __all__ = [
@@ -125,7 +126,7 @@ def _run(policy, app, cluster, *, seed=3, faults=()) -> AblationRow:
     return AblationRow(
         variant=getattr(policy, "variant_name", policy.name),
         makespan=result.makespan,
-        mean_idle=sum(idle.values()) / len(idle),
+        mean_idle=left_sum(idle.values()) / len(idle),
         rebalances=result.num_rebalances,
     )
 

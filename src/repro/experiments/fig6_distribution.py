@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.experiments.parallel import PointSpec, run_sweep
+from repro.util.stats import left_sum
 from repro.util.tables import format_table
 
 __all__ = ["DEFAULT_CASES", "run_fig6", "render_fig6", "gpu_share"]
@@ -45,7 +46,7 @@ class Fig6Case:
 
 def gpu_share(distribution: Mapping[str, float]) -> float:
     """Total share assigned to GPU processing units."""
-    return sum(v for d, v in distribution.items() if "gpu" in d)
+    return left_sum(v for d, v in distribution.items() if "gpu" in d)
 
 
 def run_fig6(

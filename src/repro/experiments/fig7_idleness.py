@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from repro.experiments.fig6_distribution import DEFAULT_CASES
 from repro.experiments.parallel import PointSpec, run_sweep
+from repro.util.stats import left_sum
 from repro.util.tables import format_table
 
 __all__ = ["Fig7Case", "run_fig7", "render_fig7"]
@@ -37,7 +38,7 @@ class Fig7Case:
     def mean_idle(self, policy: str) -> float:
         """Idle fraction averaged over the processing units."""
         values = self.idle[policy].values()
-        return sum(values) / len(values) if values else 0.0
+        return left_sum(values) / len(values) if values else 0.0
 
 
 def run_fig7(

@@ -57,7 +57,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import PolicyOutcome, SweepPoint
 from repro.obs.artifact import write_json
 from repro.obs.events import EventLog, push_run_id
-from repro.obs.metrics import get_registry, merge_snapshots
+from repro.obs.metrics import get_registry
 from repro.obs.profiler import merge_profiles, profiling
 from repro.obs.report import RunReport, config_hash
 from repro.util.logging import configure_logging, current_config, get_logger
@@ -117,7 +117,7 @@ class RunSpec:
     """One independent simulated run (the unit of fan-out and caching).
 
     ``faults`` is a tuple of the fault objects from
-    :mod:`repro.runtime.sim_executor` (mixed kinds allowed); when
+    :mod:`repro.runtime.faults` (mixed kinds allowed); when
     non-empty the payload gains a ``"resilience"`` section with the
     run's invariant-check results.  ``tolerate_errors`` turns a
     mid-run :class:`~repro.errors.ReproError` into an error payload
@@ -247,14 +247,11 @@ def _execute_service_run(
     The payload keeps the batch-run column shape (``makespan`` is the
     episode's virtual end time, ``rebalances`` the balancer cycles) so
     SweepPoint aggregation and campaign plumbing work unchanged, and
-    adds the ``"serve"`` scorecard plus the service time series.  Its
-    fresh-only keys are those of :func:`_execute_run`.
+    adds the ``"serve"`` scorecard plus the service time series.
     """
     from repro.errors import ReproError
     from repro.service.server import ClusterService, ServiceConfig
 
-    wall0 = time.perf_counter()
-    metrics_mark = get_registry().mark()
     service_dict = json.loads(spec.service_json)
     config = {
         "kind": "serve",
@@ -280,7 +277,6 @@ def _execute_service_run(
             "distribution": {},
             "overhead": 0.0,
             "rebalances": 0,
-            "wall_s": time.perf_counter() - wall0,
             "report": None,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
@@ -301,8 +297,6 @@ def _execute_service_run(
         "distribution": {},
         "overhead": 0.0,
         "rebalances": card["balancer"]["rebalances"],
-        "wall_s": time.perf_counter() - wall0,
-        "metrics": get_registry().delta_since(metrics_mark),
         "report": report.to_dict(),
         "serve": card,
         "series": {
@@ -326,12 +320,10 @@ def _execute_run(
     manifest (:class:`~repro.obs.report.RunReport`, without metrics)
     and, for a ledger-keeping policy, the decision ledger's summary:
     pure functions of the spec, which a warm cache replays as computed.
-    The :attr:`ResultCache.FRESH_ONLY` keys describe this execution and
-    reach :func:`run_sweep` only: ``"wall_s"``, ``"metrics"`` (the
-    registry delta over the run; pool workers execute several runs per
-    process) and, with ``profile=True``, a ``"profile"`` snapshot of a
-    :func:`repro.obs.profiler.profiling` scope — plain data, so the
-    parent merges every worker's profile into one stats object.
+    With ``profile=True`` it also carries a ``"profile"`` snapshot of a
+    :func:`repro.obs.profiler.profiling` scope, the one
+    :attr:`ResultCache.FRESH_ONLY` key: plain data, so the parent
+    merges every worker's profile into one stats object.
     """
     from repro.cluster import GroundTruth
     from repro.errors import ReproError
@@ -344,8 +336,6 @@ def _execute_run(
 
     if spec.service_json is not None:
         return _execute_service_run(spec, cluster_factory)
-    wall0 = time.perf_counter()
-    metrics_mark = get_registry().mark()
     config = spec.config()
     # The deterministic id RunReport.build would derive anyway; pushing
     # it around the execution tags worker-side events and log records
@@ -397,7 +387,6 @@ def _execute_run(
             "distribution": {},
             "overhead": 0.0,
             "rebalances": 0,
-            "wall_s": time.perf_counter() - wall0,
             "report": None,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
@@ -415,14 +404,12 @@ def _execute_run(
         "distribution": _extract_distribution(policy, result),
         "overhead": result.solver_overhead_s,
         "rebalances": result.num_rebalances,
-        "wall_s": time.perf_counter() - wall0,
-        "metrics": get_registry().delta_since(metrics_mark),
         "report": report.to_dict(),
     }
     if result.ledger is not None:
-        # counts and summaries only: the scorecard and history readers
-        # need no decision records, and the full ledger is read from the
-        # live run (repro explain, --trace-out, the dashboard)
+        # counts and summaries only: the chaos scorecard needs no
+        # decision records, and the full ledger is read from the live
+        # run (repro explain, --trace-out, the dashboard)
         payload["ledger"] = result.ledger.summary()
     from repro.obs.critpath import analyze_trace, payload_from_analysis
 
@@ -477,10 +464,10 @@ class ResultCache:
     sharing one cache directory can never observe torn entries.
     """
 
-    #: payload keys that describe one execution, not the run: host wall
-    #: clock, registry delta and profile differ between executions of
-    #: one key, so they travel with fresh runs only
-    FRESH_ONLY = ("wall_s", "metrics", "profile")
+    #: payload keys that describe one execution, not the run: a profile
+    #: differs between executions of one key, so it travels with fresh
+    #: runs only
+    FRESH_ONLY = ("profile",)
     #: the columns every payload holds; an entry without them is unreadable
     RESULT_KEYS = frozenset(
         ("makespan", "idle_fractions", "distribution", "overhead", "rebalances")
@@ -577,11 +564,6 @@ class SweepStats:
     #: (:meth:`ResultCache.entry`) whether cached or fresh; chaos
     #: campaigns read per-run resilience sections from here
     payloads: list = field(default_factory=list)
-    #: run manifests in aggregation order (cached and fresh alike)
-    reports: list = field(default_factory=list)
-    #: metrics snapshot merged over the fresh runs' registry deltas: the
-    #: work this sweep did, so a fully warm sweep merges none
-    metrics: dict = field(default_factory=dict)
     #: merged phase-attributed CPU profile (profiled sweeps only)
     profile: dict = field(default_factory=dict)
 
@@ -696,10 +678,8 @@ def run_sweep(
         the ``REPRO_CACHE`` environment variable.
     stats:
         Optional out-parameter; filled with what the sweep did.  Its
-        payloads and reports are equal whether served cold or warm; the
-        fresh-only telemetry (registry deltas into ``stats.metrics``,
-        wall clocks into ``sweep.job_wall_s`` and the history store,
-        profiles) comes from the runs this call executed.
+        payloads are equal whether served cold or warm; a profile comes
+        from the runs this call executed.
     profile:
         Capture a phase-attributed CPU profile of every run (default:
         the ``REPRO_PROFILE`` environment variable).  Worker profiles
@@ -749,8 +729,6 @@ def run_sweep(
     stats.executed = len(fresh)
     for slot, payload in zip(miss_slots, fresh):
         payloads[slot] = ResultCache.entry(payload)
-        if "metrics" in payload:
-            merge_snapshots(stats.metrics, payload["metrics"])
         snapshot = payload.get("profile")
         if snapshot is not None:
             merge_profiles(stats.profile, snapshot)
@@ -782,44 +760,11 @@ def run_sweep(
         )
 
     stats.payloads.extend(payloads)
-    for payload in payloads:
-        report = payload.get("report")
-        if report is not None:
-            stats.reports.append(report)
-
-    # Record freshly executed runs (never cache hits — replays would
-    # double-count samples) when REPRO_HISTORY enables the store.  The
-    # history is telemetry: failure to write it must not fail the sweep.
-    if fresh:
-        try:
-            from repro.obs.history import (
-                HistoryStore,
-                calibration_entry,
-                run_entry,
-            )
-
-            history = HistoryStore.from_env()
-            if history is not None:
-                for payload in fresh:
-                    report = payload.get("report")
-                    if report is not None:
-                        history.append(
-                            run_entry(report, wall_s=payload.get("wall_s"))
-                        )
-                        ledger = payload.get("ledger")
-                        if ledger and ledger.get("calibration"):
-                            history.append(calibration_entry(report, ledger))
-        except Exception:
-            _log.warning("failed to record sweep history", exc_info=True)
-
     stats.wall_s = time.perf_counter() - t0
     registry = get_registry()
     registry.inc("sweep.jobs", stats.total_runs)
     registry.inc("sweep.cache_hits", stats.cache_hits)
     registry.inc("sweep.cache_misses", stats.executed)
-    for payload in fresh:
-        if "wall_s" in payload:
-            registry.observe("sweep.job_wall_s", payload["wall_s"])
     _events.instant(
         "sweep.complete",
         runs=stats.total_runs,

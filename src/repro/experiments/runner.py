@@ -25,7 +25,7 @@ from repro.cluster.topology import Cluster
 from repro.core import PLBHeC
 from repro.errors import ConfigurationError
 from repro.runtime import RunResult, SchedulingPolicy
-from repro.util.stats import mean_std
+from repro.util.stats import left_sum, mean_std
 
 __all__ = [
     "PolicyOutcome",
@@ -146,7 +146,7 @@ class PolicyOutcome:
             return {}
         keys = self.idle_fractions[0].keys()
         return {
-            k: sum(d[k] for d in self.idle_fractions) / len(self.idle_fractions)
+            k: left_sum(d[k] for d in self.idle_fractions) / len(self.idle_fractions)
             for k in keys
         }
 
@@ -156,7 +156,7 @@ class PolicyOutcome:
             return {}
         keys = self.distributions[0].keys()
         return {
-            k: sum(d[k] for d in self.distributions) / len(self.distributions)
+            k: left_sum(d[k] for d in self.distributions) / len(self.distributions)
             for k in keys
         }
 
@@ -187,7 +187,7 @@ def _extract_distribution(policy: SchedulingPolicy, result: RunResult) -> dict[s
     if isinstance(policy, PLBHeC) and policy.first_partition is not None:
         return policy.first_partition.fractions
     if isinstance(policy, HDSS) and policy.weights:
-        total = sum(policy.weights.values())
+        total = left_sum(policy.weights.values())
         return {d: w / total for d, w in policy.weights.items()}
     return result.trace.distribution(phase="exec")
 

@@ -17,8 +17,6 @@ The legs every experiment stands on:
   collapsed stacks, flamegraph SVGs, hot-function tables;
 * :mod:`repro.obs.report` — the per-run :class:`RunReport` manifest
   cached alongside sweep results;
-* :mod:`repro.obs.history` — the append-only JSONL run/campaign
-  history store (``.repro_history/``, ``REPRO_HISTORY``);
 * :mod:`repro.obs.regress` — built-in anomaly detectors over a run's
   telemetry, SLO report and critical path;
 * :mod:`repro.obs.ledger` — the scheduler decision ledger: one record
@@ -73,15 +71,6 @@ from repro.obs.events import (
     new_run_id,
     push_run_id,
 )
-from repro.obs.history import (
-    HistoryStore,
-    calibration_entry,
-    fingerprint_hash,
-    git_rev,
-    host_fingerprint,
-    run_entry,
-    validate_entry,
-)
 from repro.obs.ledger import (
     DecisionLedger,
     DecisionRecord,
@@ -96,7 +85,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    merge_snapshots,
     reset_registry,
     set_registry,
     snapshot_to_prometheus,
@@ -120,7 +108,6 @@ from repro.obs.regress import (
     Anomaly,
     detect_anomalies,
     detect_critpath_anomalies,
-    detect_report_anomalies,
     detect_slo_anomalies,
 )
 from repro.obs.report import RunReport, config_hash
@@ -172,7 +159,6 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
-    "HistoryStore",
     "MetricsRegistry",
     "PROFILE_PHASES",
     "PhaseProfiler",
@@ -185,7 +171,6 @@ __all__ = [
     "active_profiler",
     "analyze_trace",
     "attach_jsonl_sink",
-    "calibration_entry",
     "category_shares",
     "collapsed_stacks",
     "collect_dashboard_data",
@@ -195,21 +180,16 @@ __all__ = [
     "detach_sink",
     "detect_anomalies",
     "detect_critpath_anomalies",
-    "detect_report_anomalies",
     "detect_slo_anomalies",
     "emit_slo_alerts",
     "evaluate_slo",
     "ewma_drift",
-    "fingerprint_hash",
     "get_registry",
-    "git_rev",
     "hot_functions",
-    "host_fingerprint",
     "jain_fairness",
     "load_slo_spec",
     "mape",
     "merge_profiles",
-    "merge_snapshots",
     "new_run_id",
     "payload_from_analysis",
     "phase_breakdown",
@@ -225,7 +205,6 @@ __all__ = [
     "render_flamegraph_svg",
     "render_top",
     "reset_registry",
-    "run_entry",
     "set_registry",
     "signed_bias",
     "slo_alerts",
@@ -239,7 +218,6 @@ __all__ = [
     "trace_to_events",
     "validate_chrome_trace",
     "validate_critpath",
-    "validate_entry",
     "validate_explain",
     "validate_series",
     "validate_slo_report",

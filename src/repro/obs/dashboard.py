@@ -2,10 +2,10 @@
 
 One static file that answers "what changed and why" for a run of the
 reproduction: per-policy makespan and idleness (the shape of the
-paper's Figs. 4-7), solver convergence (KKT error per interior-point
-iteration), a per-worker Gantt strip rendered from the
-:class:`~repro.sim.trace.ExecutionTrace`, and the anomaly findings from
-:mod:`repro.obs.regress`.
+paper's Figs. 4-7), solver convergence (each solve's method, steps and
+KKT error, from the live run's decision ledger), a per-worker Gantt
+strip rendered from the :class:`~repro.sim.trace.ExecutionTrace`, and
+the anomaly findings from :mod:`repro.obs.regress`.
 
 Constraints, enforced by the tests:
 
@@ -29,24 +29,27 @@ series colors, and every mark has a ``<title>`` hover tooltip.
 from __future__ import annotations
 
 import math
+import os
+import platform
+import subprocess
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 from xml.sax.saxutils import escape
 
 from repro.obs.artifact import write_text
-from repro.obs.history import git_rev, host_fingerprint
 from repro.obs.ledger import decision_rows, ledger_summary
 from repro.obs.metrics import _parse_series_key
 from repro.obs.regress import Anomaly
+from repro.util.stats import left_sum
 
 if TYPE_CHECKING:  # the render stack is imported lazily: repro.obs is
     # loaded by low-level modules (sim.engine), and importing the
     # experiment/simulator layers here would close an import cycle
     from repro.experiments.runner import SweepPoint
     from repro.sim.trace import ExecutionTrace
-    from repro.solver.diagnostics import ConvergenceReport
 
 __all__ = [
     "DashboardData",
@@ -140,8 +143,6 @@ class DashboardData:
     host: dict = field(default_factory=dict)
     git_rev: str | None = None
     point: SweepPoint | None = None
-    convergence: ConvergenceReport | None = None
-    convergence_history: list[dict] = field(default_factory=list)
     trace: ExecutionTrace | None = None
     trace_policy: str = "plb-hec"
     anomalies: list[Anomaly] = field(default_factory=list)
@@ -160,6 +161,30 @@ class DashboardData:
     critpath: dict = field(default_factory=dict)
 
 
+def _host_fingerprint() -> dict[str, Any]:
+    """The machine the header's numbers were measured on."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def _git_rev() -> str | None:
+    """The current git revision, or None outside a repo / without git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else None
+
+
 def collect_dashboard_data(
     *,
     app: str = "matmul",
@@ -174,20 +199,25 @@ def collect_dashboard_data(
     """Run the workload and gather every section's inputs.
 
     The policy comparison goes through the sweep engine (so
-    ``REPRO_JOBS``/``REPRO_CACHE`` apply); the Gantt/anomaly section
-    re-runs one PLB-HeC instance to get a live trace and a per-run
-    metrics delta; the convergence section performs one recorded
-    interior-point solve on models fitted for the same scenario.
+    ``REPRO_JOBS``/``REPRO_CACHE`` apply); every other section reads
+    one live PLB-HeC run of the same scenario: its trace, per-run
+    metrics delta, sampled series, profile and decision ledger (whose
+    solves the convergence section shows).  Nothing else is fitted or
+    solved.
     """
     from repro.cluster import paper_cluster
     from repro.experiments.runner import make_application, make_policy, run_policies
-    from repro.experiments.solver_overhead import fitted_models_for_scenario
+    from repro.obs.critpath import analyze_trace
     from repro.obs.metrics import get_registry
-    from repro.obs.regress import detect_anomalies
+    from repro.obs.profiler import profiling
+    from repro.obs.regress import (
+        detect_anomalies,
+        detect_critpath_anomalies,
+        detect_slo_anomalies,
+    )
+    from repro.obs.slo import DEFAULT_SLO_SPEC, evaluate_slo
+    from repro.obs.timeseries import ClusterSampler
     from repro.runtime import Runtime
-    from repro.solver.diagnostics import analyze_convergence
-    from repro.solver.ipm import IPMOptions, InteriorPointSolver
-    from repro.solver.problem import build_partition_nlp, initial_partition_point
 
     data = DashboardData(
         config={
@@ -199,8 +229,8 @@ def collect_dashboard_data(
             "replications": replications,
         },
         generated_at=time.strftime("%Y-%m-%d %H:%M:%S %z"),
-        host=host_fingerprint(),
-        git_rev=git_rev(),
+        host=_host_fingerprint(),
+        git_rev=_git_rev(),
         resilience=dict(scorecard) if scorecard else {},
     )
 
@@ -218,18 +248,12 @@ def collect_dashboard_data(
     # metrics delta, idle fractions and phase summary.  The run executes
     # under the phase profiler so the CPU-profile section shows where
     # this scenario's host time actually goes.
-    from repro.obs.profiler import profiling
-
     application = make_application(app, size)
     registry = get_registry()
     mark = registry.mark()
     runtime = Runtime(
         paper_cluster(machines), application.codelet(), seed=seed, noise_sigma=noise
     )
-    from repro.obs.regress import detect_slo_anomalies
-    from repro.obs.slo import DEFAULT_SLO_SPEC, evaluate_slo
-    from repro.obs.timeseries import ClusterSampler
-
     sampler = ClusterSampler(0.0)  # auto interval, ~makespan/128
     with profiling() as prof:
         result = runtime.run(
@@ -255,31 +279,8 @@ def collect_dashboard_data(
         idle_fractions=result.idle_fractions,
     )
     data.anomalies += detect_slo_anomalies(data.slo)
-
-    from repro.obs.critpath import analyze_trace
-    from repro.obs.regress import detect_critpath_anomalies
-
     data.critpath = analyze_trace(result.trace)
     data.anomalies += detect_critpath_anomalies(data.critpath)
-
-    # One recorded solve for the convergence section.
-    models = list(
-        fitted_models_for_scenario(
-            app_name=app, size=size, num_machines=machines, seed=seed,
-            noise_sigma=noise,
-        ).values()
-    )
-    total_units = float(application.total_units)
-    nlp = build_partition_nlp(models, total_units)
-    x0 = initial_partition_point(models, total_units)
-    solver = InteriorPointSolver(
-        IPMOptions(
-            tol=1e-8, max_iter=150, barrier_strategy="adaptive", record_history=True
-        )
-    )
-    ipm_result = solver.solve(nlp, x0)
-    data.convergence = analyze_convergence(ipm_result)
-    data.convergence_history = list(ipm_result.history)
     return data
 
 
@@ -287,14 +288,14 @@ def chaos_dashboard_data(scorecard: Mapping[str, Any]) -> DashboardData:
     """A dashboard carrying only the resilience section.
 
     ``repro chaos --dashboard`` renders its scorecard without paying
-    for the full sweep/convergence/profile collection; every other
-    section shows its empty state.
+    for the full sweep and live-run collection; every other section
+    shows its empty state.
     """
     return DashboardData(
         config=dict(scorecard.get("config", {})),
         generated_at=time.strftime("%Y-%m-%d %H:%M:%S %z"),
-        host=host_fingerprint(),
-        git_rev=git_rev(),
+        host=_host_fingerprint(),
+        git_rev=_git_rev(),
         resilience=dict(scorecard),
     )
 
@@ -449,13 +450,13 @@ def _line_chart(
         floor = min((y for y in ys if y > 0), default=1e-12)
         ys = [max(y, floor) for y in ys]
         lo_e = math.floor(math.log10(min(ys)))
-        hi_e = math.ceil(math.log10(max(ys))) or lo_e + 1
+        hi_e = math.ceil(math.log10(max(ys)))
         if hi_e == lo_e:
             hi_e += 1
         ticks = [10.0**e for e in range(lo_e, hi_e + 1)]
 
         def ty(v: float) -> float:
-            frac = (math.log10(max(v, floor)) - lo_e) / (hi_e - lo_e)
+            frac = (math.log10(max(v, 10.0**lo_e)) - lo_e) / (hi_e - lo_e)
             return margin_t + plot_h * (1.0 - frac)
 
         def tick_label(t: float) -> str:
@@ -591,6 +592,17 @@ def _legend(entries: Sequence[tuple[str, str]]) -> str:
     return f'<div class="legend">{keys}</div>'
 
 
+def _tiles(tiles: Iterable[tuple[str, str, str]]) -> str:
+    """A row of (label, value, hint) stat tiles."""
+    cells = "".join(
+        f'<div class="tile"><div class="label">{escape(label)}</div>'
+        f'<div class="value">{escape(value)}</div>'
+        f'<div class="hint">{escape(hint)}</div></div>'
+        for label, value, hint in tiles
+    )
+    return f'<div class="tiles">{cells}</div>'
+
+
 def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     head = "".join(
         f'<th{" class=num" if i else ""}>{escape(str(h))}</th>'
@@ -671,40 +683,45 @@ def _section_policies(point: SweepPoint | None) -> str:
     )
 
 
-def _section_convergence(
-    report: ConvergenceReport | None, history: Sequence[Mapping[str, Any]]
-) -> str:
-    if report is None:
-        return "<section><h2>Solver convergence</h2><p class='empty'>no recorded solve</p></section>"
-    tiles = (
-        ("iterations", f"{report.iterations}", ""),
-        ("converged", "yes" if report.converged else "NO", ""),
-        ("final KKT error", f"{report.final_kkt_error:.2e}", ""),
-        ("restorations", f"{report.restorations}", ""),
-        ("mean step length", f"{report.mean_step_length:.3f}", ""),
-    )
-    tiles_html = "".join(
-        f'<div class="tile"><div class="label">{escape(label)}</div>'
-        f'<div class="value">{escape(value)}</div>'
-        f'<div class="hint">{escape(hint)}</div></div>'
-        for label, value, hint in tiles
-    )
-    chart = ""
-    if history:
-        pts = [
-            (float(h.get("iter", i)), float(h.get("kkt_error", float("nan"))))
-            for i, h in enumerate(history)
-        ]
-        chart = _line_chart(
-            [("KKT error", "var(--series-1)", pts)],
-            log_y=True,
-            x_label="interior-point iteration",
+def _section_convergence(ledger: Mapping[str, Any]) -> str:
+    # the execution-phase decisions a solver answered (not a fallback)
+    solves = [
+        d["solver"]
+        for d in ledger.get("decisions", [])
+        if d.get("phase") == "execution" and not d["solver"].get("fallback_stage")
+    ]
+    if not solves:
+        return (
+            "<section><h2>Solver convergence</h2><p class='empty'>no "
+            "solver-answered decision</p></section>"
         )
+    methods = Counter(s["method"] for s in solves)
+    # a non-finite KKT error reaches the ledger dict as None
+    kkts = [s["kkt_error"] for s in solves if s["kkt_error"] is not None]
+    tiles = (
+        (
+            "solves",
+            str(len(solves)),
+            ", ".join(f"{m} ×{n}" for m, n in sorted(methods.items())),
+        ),
+        ("most steps", str(max(int(s["iterations"]) for s in solves)), ""),
+        ("worst KKT error", f"{max(kkts):.2e}" if kkts else "—", ""),
+        ("restorations", str(sum(int(s.get("restorations", 0)) for s in solves)), ""),
+    )
+    chart = _line_chart(
+        [("KKT error", "var(--series-1)", list(enumerate(kkts)))],
+        log_y=True,
+        x_label="solve (decision order)",
+    )
     return (
         "<section><h2>Solver convergence</h2>"
-        "<p class='sub'>one recorded interior-point block-partition solve "
-        "for this scenario (Sec. V.a overhead statistic)</p>"
-        f'<div class="tiles">{tiles_html}</div>' + chart + "</section>"
+        "<p class='sub'>every block-partition solve of the live PLB-HeC "
+        "run above, from its decision ledger: the answering method "
+        "(Newton steps for the certificate, iterations for the "
+        "interior-point method) and the final KKT error (Sec. V.a)</p>"
+        + _tiles(tiles)
+        + chart
+        + "</section>"
     )
 
 
@@ -787,12 +804,6 @@ def _section_critpath(critpath: Mapping[str, Any]) -> str:
             f"{headroom(float(bounds.get('perfect_balance', 0.0)))} headroom",
         ),
     ]
-    tiles_html = "".join(
-        f'<div class="tile"><div class="label">{escape(label)}</div>'
-        f'<div class="value">{escape(value)}</div>'
-        f'<div class="hint">{escape(hint)}</div></div>'
-        for label, value, hint in tiles
-    )
 
     bottleneck = dict(critpath.get("bottleneck", {}))
     speedup = dict(bounds.get("device_speedup", {}))
@@ -844,7 +855,7 @@ def _section_critpath(critpath: Mapping[str, Any]) -> str:
         "<p class='sub'>provable floors on this run's makespan under "
         "idealized conditions — how much a perfect interconnect, a free "
         "scheduler, or the &#931;work/&#931;speed oracle could save</p>"
-        f'<div class="tiles">{tiles_html}</div>'
+        + _tiles(tiles)
         + device_table
         + blame_html
         + "</section>"
@@ -864,12 +875,6 @@ def _section_profile(profile: Mapping[str, Any]) -> str:
     )
 
     breakdown = phase_breakdown(profile)
-    tiles_html = "".join(
-        f'<div class="tile"><div class="label">{escape(phase)}</div>'
-        f'<div class="value">{d["share"] * 100:.1f}%</div>'
-        f'<div class="hint">{d["self_s"] * 1e3:.1f}ms self</div></div>'
-        for phase, d in breakdown.items()
-    )
     flame = render_flamegraph_svg(
         profile, title="host CPU time by phase and call stack"
     )
@@ -882,7 +887,10 @@ def _section_profile(profile: Mapping[str, Any]) -> str:
         "<p class='sub'>deterministic phase-attributed profile of the live "
         "PLB-HeC run above — where the scheduler's host time goes "
         "(probe/fit/solve/execute/overhead)</p>"
-        f'<div class="tiles">{tiles_html}</div>'
+        + _tiles(
+            (phase, f"{d['share'] * 100:.1f}%", f"{d['self_s'] * 1e3:.1f}ms self")
+            for phase, d in breakdown.items()
+        )
         + flame
         + table
         + "</section>"
@@ -931,12 +939,6 @@ def _section_decisions(ledger: Mapping[str, Any]) -> str:
             str(sum(fallback_stages.values())),
             ", ".join(sorted(fallback_stages)) if fallback_stages else "none",
         ),
-    )
-    tiles_html = "".join(
-        f'<div class="tile"><div class="label">{escape(label)}</div>'
-        f'<div class="value">{escape(value)}</div>'
-        f'<div class="hint">{escape(hint)}</div></div>'
-        for label, value, hint in tiles
     )
 
     calibration = dict(ledger.get("calibration", {}))
@@ -1029,7 +1031,7 @@ def _section_decisions(ledger: Mapping[str, Any]) -> str:
         "— every partition the scheduler committed to, what the solver "
         "reported, and how its block-time predictions calibrated against "
         "execution (<code>repro explain</code>)</p>"
-        f'<div class="tiles">{tiles_html}</div>'
+        + _tiles(tiles)
         + table
         + "<h2 style='margin-top:18px'>Prediction calibration</h2>"
         "<p class='sub'>per-device mean predicted vs observed block time "
@@ -1094,7 +1096,7 @@ def _section_telemetry(series: Mapping[str, Any], slo: Mapping[str, Any]) -> str
     for key in sorted(utils):
         device = _parse_series_key(key)[1].get("device", key)
         values = [v for _, v in utils[key]]
-        mean_util = sum(values) / len(values) if values else 0.0
+        mean_util = left_sum(values) / len(values) if values else 0.0
         rows.append(
             f"<tr><td>{escape(device)}</td>"
             f"<td>{_spark_svg(values, lo=0.0, hi=1.0, title=f'{device} utilization')}</td>"
@@ -1278,7 +1280,7 @@ def render_dashboard(data: DashboardData) -> str:
     meta_bits.append(escape(data.generated_at))
     sections = [
         _section_policies(data.point),
-        _section_convergence(data.convergence, data.convergence_history),
+        _section_convergence(data.ledger),
         _section_gantt(data.trace, data.trace_policy),
         _section_critpath(data.critpath),
         _section_telemetry(data.series, data.slo),

@@ -1,7 +1,7 @@
 """The scheduler decision ledger: *why* every allocation happened.
 
 The rest of the obs stack records what a run did (metrics, traces,
-history); the ledger records the scheduler's side of the story.  Every
+series); the ledger records the scheduler's side of the story.  Every
 time PLB-HeC fixes block sizes — a probe round, the end-of-modeling
 selection, a skew-triggered rebalance, a fault redistribution, a
 fallback — it opens a :class:`DecisionRecord` capturing the full causal
@@ -16,7 +16,8 @@ policy feeds the ``(predicted, observed)`` pair back via
 (decision, device) and per-device whole-run calibration
 (:mod:`repro.obs.calibration`), which is what ``repro explain``, the
 ``explain.jsonl`` artifact, the ``plbhec.calibration.*`` gauges and the
-dashboard's "Scheduler decisions" section all render.
+dashboard's "Scheduler decisions" and "Solver convergence" sections all
+render.
 
 Determinism: a ledger contains virtual times and pure solver/model
 numbers only — no wall-clock timestamps — so two runs of the same
@@ -40,6 +41,7 @@ from repro.obs.artifact import (
     COUNT, FINITE, OBJECT, STR, check, list_of, map_of, one_of, read_json, write_json,
 )
 from repro.obs.calibration import DRIFT_ALPHA, DeviceCalibration
+from repro.util.stats import left_sum
 
 __all__ = [
     "EXPLAIN_SCHEMA",
@@ -439,7 +441,7 @@ def decision_rows(data: dict) -> Iterable[dict]:
             "predicted_time": d.get("predicted_time"),
             "devices": len(d.get("allocation", {})),
             "blocks": blocks,
-            "mape": sum(mapes) / len(mapes) if mapes else None,
+            "mape": left_sum(mapes) / len(mapes) if mapes else None,
         }
 
 
@@ -449,8 +451,8 @@ def ledger_summary(data: Mapping[str, Any]) -> dict:
 
     Reads either form, :meth:`DecisionLedger.to_dict` or the
     :meth:`DecisionLedger.summary` sweep payloads carry.  Shared by
-    ``repro explain``, the dashboard's decision tiles, the chaos
-    scorecard's run rows and the history store's calibration entries.
+    ``repro explain``, the dashboard's decision tiles and the chaos
+    scorecard's run rows.
     """
     attribution = data.get("attribution", {})
     attributed = int(attribution.get("attributed", 0) or 0)
@@ -462,6 +464,6 @@ def ledger_summary(data: Mapping[str, Any]) -> dict:
         "attributed": attributed,
         "total": total,
         "coverage": attributed / total if total else 0.0,
-        # in first-fired order, as scorecards and history serialise them
+        # in first-fired order, as scorecards serialise them
         "fallback_stages": dict(Counter(data.get("fallback_stages", ()))),
     }

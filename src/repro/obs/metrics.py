@@ -9,9 +9,8 @@ optional labels, safe to update from multiple threads, whose
 :meth:`~MetricsRegistry.snapshot` is a plain JSON-compatible dict that
 crosses process boundaries.  One run's share comes from
 :meth:`~MetricsRegistry.mark` and :meth:`~MetricsRegistry.delta_since`
-(the parallel sweep engine ships those per-run deltas back from its
-pool workers), and costs what the run recorded, not what the process
-has recorded so far.
+(``repro run --metrics-out``), and costs what the run recorded, not
+what the process has recorded so far.
 
 Design choices, deliberately boring:
 
@@ -35,7 +34,7 @@ Usage::
     reg = get_registry()
     reg.inc("plbhec.rebalances")
     reg.set_gauge("plbhec.r2", 0.93, device="A.gpu0")
-    reg.observe("sweep.job_wall_s", 0.41)
+    reg.observe("plbhec.solve_ms", 0.41)
     reg.snapshot()["counters"]["plbhec.rebalances"]  # -> 1.0
 """
 
@@ -56,7 +55,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "reset_registry",
-    "merge_snapshots",
     "percentile",
     "snapshot_to_prometheus",
 ]
@@ -388,39 +386,6 @@ class MetricsRegistry:
             self._histograms.clear()
             self._label_sets.clear()
             self._overflowed.clear()
-
-
-def merge_snapshots(into: dict, other: dict) -> dict:
-    """Accumulate ``other`` into ``into`` (counters/histograms add).
-
-    Gauges take ``other``'s value when present.  Returns ``into`` for
-    chaining; aggregates the per-run deltas
-    (:meth:`MetricsRegistry.delta_since`) shipped back from sweep
-    workers.  A merged histogram keeps ``count``, ``sum``, ``min``,
-    ``max`` and ``mean = sum / count``; percentiles of separate runs
-    cannot be merged, so it carries none.
-    """
-    into.setdefault("counters", {})
-    into.setdefault("gauges", {})
-    into.setdefault("histograms", {})
-    for key, value in other.get("counters", {}).items():
-        into["counters"][key] = into["counters"].get(key, 0.0) + value
-    for key, value in other.get("gauges", {}).items():
-        into["gauges"][key] = value
-    for key, summ in other.get("histograms", {}).items():
-        prev = into["histograms"].get(key, {})
-        merged = {
-            "count": prev.get("count", 0) + summ.get("count", 0),
-            "sum": prev.get("sum", 0.0) + summ.get("sum", 0.0),
-        }
-        for stat, pick in (("min", min), ("max", max)):
-            values = [part[stat] for part in (prev, summ) if stat in part]
-            if values:
-                merged[stat] = pick(values)
-        if merged["count"] > 0:
-            merged["mean"] = merged["sum"] / merged["count"]
-        into["histograms"][key] = merged
-    return into
 
 
 # ----------------------------------------------------------------------

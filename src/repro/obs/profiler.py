@@ -1,8 +1,8 @@
 """Deterministic phase-attributed CPU profiling (``repro profile``).
 
 The observability layer up to here can say *that* a run got slower
-(metrics, history, the paired perf gate in ``benchmarks/perf_gate.py``)
-but not *where*.  This module closes that gap with a zero-dependency
+(metrics, the paired perf gate in ``benchmarks/perf_gate.py``) but not
+*where*.  This module closes that gap with a zero-dependency
 profiling subsystem built on :mod:`cProfile`:
 
 * :class:`PhaseProfiler` keeps **one deterministic profile per

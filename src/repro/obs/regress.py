@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import _parse_series_key
@@ -22,23 +22,11 @@ from repro.obs.metrics import _parse_series_key
 __all__ = [
     "Anomaly",
     "detect_anomalies",
-    "detect_report_anomalies",
     "detect_slo_anomalies",
     "detect_critpath_anomalies",
 ]
 
 _events = EventLog("obs.regress", level=logging.WARNING)
-
-#: Fewest baseline samples a drift comparison will accept.
-MIN_BASELINE_SAMPLES = 2
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    return ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-
 
 @dataclass(frozen=True)
 class Anomaly:
@@ -246,20 +234,6 @@ def detect_anomalies(
     return findings
 
 
-def detect_report_anomalies(report: Mapping[str, Any], **kwargs: Any) -> list[Anomaly]:
-    """Run the detectors over a RunReport dict (``repro run --metrics-out``).
-
-    A sweep's reports carry no metrics (a run's registry delta is
-    fresh-only and reaches ``SweepStats.metrics`` merged), so only the
-    phase-summary detectors see them.
-    """
-    return detect_anomalies(
-        phase_summary=report.get("phase_summary", {}),
-        metrics=report.get("metrics", {}),
-        **kwargs,
-    )
-
-
 def detect_slo_anomalies(
     report: Mapping[str, Any], *, emit: bool = True
 ) -> list[Anomaly]:
@@ -325,21 +299,12 @@ CRITPATH_IDLE_SHARE_THRESHOLD = 0.20
 #: argument only holds while solve time stays a small tax on compute.
 CRITPATH_SOLVER_SHARE_THRESHOLD = 0.25
 
-#: A critical-path category share moving by more than this many
-#: percentage points against matched history is drift worth flagging
-#: (jitter stays in single digits, structural shifts — a new barrier, a
-#: lost overlap — don't).
-CRITPATH_DRIFT_PP = 5.0
-
 
 def detect_critpath_anomalies(
     analysis: Mapping[str, Any],
-    baseline_shares: Sequence[Mapping[str, float]] = (),
     *,
     idle_share_threshold: float = CRITPATH_IDLE_SHARE_THRESHOLD,
     solver_share_threshold: float = CRITPATH_SOLVER_SHARE_THRESHOLD,
-    drift_pp: float = CRITPATH_DRIFT_PP,
-    min_samples: int = MIN_BASELINE_SAMPLES,
     emit: bool = True,
 ) -> list[Anomaly]:
     """Flag makespan-attribution pathologies in a critical-path analysis.
@@ -350,14 +315,9 @@ def detect_critpath_anomalies(
     ``categories`` are read, so either works; taken as a mapping to
     keep this module import-cycle-free).
 
-    Two absolute checks fire without any history: device idle share
-    above ``idle_share_threshold`` (``critpath.idle-share``) and solver
-    share above ``solver_share_threshold`` (``critpath.solver-share``).
-    When ``baseline_shares`` carries at least ``min_samples`` prior
-    ``{category: share}`` maps, every category whose share moved more
-    than ``drift_pp`` percentage points off the baseline median is
-    flagged as ``critpath.drift``; below ``min_samples`` the drift check
-    stays neutral.
+    Two absolute checks: device idle share above
+    ``idle_share_threshold`` (``critpath.idle-share``) and solver share
+    above ``solver_share_threshold`` (``critpath.solver-share``).
 
     Findings are advisory (``severity="warning"``): attribution tells
     you *where* the makespan went, not whether that is a regression.
@@ -405,38 +365,6 @@ def detect_critpath_anomalies(
                 context={"categories": {k: round(v, 6) for k, v in shares.items()}},
             )
         )
-
-    if len(baseline_shares) >= min_samples:
-        for category in sorted(shares):
-            current = shares[category]
-            history = sorted(
-                float(s.get(category, 0.0)) for s in baseline_shares
-            )
-            base = _median(history)
-            delta_pp = (current - base) * 100.0
-            if abs(delta_pp) > drift_pp:
-                direction = "grew" if delta_pp > 0 else "shrank"
-                findings.append(
-                    Anomaly(
-                        name="critpath.drift",
-                        severity="warning",
-                        message=(
-                            f"critical-path {category} {direction} from "
-                            f"{base:.1%} to {current:.1%} of makespan "
-                            f"({delta_pp:+.1f}pp, threshold "
-                            f"±{drift_pp:.1f}pp over "
-                            f"{len(baseline_shares)} matched runs)"
-                        ),
-                        value=delta_pp,
-                        threshold=drift_pp,
-                        context={
-                            "category": category,
-                            "current_share": current,
-                            "baseline_median": base,
-                            "samples": len(baseline_shares),
-                        },
-                    )
-                )
 
     if emit:
         _emit(findings)

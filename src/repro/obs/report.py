@@ -4,9 +4,8 @@ One run = one manifest: what configuration ran (and its content hash),
 what the run did (makespan, rebalances, phase summary) and, for
 ``repro run --metrics-out``, what the instruments measured while it ran
 (a metrics-registry delta).  The sweep engine stores the manifest
-without metrics inside every cache entry, so a cache-served run carries
-the manifest a fresh one does; the registry delta travels only with the
-fresh run (``SweepStats.metrics``).
+without metrics inside every payload and cache entry, so a cache-served
+run carries the manifest a fresh one does.
 """
 
 from __future__ import annotations

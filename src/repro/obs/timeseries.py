@@ -545,7 +545,7 @@ def sparkline(
         # average the bucket of samples this cell covers
         a = i * n // width
         b = max((i + 1) * n // width, a + 1)
-        v = sum(values[a:b]) / (b - a)
+        v = left_sum(values[a:b]) / (b - a)
         frac = 0.0 if span <= 0 else (v - lo) / span
         frac = min(max(frac, 0.0), 1.0)
         cells.append(_SPARK_BLOCKS[round(frac * (len(_SPARK_BLOCKS) - 1))])
@@ -600,7 +600,7 @@ def render_top(
         values = [v for _, v in pts]
         current = values[-1] if values else 0.0
         if serve_mode:
-            share = sum(values) / len(values) if values else 0.0
+            share = left_sum(values) / len(values) if values else 0.0
             busy_cell = f"{share:.0%} of samples"
         else:
             busy_pts = store.points(

@@ -41,6 +41,7 @@ from repro.resilience.faults import fault_to_dict, generate_schedule
 from repro.resilience.invariants import check_makespan
 from repro.sim.random import RandomStreams
 from repro.util.logging import get_logger
+from repro.util.stats import left_sum
 
 if TYPE_CHECKING:
     from repro.service.campaign import ServeChaosConfig
@@ -75,7 +76,7 @@ class Slot(NamedTuple):
 
 def mean(values: list) -> float | None:
     """The arithmetic mean of ``values``, or None when there are none."""
-    return sum(values) / len(values) if values else None
+    return left_sum(values) / len(values) if values else None
 
 
 @dataclass(frozen=True)

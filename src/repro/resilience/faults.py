@@ -1,8 +1,8 @@
 """Fault serialisation and seeded randomized fault-schedule generation.
 
 Faults are the frozen dataclasses of :mod:`repro.runtime.faults`;
-this module adds a canonical dict form (for sweep cache keys, scorecard
-JSON and the campaign history) and a deterministic generator that turns
+this module adds a canonical dict form (for sweep cache keys and
+scorecard JSON) and a deterministic generator that turns
 a seeded random stream into a mixed fault schedule scaled to a run's
 fault-free horizon.
 """

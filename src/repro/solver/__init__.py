@@ -24,11 +24,6 @@ This package implements that algorithm from scratch:
   certificate fails, with its fallback chain behind both.
 """
 
-from repro.solver.diagnostics import (
-    ConvergenceReport,
-    analyze_convergence,
-    render_history,
-)
 from repro.solver.filter import Filter, FilterEntry
 from repro.solver.ipm import IPMOptions, IPMResult, InteriorPointSolver
 from repro.solver.nlp import NLPProblem
@@ -47,7 +42,4 @@ __all__ = [
     "waterfill_partition",
     "solve_block_partition",
     "PartitionResult",
-    "ConvergenceReport",
-    "analyze_convergence",
-    "render_history",
 ]

@@ -21,7 +21,7 @@ free.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class IPMOptions:
     alpha_min: float = 1e-12
     armijo_eta: float = 1e-4
     max_restoration_steps: int = 50
-    record_history: bool = False
     barrier_strategy: str = "monotone"
 
     def __post_init__(self) -> None:
@@ -100,10 +99,7 @@ class IPMResult:
     objective: float
     mu_final: float
     wall_time_s: float
-    history: list[dict] = field(default_factory=list)
-    #: feasibility-restoration phases entered during the solve (an exact
-    #: count, unlike the history-based heuristic in
-    #: :mod:`repro.solver.diagnostics`, which it supersedes)
+    #: feasibility-restoration phases entered during the solve
     restorations: int = 0
 
     @property
@@ -135,9 +131,9 @@ class InteriorPointSolver:
         failure).
         """
         # Attribute solver time to the "solve" profile phase even when
-        # called outside the policy (direct solves from the dashboard or
-        # experiments); nested re-entry from the policy's own solve
-        # scope is a cheap no-op.
+        # called outside the policy (direct solves from experiments);
+        # nested re-entry from the policy's own solve scope is a cheap
+        # no-op.
         with profile_phase("solve"):
             return self._solve_impl(problem, x0)
 
@@ -200,7 +196,6 @@ class InteriorPointSolver:
         z_up = np.where(has_up, mu / np.maximum(up - x, 1e-12), 0.0)
 
         flt = Filter()
-        history: list[dict] = []
         delta_w_last = 0.0
         status = "max_iterations"
         iteration = 0
@@ -366,20 +361,6 @@ class InteriorPointSolver:
             z_lo = self._safeguard(z_lo + alpha_dual * dz_lo, x - lo, mu, has_lo)
             z_up = self._safeguard(z_up + alpha_dual * dz_up, up - x, mu, has_up)
 
-            if opts.record_history:
-                history.append(
-                    {
-                        "iter": iteration,
-                        "mu": mu,
-                        "alpha": alpha,
-                        "theta": theta_k,
-                        "phi": phi_k,
-                        "kkt_error": kkt_err0,
-                        "f_type": f_type,
-                        "delta_w": delta_w_last,
-                    }
-                )
-
         if final_err is None:
             final_err = self._kkt_error(
                 problem, x, lam, z_lo, z_up, grad, c, jac, 0.0
@@ -406,7 +387,6 @@ class InteriorPointSolver:
             objective=problem.eval_objective(x),
             mu_final=mu,
             wall_time_s=time.perf_counter() - t0,
-            history=history,
             restorations=restorations,
         )
 

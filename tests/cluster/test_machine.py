@@ -68,6 +68,21 @@ class TestMachine:
         expected = m.cpu.peak_gflops + 2 * m.gpus[0].peak_gflops
         assert m.total_peak_gflops == pytest.approx(expected)
 
+    def test_total_peak_adds_the_gpus_left_to_right(self):
+        # the GPUs 1e16, 1, 1 total 1e16 left to right on every Python
+        # (3.12's compensated sum() would give 1.0000000000000002e16),
+        # then the CPU's 1.0 is added to that total
+        def gpu(clock_ghz):
+            return GPUSpec(
+                model="g", cores=1, sms=1, clock_ghz=clock_ghz,
+                mem_bandwidth_gbs=1.0, mem_gb=1.0, arch=GPUArch.KEPLER,
+                flops_per_cycle=1.0,
+            )
+
+        cpu = CPUSpec(model="c", cores=1, clock_ghz=1.0, flops_per_cycle=1.0)
+        m = Machine(name="m", cpu=cpu, gpus=(gpu(1e16), gpu(1.0), gpu(1.0)))
+        assert m.total_peak_gflops == 1.0 + 1e16
+
     def test_gpus_normalised_to_tuple(self):
         gpu = GPUSpec(
             model="g", cores=64, sms=2, clock_ghz=1.0,

@@ -89,6 +89,18 @@ class TestCluster:
         expected = sum(d.peak_gflops for d in c.devices())
         assert c.total_peak_gflops == pytest.approx(expected)
 
+    def test_total_peak_adds_left_to_right(self):
+    # 1e16 + 1 + 1 left to right is 1e16 on every Python; 3.12's
+    # compensated sum() would give 1.0000000000000002e16
+        gpu = GPUSpec(
+            model="g", cores=1, sms=1, clock_ghz=1.0, mem_bandwidth_gbs=1.0,
+            mem_gb=1.0, arch=GPUArch.KEPLER, flops_per_cycle=1.0,
+        )
+        cpu = CPUSpec(model="c", cores=1, clock_ghz=1e16, flops_per_cycle=1.0)
+        c = Cluster(machines=(Machine(name="x", cpu=cpu, gpus=(gpu, gpu)),))
+        assert [d.peak_gflops for d in c.devices()] == [1e16, 1.0, 1.0]
+        assert c.total_peak_gflops == 1e16
+
     def test_negative_max_gpus_rejected(self):
         with pytest.raises(ConfigurationError):
             Cluster(machines=(machine("x"),), max_gpus_per_machine=-1)

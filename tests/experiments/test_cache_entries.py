@@ -2,8 +2,9 @@
 
 Two empty caches filled from the same points hold byte-identical
 entries, and a key filled after a PLB-HeC run in the same process holds
-what it holds when filled first: the host wall clock, the registry delta
-and a profile describe one execution, so they never enter an entry.
+what it holds when filled first: a run's payload carries no host wall
+clock or registry delta, and a profile describes one execution, so it
+never enters an entry.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def test_two_fills_write_identical_entries(tmp_path):
     assert first == second
     entries = [json.loads(blob) for blob in first.values()]
     for entry in entries:
-        assert not set(ResultCache.FRESH_ONLY) & entry.keys()
+        assert not {"wall_s", "metrics", *ResultCache.FRESH_ONLY} & entry.keys()
         assert entry["report"]["metrics"] == {}
     assert sum("resilience" in e for e in entries) == 1
     assert sum("serve" in e for e in entries) == 1

@@ -273,25 +273,35 @@ class TestTelemetry:
         monkeypatch.setattr(Histogram, "summary", refuse)
         monkeypatch.setattr(Histogram, "percentile", refuse)
         spec = RunSpec("matmul", 4096, 2, policy, 3000, 0.005, 0.01)
-        metrics = _execute_run(spec, paper_cluster)["metrics"]
-        assert metrics["counters"]["sim.events_dispatched"] > 0
-        if policy == "plb-hec":
-            assert metrics["histograms"]["plbhec.solve_ms"]["count"] > 0
+        assert _execute_run(spec, paper_cluster)["makespan"] > 0
 
-    def test_payload_carries_report_and_wall_clock(self):
+    def test_payload_carries_report(self):
         from repro.experiments.parallel import _execute_run
         from repro.obs.report import RunReport
 
         spec = RunSpec("matmul", 1024, 1, "plb-hec", 3000, 0.005, 0.01)
         payload = _execute_run(spec, paper_cluster)
-        assert payload["wall_s"] > 0.0
         report = RunReport.from_dict(payload["report"])  # hash verifies
         assert report.config["app"] == "matmul"
         assert report.makespan == payload["makespan"]
-        # the registry delta is fresh-only: beside the manifest, not in it
-        assert payload["metrics"]["counters"]["plbhec.probe_rounds"] > 0
         assert report.metrics == {}
         assert "probe" in report.phase_summary
+
+    @pytest.mark.parametrize("policy", ["greedy", "plb-hec"])
+    def test_an_unprofiled_fresh_payload_is_its_cache_entry(self, policy):
+        """No registry delta and no wall clock: what a fresh run returns
+        is what the cache stores and replays."""
+        from repro.experiments.parallel import _execute_run
+
+        for spec in (
+            RunSpec("matmul", 1024, 1, policy, 3000, 0.005, 0.01),
+            RunSpec(
+                "matmul", 1024, 1, policy, 3000, 0.005, 0.01,
+                service_json=json.dumps({"arrivals": {"duration": 2.0}}),
+            ),
+        ):
+            payload = _execute_run(spec, paper_cluster)
+            assert payload == ResultCache.entry(payload)
 
     def test_sweep_counters_cold_then_warm(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry, set_registry
@@ -305,9 +315,6 @@ class TestTelemetry:
             assert cold["sweep.jobs"] == 6.0
             assert cold["sweep.cache_hits"] == 0.0
             assert cold["sweep.cache_misses"] == 6.0
-            # every fresh run observed its wall clock
-            hist = registry.snapshot()["histograms"]["sweep.job_wall_s"]
-            assert hist["count"] == 6
 
             registry.reset()
             run_sweep([SMALL], jobs=1, cache=cache)
@@ -318,51 +325,15 @@ class TestTelemetry:
         finally:
             set_registry(previous)
 
-    def test_stats_aggregate_reports_even_from_cache(self, tmp_path):
+    def test_stats_payloads_equal_cold_and_warm(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold_stats = SweepStats()
         run_sweep([SMALL], jobs=1, cache=cache, stats=cold_stats)
         warm_stats = SweepStats()
         run_sweep([SMALL], jobs=1, cache=cache, stats=warm_stats)
-        assert len(cold_stats.reports) == len(warm_stats.reports) == 6
-        # cache replay serves byte-identical manifests and payloads
-        assert warm_stats.reports == cold_stats.reports
+        assert len(cold_stats.payloads) == 6
+        # cache replay serves byte-identical payloads
         assert warm_stats.payloads == cold_stats.payloads
-        # the registry deltas of the runs the sweep executed...
-        merged = cold_stats.metrics["counters"]
-        assert merged["plbhec.probe_rounds"] > 0
-        assert merged["sim.events_dispatched"] > 0
-        # ...and a fully warm sweep executed none
-        assert warm_stats.metrics == {}
-
-    def test_sweep_merges_only_the_gauges_its_runs_wrote(self):
-        from repro.obs.metrics import MetricsRegistry, set_registry
-
-        greedy = PointSpec(
-            "matmul", 1024, 1, ("greedy",), replications=1, seed=5,
-            fixed_overhead_s=0.01,
-        )
-        plbhec = PointSpec(
-            "matmul", 2048, 2, ("plb-hec",), replications=1, seed=3,
-            fixed_overhead_s=0.01,
-        )
-
-        def greedy_gauges(before: list[PointSpec]) -> dict:
-            previous = set_registry(MetricsRegistry())
-            try:
-                if before:
-                    run_sweep(before, jobs=1, cache=None)
-                stats = SweepStats()
-                run_sweep([greedy], jobs=1, cache=None, stats=stats)
-                return stats.metrics["gauges"]
-            finally:
-                set_registry(previous)
-
-        first = greedy_gauges([])
-        assert first.keys() == {"sim.queue_max_depth"}
-        # the PLB-HeC sweep leaves its plbhec.* levels in the registry;
-        # the Greedy runs did not write them, so their deltas omit them
-        assert greedy_gauges([plbhec]) == first
 
 
 class TestBatching:
@@ -430,37 +401,13 @@ class TestRunIdTagging:
         assert payload["report"]["run_id"] == f"run-{expected}"
 
 
-class TestSweepHistoryRecording:
-    def test_fresh_runs_recorded_when_enabled(self, tmp_path, monkeypatch):
-        from repro.obs.history import HistoryStore
-
-        monkeypatch.setenv("REPRO_HISTORY", str(tmp_path / "hist"))
-        cache = ResultCache(tmp_path / "cache")
-        point = PointSpec("matmul", 1024, 1, ("greedy",), replications=2)
-        run_sweep([point], jobs=1, cache=cache)
-        store = HistoryStore(tmp_path / "hist")
-        entries = store.entries(kind="run")
-        assert len(entries) == 2
-        assert entries[0]["samples"]["makespan"] > 0
-        assert entries[0]["samples"]["wall_s"] is not None
-
-    def test_cache_hits_not_double_counted(self, tmp_path, monkeypatch):
-        from repro.obs.history import HistoryStore
-
-        monkeypatch.setenv("REPRO_HISTORY", str(tmp_path / "hist"))
-        cache = ResultCache(tmp_path / "cache")
-        point = PointSpec("matmul", 1024, 1, ("greedy",), replications=1)
-        run_sweep([point], jobs=1, cache=cache)
-        run_sweep([point], jobs=1, cache=cache)  # fully warm: no new entries
-        store = HistoryStore(tmp_path / "hist")
-        assert len(store.entries(kind="run")) == 1
-
-    def test_disabled_by_default(self, tmp_path, monkeypatch):
+class TestNoHistory:
+    def test_repro_history_sweep_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_HISTORY", raising=False)
+        monkeypatch.setenv("REPRO_HISTORY", "1")
         point = PointSpec("matmul", 1024, 1, ("greedy",), replications=1)
         run_sweep([point], jobs=1, cache=None)
-        assert not (tmp_path / ".repro_history").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 def profile_calls(profile, fragment):

@@ -50,6 +50,15 @@ class TestPolicyOutcome:
         assert o.mean_idle() == {}
         assert o.mean_distribution() == {}
 
+    def test_means_add_left_to_right(self):
+    # 1e16 + 1 + 1 left to right is 1e16 on every Python; 3.12's
+    # compensated sum() would give 1.0000000000000002e16
+        o = PolicyOutcome(policy="p")
+        o.idle_fractions = [{"a": 1e16}, {"a": 1.0}, {"a": 1.0}]
+        o.distributions = o.idle_fractions
+        assert o.mean_idle() == {"a": 1e16 / 3}
+        assert o.mean_distribution() == {"a": 1e16 / 3}
+
 
 class TestRunPolicies:
     def test_grid_point(self):

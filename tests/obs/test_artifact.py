@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.parallel import ResultCache
 from repro.obs.artifact import check, read_json, write_json, write_text
 from repro.obs.critpath import analyze_trace, validate_critpath, write_critpath
-from repro.obs.history import chaos_entry, validate_entry
 from repro.obs.ledger import read_explain, validate_explain, write_explain
 from repro.obs.slo import (
     DEFAULT_SLO_SPEC,
@@ -53,7 +52,6 @@ validate_chaos_scorecard = partial(check, spec=SCORECARD_SPEC)
 #: every document validator, by the artifact it checks
 VALIDATORS = {
     "critpath": validate_critpath,
-    "history": validate_entry,
     "explain": validate_explain,
     "slo": validate_slo_report,
     "trace": validate_chrome_trace,
@@ -95,7 +93,6 @@ def docs():
         "trace": trace_to_chrome(result.trace, run_id="r"),
         "scorecard": card,
         "chaos": chaos,
-        "history": chaos_entry(chaos),
     }
 
 

@@ -13,7 +13,6 @@ from repro.obs.dashboard import (
 )
 from repro.obs.regress import Anomaly
 from repro.sim.trace import ExecutionTrace, TaskRecord
-from repro.solver.diagnostics import ConvergenceReport
 
 SECTIONS = (
     "Policy comparison",
@@ -69,14 +68,6 @@ def make_data(**overrides):
         git_rev="abc1234",
         point=make_point(),
         trace=make_trace(),
-        convergence=ConvergenceReport(
-            iterations=12, converged=True, final_kkt_error=3e-9,
-            final_mu=1e-9, feasibility_improved=True, barrier_decreased=True,
-            mean_step_length=0.85, restorations_suspected=False,
-        ),
-        convergence_history=[
-            {"iter": i, "kkt_error": 10.0 ** -i} for i in range(6)
-        ],
         anomalies=[],
     )
     for key, value in overrides.items():
@@ -106,7 +97,8 @@ class TestRenderDashboard:
             assert "xmlns" in context
 
     def test_policy_bars_with_value_labels_and_tooltips(self):
-        html = render_dashboard(make_data())
+        # the convergence chart needs a ledger with a solve in it
+        html = render_dashboard(make_data(ledger=make_ledger_dict()))
         assert html.count("<svg") >= 4
         assert "plb-hec" in html and "greedy" in html
         assert 'class="value-label"' in html
@@ -123,9 +115,15 @@ class TestRenderDashboard:
         assert "#3987e5" in html  # dark series-1 step
 
     def test_convergence_tiles(self):
-        html = render_dashboard(make_data())
-        assert "interior-point iteration" in html
-        assert "3.00e-09" in html
+        html = render_dashboard(make_data(ledger=make_ledger_dict()))
+        section = html[html.index("<h2>Solver convergence</h2>"):]
+        section = section[:section.index("</section>")]
+        # the ipm solve, not the probe round or the fallback
+        assert tile(section, "solves") == ("1", "ipm ×1")
+        assert tile(section, "most steps")[0] == "11"
+        assert tile(section, "worst KKT error")[0] == "2.00e-10"
+        assert tile(section, "restorations")[0] == "0"
+        assert "solve (decision order)" in section
 
     def test_gantt_embedded(self):
         html = render_dashboard(make_data())
@@ -146,14 +144,12 @@ class TestRenderDashboard:
         assert "no anomalies detected" in html
 
     def test_missing_pieces_degrade_to_placeholders(self):
-        html = render_dashboard(
-            make_data(point=None, trace=None, convergence=None)
-        )
+        html = render_dashboard(make_data(point=None, trace=None))
         for section in SECTIONS:
             assert section in html
         assert "no sweep data" in html
         assert "no trace" in html
-        assert "no recorded solve" in html
+        assert "no solver-answered decision" in html
 
     def test_legend_present_for_multi_series(self):
         html = render_dashboard(make_data())
@@ -165,6 +161,53 @@ class TestRenderDashboard:
         html = render_dashboard(make_data())
         assert "table view" in html
         assert "<table>" in html
+
+
+class TestHeader:
+    """The header names the host and revision the numbers came from."""
+
+    def test_fingerprint_has_required_fields(self):
+        from repro.obs.dashboard import _host_fingerprint
+
+        assert set(_host_fingerprint()) == {"platform", "python", "cpu_count"}
+
+    def test_git_rev_in_repo_or_none(self):
+        from repro.obs.dashboard import _git_rev
+
+        rev = _git_rev()
+        assert rev is None or (isinstance(rev, str) and rev)
+
+    def test_git_rev_outside_repo(self, tmp_path, monkeypatch):
+        from repro.obs.dashboard import _git_rev
+
+        monkeypatch.chdir(tmp_path)
+        assert _git_rev() is None
+
+    def test_meta_line_shows_host_and_rev(self):
+        html = render_dashboard(make_data())
+        assert "test-os" in html and "rev abc1234" in html
+
+
+class TestLineChart:
+    def test_log_axis_spans_the_data(self):
+        """A largest value in (0.1, 1] still sets the top decade, and a
+        tick below the smallest value stays below it."""
+        from repro.obs.dashboard import _line_chart
+
+        svg = _line_chart(
+            [("KKT error", "c", [(0, 3e-16), (1, 1e-12), (2, 0.5)])], log_y=True
+        )
+        ys = [float(y) for y in re.findall(r'<circle cx="[^"]+" cy="([^"]+)"', svg)]
+        ticks = dict(
+            (label, float(y))
+            for y, label in re.findall(
+                r'y1="([^"]+)"[^>]*class="gridline"/><text[^>]*>(1e-?\d+)<', svg
+            )
+        )
+        assert set(ticks) >= {"1e-16", "1e0"}
+        top, bottom = min(ticks.values()), max(ticks.values())
+        assert all(top <= y <= bottom for y in ys)
+        assert ticks["1e-16"] > ys[0]  # the lowest tick sits below 3e-16
 
 
 class TestWriteDashboard:
@@ -184,12 +227,55 @@ class TestCollectDashboardData:
         assert data.point is not None and "plb-hec" in data.point.outcomes
         assert data.trace is not None and data.trace.makespan > 0
         assert data.critpath and data.critpath["path"]
-        assert data.convergence is not None and data.convergence.iterations > 0
-        assert data.convergence_history
+        assert data.ledger and data.ledger["decisions"]
         assert data.config["size"] == 2048
         html = render_dashboard(data)
         for section in SECTIONS:
             assert section in html
+
+
+    def test_solves_nothing_outside_its_sweep_and_live_run(self, monkeypatch):
+        """The convergence section reads the live run's ledger: no model
+        is fitted for it and no extra interior-point solve is made."""
+        import repro.experiments.solver_overhead as solver_overhead
+        from repro.solver.ipm import InteriorPointSolver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dashboard fitted or solved on its own")
+
+        monkeypatch.setattr(solver_overhead, "fitted_models_for_scenario", refuse)
+        monkeypatch.setattr(InteriorPointSolver, "solve", refuse)
+        data = collect_dashboard_data(
+            app="matmul", size=2048, machines=1, replications=1, jobs=1,
+        )
+        assert "Solver convergence" in render_dashboard(data)
+
+    def test_convergence_tiles_count_the_ledgers_solver_decisions(self):
+        data = collect_dashboard_data(
+            app="matmul", size=4096, machines=2, replications=1, jobs=1,
+        )
+        solved = [
+            d["solver"]
+            for d in data.ledger["decisions"]
+            if d["phase"] == "execution" and not d["solver"].get("fallback_stage")
+        ]
+        assert solved
+        html = render_dashboard(data)
+        section = html[html.index("<h2>Solver convergence</h2>"):]
+        count, methods = tile(section, "solves")
+        assert count == str(len(solved))
+        assert "certified" in methods
+
+
+def tile(html, label):
+    """The (value, hint) of the first stat tile labelled ``label``."""
+    m = re.search(
+        rf'<div class="label">{re.escape(label)}</div>'
+        r'<div class="value">([^<]*)</div><div class="hint">([^<]*)</div>',
+        html,
+    )
+    assert m, f"no {label!r} tile"
+    return m.group(1), m.group(2)
 
 
 def make_profile_snapshot():

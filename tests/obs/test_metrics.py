@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     _parse_series_key,
     _series_key,
     get_registry,
-    merge_snapshots,
     percentile,
     reset_registry,
     set_registry,
@@ -319,38 +318,6 @@ class TestDiffMerge:
         # min, max and percentiles cover the retained tail: 15..24
         assert summ["min"] == 15.0 and summ["max"] == 24.0
         assert summ["p50"] == reference_percentile(range(15, 25), 50.0)
-
-    def test_merged_run_deltas_carry_no_percentiles(self):
-        reg = MetricsRegistry()
-        total = {}
-        for run in ((1.0, 4.0), (2.0, 8.0, 0.5)):
-            mark = reg.mark()
-            for v in run:
-                reg.observe("h", v)
-            merge_snapshots(total, reg.delta_since(mark))
-        h = total["histograms"]["h"]
-        assert h == {"count": 5, "sum": 15.5, "min": 0.5, "max": 8.0, "mean": 3.1}
-        assert h["mean"] == h["sum"] / h["count"]
-
-    def test_merge_is_inverse_of_diff_for_counters(self):
-        total = {}
-        merge_snapshots(total, {"counters": {"c": 2.0}, "histograms": {}})
-        merge_snapshots(
-            total,
-            {
-                "counters": {"c": 3.0, "d": 1.0},
-                "histograms": {"h": {"count": 2, "sum": 4.0, "min": 1.0, "max": 3.0}},
-            },
-        )
-        merge_snapshots(
-            total,
-            {"histograms": {"h": {"count": 1, "sum": 9.0, "min": 9.0, "max": 9.0}}},
-        )
-        assert total["counters"] == {"c": 5.0, "d": 1.0}
-        h = total["histograms"]["h"]
-        assert h["count"] == 3 and h["sum"] == 13.0
-        assert h["min"] == 1.0 and h["max"] == 9.0
-        assert h["mean"] == pytest.approx(13.0 / 3)
 
 
 class TestDefaultRegistry:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.resilience import ChaosConfig, run_campaign
+from repro.resilience.campaign import mean
 
 #: Small but real: 4 runs over 2 policies at the 1024 scenario.  The
 #: wide anomaly tolerance absorbs a known legitimate Graham anomaly
@@ -189,3 +190,10 @@ class TestAttributionColumns:
         rebuilt = json.loads(json.dumps(scorecard))
         first = rebuilt["runs"][0]["attribution"]
         assert first == scorecard["runs"][0]["attribution"]
+
+
+def test_campaign_mean_adds_left_to_right():
+    # 1e16 + 1 + 1 left to right is 1e16 on every Python; 3.12's
+    # compensated sum() would give 1.0000000000000002e16
+    assert mean([1e16, 1.0, 1.0]) == 1e16 / 3
+    assert mean([]) is None

@@ -173,7 +173,6 @@ class ReferenceInteriorPointSolver(InteriorPointSolver):
         z_up = np.where(has_up, mu / np.maximum(up - x, 1e-12), 0.0)
 
         flt = Filter()
-        history: list[dict] = []
         delta_w_last = 0.0
         status = "max_iterations"
         iteration = 0
@@ -322,20 +321,6 @@ class ReferenceInteriorPointSolver(InteriorPointSolver):
             z_lo = self._safeguard(z_lo + alpha_dual * dz_lo, x - lo, mu, has_lo)
             z_up = self._safeguard(z_up + alpha_dual * dz_up, up - x, mu, has_up)
 
-            if opts.record_history:
-                history.append(
-                    {
-                        "iter": iteration,
-                        "mu": mu,
-                        "alpha": alpha,
-                        "theta": theta_k,
-                        "phi": phi_k,
-                        "kkt_error": kkt_err0,
-                        "f_type": f_type,
-                        "delta_w": delta_w_last,
-                    }
-                )
-
         grad = problem.eval_gradient(x)
         c = problem.eval_constraints(x)
         jac = problem.eval_jacobian(x)
@@ -354,7 +339,6 @@ class ReferenceInteriorPointSolver(InteriorPointSolver):
             objective=problem.eval_objective(x),
             mu_final=mu,
             wall_time_s=time.perf_counter() - t0,
-            history=history,
             restorations=restorations,
         )
 

@@ -201,12 +201,6 @@ class TestResultContract:
         assert not result.converged
         assert result.status == "max_iterations"
 
-    def test_history_recorded_when_asked(self):
-        options = IPMOptions(record_history=True)
-        result = InteriorPointSolver(options).solve(qp_simplex(3), np.full(3, 0.2))
-        assert result.history
-        assert {"iter", "mu", "alpha", "theta"} <= set(result.history[0])
-
     def test_wall_time_positive(self):
         result = InteriorPointSolver().solve(qp_simplex(2), np.full(2, 0.5))
         assert result.wall_time_s > 0.0

@@ -217,7 +217,6 @@ ipm_options = st.builds(
     max_iter=st.sampled_from([1, 2, 5, 150]),
     max_backtracks=st.sampled_from([1, 2, 40]),
     barrier_strategy=st.sampled_from(["monotone", "adaptive", "probing"]),
-    record_history=st.booleans(),
 )
 
 

@@ -269,39 +269,23 @@ class TestCommands:
         assert sorted(names) == ["acosta", "greedy", "hdss", "plb-hec"]
 
 
-class TestChaosHistory:
-    """``--history`` precedence, through the one command writing history."""
+class TestChaosArtifacts:
+    """``repro chaos`` writes its scorecard and dashboard, nothing else."""
 
-    QUICK = ["chaos", "--quick", "--runs", "1", "--out", "-"]
-
-    def test_chaos_appends_history(self, tmp_path, capsys):
-        hist = tmp_path / "h" / "history.jsonl"
-        assert main([*self.QUICK, "--history", str(hist)]) == 0
-        assert "history: appended" in capsys.readouterr().out
-        assert len(hist.read_text().splitlines()) == 1
-
-    def test_chaos_history_dash_disables(self, tmp_path, monkeypatch, capsys):
+    def test_chaos_writes_only_its_out_and_dashboard(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_HISTORY", raising=False)
-        assert main([*self.QUICK, "--history", "-"]) == 0
-        assert "history:" not in capsys.readouterr().out
-        assert not (tmp_path / ".repro_history").exists()
+        monkeypatch.setenv("REPRO_HISTORY", "1")
+        assert main(
+            ["chaos", "--quick", "--runs", "1", "--dashboard", "dash.html"]
+        ) == 0
+        written = sorted(p.name for p in tmp_path.rglob("*"))
+        assert written == ["chaos_scorecard.json", "dash.html"]
 
-    def test_chaos_defaults_to_repro_history_dir(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_HISTORY", raising=False)
-        assert main(self.QUICK) == 0
-        assert (tmp_path / ".repro_history" / "history.jsonl").exists()
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no"])
-    def test_chaos_repro_history_off_disables(
-        self, tmp_path, monkeypatch, capsys, value
-    ):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_HISTORY", value)
-        assert main(self.QUICK) == 0
-        assert "history:" not in capsys.readouterr().out
-        assert not (tmp_path / ".repro_history").exists()
+    def test_history_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--quick", "--history", "h"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --history" in capsys.readouterr().err
 
 
 class TestDashboardCommand:
@@ -436,8 +420,7 @@ class TestChaosCommand:
     def test_quick_campaign_green(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(
-            ["chaos", "--runs", "2", "--quick", "--history", "hist",
-             "--dashboard", "dash.html"]
+            ["chaos", "--runs", "2", "--quick", "--dashboard", "dash.html"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -455,12 +438,6 @@ class TestChaosCommand:
 
         html = (tmp_path / "dash.html").read_text()
         assert "<h2>Resilience</h2>" in html
-
-        from repro.obs.history import HistoryStore
-
-        entries = HistoryStore(tmp_path / "hist").entries(kind="chaos")
-        assert len(entries) == 1
-        assert entries[0]["summary"]["survival_rate"] == 1.0
 
 
 class TestExplainParser:
@@ -562,10 +539,7 @@ class TestExplainCommand:
         assert marks, "plb-hec runs must export decision instants"
         assert all(m["ph"] == "i" for m in marks)
 
-    def test_chaos_table_has_decision_columns(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)  # keep the default history store out
+    def test_chaos_table_has_decision_columns(self, capsys, tmp_path):
         assert main(
             ["chaos", "--app", "matmul", "--size", "1024",
              "--machines", "2", "--runs", "2", "--seed", "0",
@@ -689,8 +663,7 @@ class TestTelemetryCommands:
         ) == 1
         assert "repro run --series-out" in capsys.readouterr().err
 
-    def test_chaos_table_has_slo_column(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # keep the default history store out
+    def test_chaos_table_has_slo_column(self, capsys, tmp_path):
         assert main(
             ["chaos", "--app", "matmul", "--size", "1024",
              "--machines", "2", "--runs", "2", "--seed", "0",

@@ -51,10 +51,10 @@ def test_bench_cloud_generalisation(benchmark):
     )
     # PLB-HeC must beat greedy on every fleet.  At the fast-mode size
     # the probe phase consumes a big slice of the (much smaller) domain
-    # and the measured solver overhead charged into the makespan is
+    # and the modeled solver overhead charged into the makespan is
     # proportionally heavy, so near-homogeneous fleets can come out
-    # slightly below parity (observed ~0.94); full-size fleets must
-    # genuinely win.
+    # slightly below parity (fleet 0 reads 0.955); full-size fleets
+    # must genuinely win.
     floor = 0.85 if fast_mode() else 1.0
     for row in rows:
         assert row[-1] > floor, f"fleet {row[0]} lost to greedy ({row[-1]:.3f})"

@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.apps import MatMul
 from repro.balancers import HDSS, Oracle
 from repro.cluster import GroundTruth, paper_cluster
 from repro.core import PLBHeC
 from repro.errors import ConfigurationError
-from repro.modeling.perf_profile import DeviceModel
 from repro.runtime import Runtime
 from repro.runtime.faults import Perturbation
-from repro.solver.ipm import IPMOptions
-from repro.solver.partition import PartitionResult, solve_block_partition
+from repro.solver.partition import PartitionResult
+from repro.solver.reduction import waterfill_partition
 from repro.util.stats import left_sum
 from repro.util.tables import format_table
 
@@ -57,23 +58,9 @@ class _ForcedSelectionPLB(PLBHeC):
             raise ConfigurationError(f"unknown forced method {forced_method!r}")
         self.forced_method = forced_method
 
-    def _solve(
-        self,
-        remaining: int,
-        *,
-        trigger: str = "selection",
-        detail: dict | None = None,
-    ) -> None:  # noqa: D102 - see base
-        quantum = min(self._quantum, float(remaining))
-        import time as _time
-
-        from repro.solver.reduction import waterfill_partition
-        import numpy as np
-
-        t0 = _time.perf_counter()
-        models = self._models
-        ids = tuple(models.keys())
-        model_list = [models[d] for d in ids]
+    def _split(self, quantum: float) -> PartitionResult:  # noqa: D102 - see base
+        ids = tuple(self._models)
+        model_list = [self._models[d] for d in ids]
         if self.forced_method == "waterfill":
             units, predicted = waterfill_partition(model_list, quantum)
         else:
@@ -81,7 +68,7 @@ class _ForcedSelectionPLB(PLBHeC):
             rates = np.array([max(m.rate(probe), 1e-12) for m in model_list])
             units = quantum * rates / rates.sum()
             predicted = float(max(m.E(u) for m, u in zip(model_list, units)))
-        result = PartitionResult(
+        return PartitionResult(
             device_ids=ids,
             units=np.asarray(units, dtype=float),
             predicted_time=predicted,
@@ -89,34 +76,8 @@ class _ForcedSelectionPLB(PLBHeC):
             converged=True,
             iterations=0,
             kkt_error=float("nan"),
-            solve_time_s=_time.perf_counter() - t0,
+            solve_time_s=0.0,
         )
-        self._charge(result.solve_time_s)
-        self._partition = result
-        self.selection_history.append(result)
-        sizes = {d: int(round(u)) for d, u in result.units_by_device.items()}
-        if all(v <= 0 for v in sizes.values()):
-            best = max(result.units_by_device, key=result.units_by_device.get)
-            sizes[best] = 1
-        self._block_sizes = sizes
-        self._open_partition_decision(
-            trigger=trigger,
-            sizes=sizes,
-            predicted_time=result.predicted_time,
-            solver={
-                "method": result.method,
-                "converged": True,
-                "iterations": 0,
-                "kkt_error": result.kkt_error,
-                "solve_time_s": float(
-                    self.fixed_overhead_s
-                    if self.fixed_overhead_s is not None
-                    else result.solve_time_s
-                ),
-            },
-            detail=detail,
-        )
-        self._monitor.reset()
 
 
 def _run(policy, app, cluster, *, seed=3, faults=()) -> AblationRow:

@@ -28,14 +28,6 @@ harness, and this module exploits it twice:
 
 Each sweep logs a one-line summary (``jobs=N cache_hits=H wall=Ts``)
 through :mod:`repro.util.logging`.
-
-Caveat on bit-identity: the default ``plb-hec`` policy charges
-*measured* host solve time into the virtual makespan ("overhead
-honesty", see :mod:`repro.core.plb_hec`), which jitters between any two
-runs — serial or parallel.  Pass ``fixed_overhead_s`` to pin the
-charge when exact reproducibility across executions matters; within a
-single sweep the parallel/serial aggregation order is identical either
-way.
 """
 
 from __future__ import annotations
@@ -105,8 +97,11 @@ __all__ = [
 #: "11": an entry holds only what its key determines: the run report
 #: carries no registry delta, and the delta, the host wall clock and a
 #: profile travel with fresh runs only (``ResultCache.FRESH_ONLY``), so
-#: two fills of one key write identical bytes.)
-ALGORITHM_VERSION = "11"
+#: two fills of one key write identical bytes.
+#: "12": PLB-HeC charges a modeled cost per fit and solve instead of the
+#: host's measured time, so an unpinned entry no longer holds one host's
+#: timing.)
+ALGORITHM_VERSION = "12"
 
 _log = get_logger("experiments.parallel")
 _events = EventLog("experiments.parallel")
@@ -684,10 +679,8 @@ def run_sweep(
         Capture a phase-attributed CPU profile of every run (default:
         the ``REPRO_PROFILE`` environment variable).  Worker profiles
         are merged into ``stats.profile``.  Profiling disables the
-        result cache for the sweep: the default policy charges
-        *measured* host time into the virtual makespan, so payloads
-        computed under profiler overhead must never be replayed into
-        unprofiled sweeps (and cache hits carry no profile to merge).
+        result cache for the sweep: a cache hit carries no profile to
+        merge, so every run must execute.
     """
     t0 = time.perf_counter()
     jobs = resolve_jobs(jobs)

@@ -64,11 +64,10 @@ def make_policy(
 ) -> SchedulingPolicy:
     """Instantiate a policy by its report name.
 
-    ``fixed_overhead_s`` pins PLB-HeC's scheduler-overhead charge to a
-    constant instead of the measured host solve time, making runs
-    bit-reproducible (the deterministic mode the parallel sweep engine's
-    equality guarantees rely on).  Policies that charge no overhead
-    ignore it.
+    ``fixed_overhead_s`` pins PLB-HeC's scheduler-overhead charge to one
+    constant per decision instead of its modeled per-device cost; either
+    charge is bit-reproducible.  Policies that charge no overhead ignore
+    it.
     """
     if name == "greedy":
         return Greedy()

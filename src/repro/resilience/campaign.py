@@ -61,8 +61,8 @@ SCORECARD_SPEC = {
     "policies": map_of(OBJECT),
 }
 
-#: chaos runs pin the scheduler-overhead charge so campaigns are
-#: bit-reproducible (measured host time would jitter the makespans)
+#: chaos runs pin the scheduler-overhead charge to one cost per decision
+#: (PLB-HeC's modeled per-device cost would move every pinned scorecard)
 _FIXED_OVERHEAD_S = 0.002
 
 

@@ -86,9 +86,10 @@ class PartitionResult:
     kkt_error:
         Final scaled KKT error (NaN for fallback paths).
     solve_time_s:
-        Wall-clock seconds the whole chain took, presolve and
-        certificate included (this is the overhead the paper reports as
-        ~170 ms on their master node).
+        Host wall-clock seconds the whole chain took, presolve and
+        certificate included (the overhead the paper reports as ~170 ms
+        on their master node).  Host time only: S1 and the
+        ``plbhec.solve_ms`` histogram read it, virtual time never does.
     """
 
     device_ids: tuple[str, ...]

@@ -6,8 +6,10 @@ from repro.apps import MatMul
 from repro.balancers import Greedy
 from repro.core import PLBHeC
 from repro.errors import ConfigurationError
+from repro.obs.metrics import get_registry
 from repro.runtime import Runtime
 from repro.runtime.faults import Perturbation
+from repro.util.stats import left_sum
 
 
 class TestConfigValidation:
@@ -115,9 +117,21 @@ class TestSelectionAndExecution:
 
     def test_overhead_charged_by_default(self, small_cluster):
         app = MatMul(n=4096)
+        registry = get_registry()
+        fits = registry.counter_value("plbhec.fit_attempts")
         rt = Runtime(small_cluster, app.codelet(), seed=2)
         res = rt.run(PLBHeC(), app.total_units, app.default_initial_block_size())
-        assert res.solver_overhead_s > 0.0
+        fits = int(registry.counter_value("plbhec.fit_attempts") - fits)
+        n = len(res.idle_fractions)
+        fit = PLBHeC.fit_s_per_device * n
+        solve = PLBHeC.solve_s + PLBHeC.solve_s_per_device * n
+        # a stop-rule evaluation that fits nothing costs nothing, one
+        # whose fit does not end profiling costs its fit, and the one
+        # that ends it and each rebalance refit cost a fit and a solve
+        expected = [fit] * (fits - 1) + [fit + solve] * (1 + res.num_rebalances)
+        assert res.num_rebalances >= 1
+        assert res.trace.solver_overheads == expected
+        assert res.solver_overhead_s == left_sum(expected) > 0.0
 
     def test_overhead_scale_zero_disables_charging(self, small_cluster):
         app = MatMul(n=4096)

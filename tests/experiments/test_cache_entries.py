@@ -1,10 +1,11 @@
 """A cache entry holds only what its key determines.
 
 Two empty caches filled from the same points hold byte-identical
-entries, and a key filled after a PLB-HeC run in the same process holds
-what it holds when filled first: a run's payload carries no host wall
-clock or registry delta, and a profile describes one execution, so it
-never enters an entry.
+entries, with PLB-HeC's overhead charge pinned or modeled, and a key
+filled after a PLB-HeC run in the same process holds what it holds when
+filled first: a run's payload carries no host wall clock or registry
+delta, and a profile describes one execution, so it never enters an
+entry.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ SERVICE = PointSpec(
 GREEDY = PointSpec(
     "matmul", 1024, 1, ("greedy",), replications=1, seed=5, fixed_overhead_s=0.01
 )
+#: no ``fixed_overhead_s``: PLB-HeC charges its modeled per-device costs
+UNPINNED = PointSpec("matmul", 2048, 2, ("plb-hec",), replications=2, seed=3)
 
 
 @pytest.fixture
@@ -55,10 +58,10 @@ def fill(root, points) -> dict[str, bytes]:
 
 
 def test_two_fills_write_identical_entries(tmp_path):
-    points = [BATCH, FAULTED, SERVICE]
+    points = [BATCH, FAULTED, SERVICE, UNPINNED]
     first = fill(tmp_path / "a", points)
     second = fill(tmp_path / "b", points)
-    assert len(first) == 4
+    assert len(first) == 6
     assert first == second
     entries = [json.loads(blob) for blob in first.values()]
     for entry in entries:

@@ -6,8 +6,9 @@ would silently orphan every cached entry.  The literals were computed
 before the config codec replaced the hand-written forms, and re-pinned
 with each ``ALGORITHM_VERSION`` bump: under "7" the same inputs hash to
 ``089d45e0…`` and ``6519c21f…``, under "8" to ``1c819516…`` and
-``d4a48477…``, under "9" to ``7ca3c8bf…`` and ``34b7754d…``; under "10"
-they still hash to the keys ``test_version_10_keys_are_unchanged`` pins.
+``d4a48477…``, under "9" to ``7ca3c8bf…`` and ``34b7754d…``, under "10"
+to ``fec03392…`` and ``efdf0fa7…``; under "11" they still hash to the
+keys ``test_version_11_keys_are_unchanged`` pins.
 """
 
 from __future__ import annotations
@@ -74,22 +75,22 @@ def service_spec() -> RunSpec:
 
 def test_faulted_run_key_is_pinned():
     assert ResultCache.key(faulted_spec(), TAG) == (
-        "565307eb169defdb0628a49a4082749e8253d6a95f96f04e267028227e62e9a8"
+        "7be741efd05a8b72805d2bdf83ab6dae8a947784381f371c8c8fe69d0b67598e"
     )
 
 
 def test_service_run_key_is_pinned():
     assert ResultCache.key(service_spec(), TAG) == (
-        "3fb03e8667b9084e4c56a0eb6c770812d99997d49a8703163690956b7bea0959"
+        "723c01f434121c127a25c316d033bd5b68be52d9582c51e1873ae27ea58baa5b"
     )
 
 
-def test_version_10_keys_are_unchanged(monkeypatch):
+def test_version_11_keys_are_unchanged(monkeypatch):
     # only the version moved the pins: the inputs' JSON forms did not
-    monkeypatch.setattr(parallel, "ALGORITHM_VERSION", "10")
+    monkeypatch.setattr(parallel, "ALGORITHM_VERSION", "11")
     assert ResultCache.key(faulted_spec(), TAG) == (
-        "fec033926e60b5ad3f1bfe03a10f6f88dff2db29c94fbf0e95bfffc8320c04fd"
+        "565307eb169defdb0628a49a4082749e8253d6a95f96f04e267028227e62e9a8"
     )
     assert ResultCache.key(service_spec(), TAG) == (
-        "efdf0fa71e3ba2802dd1a79f8b4bd7efc20eed5efb3f9852d7a15cfe6e41fd7b"
+        "3fb03e8667b9084e4c56a0eb6c770812d99997d49a8703163690956b7bea0959"
     )

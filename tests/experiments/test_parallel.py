@@ -18,8 +18,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.wallclock import points_equal
 
-#: A small deterministic grid point: no measured-wall-clock overhead
-#: (fixed charge), covering a no-overhead policy, HDSS and PLB-HeC.
+#: A small grid point with PLB-HeC's charge pinned, covering a
+#: no-overhead policy, HDSS and PLB-HeC.
 SMALL = PointSpec(
     app_name="matmul",
     size=2048,
@@ -470,8 +470,8 @@ class TestProfiledSweeps:
         cache = ResultCache(tmp_path)
         stats = SweepStats()
         run_sweep([SMALL], jobs=1, cache=cache, stats=stats, profile=True)
-        # Nothing stored: profiled payloads would poison unprofiled
-        # replays (and measured overhead differs under the tracer).
+        # Nothing stored or served: a cache hit carries no profile to
+        # merge, so a profiled sweep executes every run.
         assert list(tmp_path.rglob("*.json")) == []
         assert stats.cache_hits == 0
         # A warm unprofiled sweep afterwards sees a cold cache.

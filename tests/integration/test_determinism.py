@@ -27,14 +27,14 @@ class TestDeterminism:
         assert traces[0] == traces[1]
 
     def test_measured_overhead_near_reproducible(self, small_cluster):
-        """Default (measured) overhead only jitters virtual time slightly."""
+        """The default (modeled) overhead reruns to the same virtual time."""
         app = MatMul(n=4096)
         spans = []
         for _ in range(2):
             rt = Runtime(small_cluster, app.codelet(), seed=17, noise_sigma=0.02)
             res = rt.run(PLBHeC(), app.total_units, app.default_initial_block_size())
             spans.append(res.makespan)
-        assert spans[0] == pytest.approx(spans[1], rel=0.25)
+        assert spans[0] == spans[1]
 
     def test_seed_changes_results(self, small_cluster):
         app = MatMul(n=4096)

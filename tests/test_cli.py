@@ -237,6 +237,33 @@ class TestCommands:
             assert len(first) == 2
         assert first == second
 
+    def test_run_output_does_not_depend_on_host_speed(self, capsys, monkeypatch):
+        # PLB-HeC charges modeled fit and solve costs, never host time:
+        # slowing every fit and solve on the host moves no output byte.
+        import time
+
+        import repro.core.plb_hec as plb_hec
+        from repro.modeling.perf_profile import PerfProfile
+
+        argv = ["run", "--app", "matmul", "--size", "4096", "--machines", "4",
+                "--policy", "plb-hec", "--seed", "0"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+
+        def slowed(fn):
+            def slow(*args, **kwargs):
+                time.sleep(0.005)
+                return fn(*args, **kwargs)
+
+            return slow
+
+        monkeypatch.setattr(
+            plb_hec, "solve_block_partition", slowed(plb_hec.solve_block_partition)
+        )
+        monkeypatch.setattr(PerfProfile, "fit", slowed(PerfProfile.fit))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
     def test_trace_command(self, capsys, tmp_path):
         import json
 
@@ -385,9 +412,9 @@ class TestProfileCommand:
 
 class TestFaultInjectionCommand:
     def test_run_with_transient(self, capsys):
-        # `repro run` charges measured host overhead into virtual time, so
-        # the makespan depends on host speed; the window closes well before
-        # the overhead-free makespan (~0.033 s) so both events always land.
+        # The window closes well before the overhead-free makespan
+        # (~0.033 s), so both events land whatever PLB-HeC's overhead
+        # charge adds.
         assert main(
             ["run", "--app", "matmul", "--size", "2048", "--machines", "2",
              "--transient", "B.gpu0@0.01+0.005"]

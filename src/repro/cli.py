@@ -95,14 +95,14 @@ Commands
     profiler and write a flamegraph SVG (``--flame``), a collapsed-stack
     file for flamegraph.pl / speedscope (``--collapsed``), the raw
     snapshot (``--json``) and/or profile slices merged into a Perfetto
-    timeline (``--trace-out``).  ``run``/``compare`` accept a
-    ``--profile`` flag for the same capture in passing.
+    timeline (``--trace-out``).  Accepts the same fault-injection flags
+    as ``run``.  ``compare --profile`` profiles every run of a
+    comparison instead (merged across workers, result cache bypassed);
+    see docs/TUTORIAL.md §8.
 
 Sweep-driving commands accept ``--jobs N`` (default: the ``REPRO_JOBS``
 environment variable, else the CPU count) and honour ``REPRO_CACHE``
-for on-disk result caching; see docs/TUTORIAL.md §5.  ``REPRO_PROFILE=1``
-profiles every sweep the way ``--profile`` does (and, like it,
-disables the result cache while active); see docs/TUTORIAL.md §8.
+for on-disk result caching; see docs/TUTORIAL.md §5.
 
 Global options (before the subcommand): ``--log-level
 {debug,info,warning,error,critical}`` and ``--log-format {text,json}``
@@ -394,12 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "(policies without a ledger skip this with a note)",
             ),
             _flag(
-                "--profile",
-                action="store_true",
-                help="capture a phase-attributed CPU profile and print the "
-                "per-phase breakdown and hot functions",
-            ),
-            _flag(
                 "--sample-interval",
                 type=float,
                 metavar="S",
@@ -537,6 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
          "run one workload under the phase-attributed CPU profiler", (
             *_WORKLOAD,
             _POLICY,
+            *_FAULTS,
             _flag(
                 "--flame",
                 metavar="PATH",
@@ -1055,9 +1050,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         sampler = ClusterSampler(args.sample_interval)
     metrics_mark = get_registry().mark()
-    run_id, policy, result, prof_snapshot = _run_once(
-        args, sampler=sampler, profile=args.profile
-    )
+    run_id, policy, result, _ = _run_once(args, sampler=sampler)
     idle = result.idle_fractions
     print(
         format_table(
@@ -1078,8 +1071,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{len(trace.recoveries)} recovery(ies), "
             f"{lost} lost unit(s) reprocessed"
         )
-    if prof_snapshot is not None:
-        _print_profile_summary(prof_snapshot)
     exit_code = 0
     alerts = None
     if sampler is not None:
@@ -1098,7 +1089,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         _write_trace(
             args.trace_out, args, run_id, policy.name, result.trace,
-            result.ledger, profile=prof_snapshot, alerts=alerts,
+            result.ledger, alerts=alerts,
         )
     if args.metrics_out:
         # this run's own counters, not the process's lifetime totals
@@ -1373,7 +1364,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         seed=args.seed,
         noise_sigma=args.noise,
         jobs=args.jobs,
-        profile=args.profile or None,
+        profile=args.profile,
         stats=stats,
     )
     # per-policy makespan attribution, averaged over the replications'
@@ -1417,7 +1408,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             title=f"{args.app} size={args.size} machines={args.machines}",
         )
     )
-    # --profile or REPRO_PROFILE=1: either way a captured profile is shown.
     if stats.profile:
         _print_profile_summary(stats.profile)
     if args.trace_out:

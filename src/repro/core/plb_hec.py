@@ -565,19 +565,18 @@ class PLBHeC(SchedulingPolicy):
             self.solve_s + self.solve_s_per_device * len(self._models)
         )
         try:
-            with _events.span("plbhec.solve", remaining=remaining):
-                with profile_phase("solve"):
-                    result = self._split(quantum)
+            with profile_phase("solve"):
+                result = self._split(quantum)
         except (SolverError, FitError, ConfigurationError) as exc:
-            self._fallback(quantum, exc, trigger=trigger, detail=detail)
+            self._fallback(
+                quantum, exc, charged_s, trigger=trigger, detail=detail
+            )
             return
         registry.inc("plbhec.solves")
-        registry.observe("plbhec.solve_ms", result.solve_time_s * 1e3)
         _log.info(
-            "partition solved (%s, %d iterations, %.1f ms): T=%.4fs",
+            "partition solved (%s, %d iterations): T=%.4fs",
             result.method,
             result.iterations,
-            result.solve_time_s * 1e3,
             result.predicted_time,
         )
         self._partition = result
@@ -630,6 +629,7 @@ class PLBHeC(SchedulingPolicy):
         self,
         quantum: float,
         exc: Exception,
+        charged_s: float,
         *,
         trigger: str = "selection",
         detail: dict | None = None,
@@ -640,7 +640,9 @@ class PLBHeC(SchedulingPolicy):
         rescaled to the live device set → analytic speed-ratio split
         from the latest profile measurements → GSS-style fair share.
         The run keeps making progress in all three cases; only the
-        quality of the distribution degrades.
+        quality of the distribution degrades.  ``charged_s`` is what
+        :meth:`_solve` charged for the failed attempt; the ledger
+        records it as on the success path.
         """
         stage, sizes = self._fallback_sizes(quantum)
         registry = get_registry()
@@ -671,7 +673,6 @@ class PLBHeC(SchedulingPolicy):
             converged=False,
             iterations=0,
             kkt_error=math.nan,
-            solve_time_s=0.0,
         )
         self._partition = result
         self.selection_history.append(result)
@@ -690,7 +691,7 @@ class PLBHeC(SchedulingPolicy):
                 "iterations": 0,
                 "kkt_error": math.nan,
                 "restorations": 0,
-                "solve_time_s": 0.0,
+                "solve_time_s": float(charged_s),
                 "error": f"{type(exc).__name__}: {exc}",
             },
             detail=detail,

@@ -76,7 +76,6 @@ class _ForcedSelectionPLB(PLBHeC):
             converged=True,
             iterations=0,
             kkt_error=float("nan"),
-            solve_time_s=0.0,
         )
 
 

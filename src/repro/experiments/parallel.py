@@ -61,7 +61,6 @@ __all__ = [
     "ResultCache",
     "SweepStats",
     "resolve_jobs",
-    "resolve_profile",
     "run_sweep",
     "run_point",
 ]
@@ -588,18 +587,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return jobs
 
 
-def resolve_profile(profile: bool | None = None) -> bool:
-    """The effective profiling switch: argument else ``REPRO_PROFILE``."""
-    if profile is not None:
-        return bool(profile)
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() in (
-        "1",
-        "on",
-        "true",
-        "yes",
-    )
-
-
 _UNSET = object()
 
 
@@ -657,7 +644,7 @@ def run_sweep(
     jobs: int | None = None,
     cache: ResultCache | None | object = _UNSET,
     stats: SweepStats | None = None,
-    profile: bool | None = None,
+    profile: bool = False,
 ) -> list[SweepPoint]:
     """Run a batch of grid points and aggregate each into a SweepPoint.
 
@@ -676,15 +663,14 @@ def run_sweep(
         payloads are equal whether served cold or warm; a profile comes
         from the runs this call executed.
     profile:
-        Capture a phase-attributed CPU profile of every run (default:
-        the ``REPRO_PROFILE`` environment variable).  Worker profiles
-        are merged into ``stats.profile``.  Profiling disables the
-        result cache for the sweep: a cache hit carries no profile to
-        merge, so every run must execute.
+        Capture a phase-attributed CPU profile of every run
+        (``compare --profile``).  Worker profiles are merged into
+        ``stats.profile``.  Profiling disables the result cache for the
+        sweep: a cache hit carries no profile to merge, so every run
+        must execute.
     """
     t0 = time.perf_counter()
     jobs = resolve_jobs(jobs)
-    profile = resolve_profile(profile)
     if profile:
         cache = None
     elif cache is _UNSET:
@@ -775,7 +761,7 @@ def run_point(
     jobs: int | None = None,
     cache: ResultCache | None | object = _UNSET,
     stats: SweepStats | None = None,
-    profile: bool | None = None,
+    profile: bool = False,
 ) -> SweepPoint:
     """Run one grid point through the sweep engine."""
     return run_sweep(

@@ -203,7 +203,7 @@ def run_policies(
     cluster_factory: Callable[[int], Cluster] = paper_cluster,
     fixed_overhead_s: float | None = None,
     jobs: int | None = None,
-    profile: bool | None = None,
+    profile: bool = False,
     stats: "object | None" = None,
 ) -> SweepPoint:
     """Run every policy at one grid point and aggregate replications.
@@ -215,9 +215,9 @@ def run_policies(
     caching (``REPRO_CACHE``), while keeping the historical
     per-replication seeding ``seed * 1000 + rep`` so aggregates match
     the old serial loop bit for bit.  ``profile``/``stats`` pass
-    through to :func:`repro.experiments.parallel.run_sweep` — a
-    profiled comparison collects its merged CPU profile in
-    ``stats.profile``.
+    through to :func:`repro.experiments.parallel.run_sweep`: with
+    ``profile=True`` (``compare --profile``) every run executes, the
+    cache bypassed, and ``stats.profile`` holds the merged CPU profile.
     """
     # Imported lazily: parallel.py imports this module's factories.
     from repro.experiments.parallel import PointSpec, run_point

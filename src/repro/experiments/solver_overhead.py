@@ -6,10 +6,13 @@ with 4 machines and matrices of order 65536, with standard deviation of
 models fitted for exactly that scenario, on the host running the
 reproduction (absolute numbers are hardware-dependent; the claim that
 survives is *milliseconds-scale, amortised by the better distribution*).
+The experiment reads the host clock around each call itself: its result
+is a host time, and the solver times nothing.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +87,9 @@ def run_solver_overhead(
     q = quantum if quantum is not None else size * 0.9 / 5
     times = []
     for _ in range(repetitions):
+        t0 = time.perf_counter()
         last = solve_block_partition(models, q)
-        times.append(last.solve_time_s * 1e3)
+        times.append((time.perf_counter() - t0) * 1e3)
     mean, std = mean_std(times)
     return OverheadStats(
         mean_ms=float(mean),

@@ -3,18 +3,19 @@
 The legs every experiment stands on:
 
 * :mod:`repro.obs.metrics` — a zero-dependency metrics registry
-  (counters, gauges, histograms with labels) instrumented through the
-  DES engine, the PLB-HeC policy, the interior-point solver and the
+  (counters and gauges with labels) instrumented through the DES
+  engine, the PLB-HeC policy, the interior-point solver and the
   parallel sweep engine;
-* :mod:`repro.obs.events` — structured span/instant events with run-id
+* :mod:`repro.obs.events` — structured instant events with run-id
   correlation, emitted through the ``repro`` logging hierarchy
   (JSON-lines with ``--log-format json``);
 * :mod:`repro.obs.trace_export` — Chrome trace-event / Perfetto export
   of :class:`~repro.sim.trace.ExecutionTrace` objects
   (``python -m repro trace ... --out trace.json``);
 * :mod:`repro.obs.profiler` — deterministic phase-attributed CPU
-  profiling (``repro profile``, ``--profile`` on run/compare):
-  collapsed stacks, flamegraph SVGs, hot-function tables;
+  profiling, the one answer to "where did the host time go?"
+  (``repro profile``, ``compare --profile``, the dashboard's CPU
+  profile): collapsed stacks, flamegraph SVGs, hot-function tables;
 * :mod:`repro.obs.report` — the per-run :class:`RunReport` manifest
   cached alongside sweep results;
 * :mod:`repro.obs.regress` — built-in anomaly detectors over a run's
@@ -65,9 +66,7 @@ from repro.obs.dashboard import (
 )
 from repro.obs.events import (
     EventLog,
-    attach_jsonl_sink,
     current_run_id,
-    detach_sink,
     new_run_id,
     push_run_id,
 )
@@ -82,7 +81,6 @@ from repro.obs.ledger import (
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     reset_registry,
@@ -158,7 +156,6 @@ __all__ = [
     "DeviceCalibration",
     "EventLog",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "PROFILE_PHASES",
     "PhaseProfiler",
@@ -170,14 +167,12 @@ __all__ = [
     "TimeSeriesStore",
     "active_profiler",
     "analyze_trace",
-    "attach_jsonl_sink",
     "category_shares",
     "collapsed_stacks",
     "collect_dashboard_data",
     "config_hash",
     "current_run_id",
     "decision_rows",
-    "detach_sink",
     "detect_anomalies",
     "detect_critpath_anomalies",
     "detect_slo_anomalies",

@@ -1,11 +1,11 @@
-"""Structured event log: spans and instants with run-id correlation.
+"""Structured event log: instants with run-id correlation.
 
 The observability layer's second leg (next to the metrics registry and
-the Chrome-trace exporter): every interesting host-side moment — a run
-starting, a model fit, an interior-point solve, a sweep batch — can be
-emitted as a *structured* record through the normal ``repro`` logging
-hierarchy.  With the default text formatter the records read as
-ordinary log lines; with ``--log-format json`` (see
+the Chrome-trace exporter): every interesting moment — a run ending, a
+scheduler decision, a rebalance, a sweep batch — can be emitted as a
+*structured* record through the normal ``repro`` logging hierarchy.
+With the default text formatter the records read as ordinary log lines;
+with ``--log-format json`` (see
 :func:`repro.util.logging.configure_logging`) each becomes one JSON
 object per line, ready for ``jq``/ingestion.
 
@@ -16,11 +16,10 @@ threading the id through call signatures — it lives in a
 :class:`contextvars.ContextVar`, so it is safe under threads and is
 inherited by the real executor's worker threads.
 
-Spans use *wall* time: they measure the host-side cost of scheduler
-decisions (the paper's "~170 ms per solve" statistic), not virtual
-simulation time — virtual-time spans live in
-:class:`~repro.sim.trace.ExecutionTrace` and are exported by
-:mod:`repro.obs.trace_export`.
+An event's ``ts`` is the host's wall clock and times nothing; virtual
+time lives in :class:`~repro.sim.trace.ExecutionTrace` (exported by
+:mod:`repro.obs.trace_export`), and host time is the phase profiler's
+(:mod:`repro.obs.profiler`).
 """
 
 from __future__ import annotations
@@ -30,21 +29,16 @@ import contextvars
 import hashlib
 import itertools
 import logging
-import logging.handlers
-import os
 import time
 from typing import Any, Iterator
 
-from repro.errors import ConfigurationError
-from repro.util.logging import JsonFormatter, get_logger
+from repro.util.logging import get_logger
 
 __all__ = [
     "EventLog",
     "current_run_id",
     "push_run_id",
     "new_run_id",
-    "attach_jsonl_sink",
-    "detach_sink",
 ]
 
 _run_id_var: contextvars.ContextVar[str | None] = contextvars.ContextVar(
@@ -81,90 +75,8 @@ def push_run_id(run_id: str) -> Iterator[str]:
         _run_id_var.reset(token)
 
 
-class _TruncatingFileHandler(logging.handlers.RotatingFileHandler):
-    """A size-capped sink with no backup generations.
-
-    With ``backupCount=0`` the stdlib handler's rollover reopens the
-    file in append mode — i.e. it never actually sheds bytes.  This
-    variant truncates on rollover so ``max_bytes`` stays a real bound.
-    """
-
-    def doRollover(self) -> None:
-        if self.stream:
-            self.stream.close()
-            self.stream = None
-        self.stream = open(  # noqa: SIM115 - logging owns the handle
-            self.baseFilename, "w", encoding=self.encoding
-        )
-
-
-def attach_jsonl_sink(
-    path: str,
-    *,
-    max_bytes: int | None = None,
-    backup_count: int = 1,
-    level: int = logging.INFO,
-) -> logging.Handler:
-    """Attach a JSON-lines file sink to the ``repro`` logger hierarchy.
-
-    Every record (structured events included) is appended to ``path``
-    as one JSON object per line, independent of any console handler.
-    With ``max_bytes`` set, the file rotates once it would exceed that
-    size, keeping ``backup_count`` old files (``path.1`` .. ``path.N``)
-    — long chaos campaigns get bounded disk use.  ``backup_count=0``
-    keeps no history at all: the file is truncated in place once it
-    reaches the cap.  With ``max_bytes``
-    unset (the default) the file grows without limit, exactly as a
-    plain append sink: default behaviour is unchanged.
-
-    Returns the handler; pass it to :func:`detach_sink` to stop and
-    close it.  The root logger level is lowered to ``level`` if it is
-    currently stricter, so sink records are not filtered out by a
-    console configuration.
-    """
-    if max_bytes is not None and max_bytes <= 0:
-        raise ConfigurationError(
-            f"max_bytes must be positive when set, got {max_bytes}"
-        )
-    if backup_count < 0:
-        raise ConfigurationError(
-            f"backup_count must be >= 0, got {backup_count}"
-        )
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    if max_bytes is None:
-        handler: logging.Handler = logging.FileHandler(path, encoding="utf-8")
-    elif backup_count == 0:
-        # stdlib RotatingFileHandler quietly keeps appending when
-        # backupCount is 0, which would break the bounded-disk promise;
-        # truncate in place instead.
-        handler = _TruncatingFileHandler(
-            path, maxBytes=int(max_bytes), encoding="utf-8"
-        )
-    else:
-        handler = logging.handlers.RotatingFileHandler(
-            path,
-            maxBytes=int(max_bytes),
-            backupCount=int(backup_count),
-            encoding="utf-8",
-        )
-    handler.setFormatter(JsonFormatter())
-    handler.setLevel(level)
-    root = get_logger("repro")
-    root.addHandler(handler)
-    if root.level == logging.NOTSET or root.level > level:
-        root.setLevel(level)
-    return handler
-
-
-def detach_sink(handler: logging.Handler) -> None:
-    """Remove and close a sink previously attached by this module."""
-    get_logger("repro").removeHandler(handler)
-    handler.close()
-
-
 class EventLog:
-    """Emit structured span/instant events through a ``repro`` logger.
+    """Emit structured instant events through a ``repro`` logger.
 
     Parameters
     ----------
@@ -180,40 +92,12 @@ class EventLog:
         self._log = get_logger(name)
         self._level = level
 
-    # ------------------------------------------------------------------
-    def _emit(self, payload: dict[str, Any], message: str) -> None:
+    def instant(self, name: str, **attrs: Any) -> None:
+        """Emit a point-in-time event, tagged with the ambient run id."""
+        payload = {"type": "instant", "name": name, "ts": time.time(), **attrs}
         run_id = _run_id_var.get()
         if run_id is not None:
             payload.setdefault("run_id", run_id)
-        self._log.log(self._level, "%s", message, extra={"repro_event": payload})
-
-    def instant(self, name: str, **attrs: Any) -> None:
-        """Emit a point-in-time event."""
-        payload = {"type": "instant", "name": name, "ts": time.time(), **attrs}
         detail = " ".join(f"{k}={v}" for k, v in attrs.items())
-        self._emit(payload, f"event {name}" + (f" {detail}" if detail else ""))
-
-    @contextlib.contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
-        """Emit begin/end events around a block, measuring wall time.
-
-        Yields a mutable dict; keys added inside the block are attached
-        to the end event (e.g. result sizes discovered mid-span).
-        """
-        extra: dict[str, Any] = {}
-        t0 = time.perf_counter()
-        payload = {"type": "span_begin", "name": name, "ts": time.time(), **attrs}
-        self._emit(payload, f"begin {name}")
-        try:
-            yield extra
-        finally:
-            duration = time.perf_counter() - t0
-            payload = {
-                "type": "span_end",
-                "name": name,
-                "ts": time.time(),
-                "duration_s": duration,
-                **attrs,
-                **extra,
-            }
-            self._emit(payload, f"end {name} ({duration * 1e3:.1f} ms)")
+        message = f"event {name}" + (f" {detail}" if detail else "")
+        self._log.log(self._level, "%s", message, extra={"repro_event": payload})

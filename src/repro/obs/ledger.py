@@ -106,7 +106,10 @@ class DecisionRecord:
     solver:
         Solver outcome: ``method``, ``converged``, ``iterations``,
         ``kkt_error``, ``solve_time_s`` and — on the degradation path —
-        ``fallback_stage`` and ``error``.
+        ``fallback_stage`` and ``error``.  ``solve_time_s`` is what the
+        solve attempt was charged (the modeled solve cost or the pinned
+        ``fixed_overhead_s``, before ``overhead_scale``), on a fallback
+        as on a solve; it is never host time.
     models:
         Per-device model state at decision time (basis, coefficients,
         R², profile-point count; see

@@ -1,4 +1,4 @@
-"""Zero-dependency metrics registry: counters, gauges, histograms.
+"""Zero-dependency metrics registry: counters and gauges.
 
 The paper's entire evaluation (Sec. V) is instrumentation — probe
 rounds, rebalance counts, solver iterations, idleness — and every later
@@ -10,7 +10,10 @@ optional labels, safe to update from multiple threads, whose
 crosses process boundaries.  One run's share comes from
 :meth:`~MetricsRegistry.mark` and :meth:`~MetricsRegistry.delta_since`
 (``repro run --metrics-out``), and costs what the run recorded, not
-what the process has recorded so far.
+what the process has recorded so far.  Every series counts work or
+records a virtual-time or model quantity, never host time (that is the
+phase profiler's, :mod:`repro.obs.profiler`), so a run's delta is a
+pure function of the run.
 
 Design choices, deliberately boring:
 
@@ -34,7 +37,6 @@ Usage::
     reg = get_registry()
     reg.inc("plbhec.rebalances")
     reg.set_gauge("plbhec.r2", 0.93, device="A.gpu0")
-    reg.observe("plbhec.solve_ms", 0.41)
     reg.snapshot()["counters"]["plbhec.rebalances"]  # -> 1.0
 """
 
@@ -50,7 +52,6 @@ from repro.util.logging import get_logger
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
     "set_registry",
@@ -64,11 +65,8 @@ _log = get_logger("obs.metrics")
 #: Snapshot key of a labelled series: ``name{k=v,k2=v2}`` (sorted keys).
 _OVERFLOW_LABELS = {"overflow": "true"}
 
-#: The percentiles a histogram summary reports.
-_SUMMARY_PERCENTILES = (("p50", 50.0), ("p90", 90.0), ("p99", 99.0))
-
 #: What :meth:`MetricsRegistry.mark` returns.
-Mark = tuple[int, dict[str, float], dict[str, tuple[int, float]]]
+Mark = tuple[int, dict[str, float]]
 
 
 def _series_key(name: str, labels: Mapping[str, str] | None) -> str:
@@ -137,71 +135,12 @@ class Gauge:
             self.written = next(self._clock)
 
 
-class Histogram:
-    """A bounded-reservoir histogram with exact percentiles.
-
-    Keeps the most recent ``max_samples`` observations (plus running
-    count/sum/min/max over *all* observations), so percentile queries
-    reflect recent behaviour while the totals stay exact.  The default
-    reservoir (8192) is far above anything a single run produces.
-    """
-
-    __slots__ = ("_lock", "_samples", "max_samples", "count", "total", "min", "max")
-
-    def __init__(self, lock: threading.RLock, *, max_samples: int = 8192) -> None:
-        if max_samples < 1:
-            raise ConfigurationError("max_samples must be >= 1")
-        self._lock = lock
-        self._samples: list[float] = []
-        self.max_samples = max_samples
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-            self._samples.append(value)
-            if len(self._samples) > self.max_samples:
-                del self._samples[0 : len(self._samples) - self.max_samples]
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th :func:`percentile` (0..100) of the retained reservoir."""
-        with self._lock:
-            return percentile(sorted(self._samples), q)
-
-    def summary(self) -> dict[str, float]:
-        """count/sum/min/max/mean plus p50/p90/p99."""
-        with self._lock:
-            if self.count == 0:
-                return {"count": 0, "sum": 0.0}
-            return _summary(
-                self.count, self.total, self.min, self.max, sorted(self._samples)
-            )
-
-
-def _summary(
-    count: int, total: float, low: float, high: float, ordered: list[float]
-) -> dict[str, float]:
-    """A histogram summary: the totals given, percentiles of ``ordered``."""
-    out = {"count": count, "sum": total, "min": low, "max": high, "mean": total / count}
-    for stat, q in _SUMMARY_PERCENTILES:
-        out[stat] = percentile(ordered, q)
-    return out
-
-
 def percentile(ordered: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0..100) of the ascending list ``ordered``.
 
     Linear interpolation between closest ranks; 0.0 on an empty list.
-    Every percentile in :mod:`repro.obs` (histogram summaries, run
-    deltas, time-series windows, SLO aggregates) is this function.
+    Every percentile in :mod:`repro.obs` (time-series windows, SLO
+    aggregates) is this function.
     """
     if not 0.0 <= q <= 100.0:
         raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
@@ -215,7 +154,7 @@ def percentile(ordered: Sequence[float], q: float) -> float:
 
 
 class MetricsRegistry:
-    """A named collection of counters, gauges and histograms.
+    """A named collection of counters and gauges.
 
     Instruments are created on first use (``counter("x")`` is
     get-or-create), so instrumented modules never need registration
@@ -230,7 +169,6 @@ class MetricsRegistry:
         self.max_label_sets = max_label_sets
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._label_sets: dict[str, int] = {}  # metric name -> distinct series
         self._overflowed: set[str] = set()
         # ticks on every gauge write; a mark is one tick
@@ -277,15 +215,6 @@ class MetricsRegistry:
                 inst = self._gauges[key] = Gauge(self._lock, self._clock)
             return inst
 
-    def histogram(self, name: str, **labels: str) -> Histogram:
-        """Get or create the histogram for ``name`` + label set."""
-        with self._lock:
-            key = self._key(name, labels, self._histograms)
-            inst = self._histograms.get(key)
-            if inst is None:
-                inst = self._histograms[key] = Histogram(self._lock)
-            return inst
-
     # ------------------------------------------------------------------
     # convenience updates (the forms instrumented code actually calls)
     # ------------------------------------------------------------------
@@ -297,55 +226,42 @@ class MetricsRegistry:
         """Set the named gauge."""
         self.gauge(name, **labels).set(value)
 
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        """Record one observation into the named histogram."""
-        self.histogram(name, **labels).observe(value)
-
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """A JSON-compatible point-in-time view of every series.
 
-        Returns ``{"counters": {key: value}, "gauges": {key: value},
-        "histograms": {key: summary}}``.  The result is a deep plain-data
-        copy: safe to serialise, diff, or ship across processes.
+        Returns ``{"counters": {key: value}, "gauges": {key: value}}``.
+        The result is a deep plain-data copy: safe to serialise, diff, or
+        ship across processes.
         """
         with self._lock:
             return {
                 "counters": {k: c.value for k, c in self._counters.items()},
                 "gauges": {k: g.value for k, g in self._gauges.items()},
-                "histograms": {k: h.summary() for k, h in self._histograms.items()},
             }
 
     def mark(self) -> Mark:
         """Where a run's metrics start: what :meth:`delta_since` subtracts.
 
-        The write-clock tick, counter values and each histogram's
-        ``(count, total)``; no summaries, whatever the reservoirs hold.
+        The write-clock tick and the counter values.
         """
         with self._lock:
             return (
                 next(self._clock),
                 {k: c.value for k, c in self._counters.items()},
-                {k: (h.count, h.total) for k, h in self._histograms.items()},
             )
 
     def delta_since(self, mark: Mark) -> dict:
         """The metrics of the run that began at ``mark``, shaped like a snapshot.
 
-        Counters that moved, by how much; gauges written since the mark
-        (a level an earlier run left is not this run's; a rewrite to the
-        old value is); and each histogram the run observed, summarised
-        over the run's own samples: ``count`` and ``sum`` are the running
-        totals minus the mark's, ``mean`` is ``sum / count``, and ``min``,
-        ``max`` and the percentiles cover the reservoir's last ``count``
-        entries (every retained entry if the run evicted some).  Runs
-        sharing a registry must not overlap.
+        Counters that moved, by how much, and gauges written since the
+        mark (a level an earlier run left is not this run's; a rewrite to
+        the old value is).  Runs sharing a registry must not overlap.
         """
-        tick, counters_before, histograms_before = mark
+        tick, counters_before = mark
         counters: dict[str, float] = {}
-        histograms: dict[str, dict[str, float]] = {}
         with self._lock:
             for key, counter in self._counters.items():
                 delta = counter.value - counters_before.get(key, 0.0)
@@ -354,16 +270,7 @@ class MetricsRegistry:
             gauges = {
                 k: g.value for k, g in self._gauges.items() if g.written > tick
             }
-            for key, hist in self._histograms.items():
-                count_before, total_before = histograms_before.get(key, (0, 0.0))
-                count = hist.count - count_before
-                if count > 0:
-                    run = hist._samples[-count:]
-                    total = hist.total - total_before
-                    histograms[key] = _summary(
-                        count, total, min(run), max(run), sorted(run)
-                    )
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "gauges": gauges}
 
     def counter_value(self, name: str, **labels: str) -> float:
         """The named counter's value; 0.0, creating no series, if absent."""
@@ -383,7 +290,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
             self._label_sets.clear()
             self._overflowed.clear()
 
@@ -391,9 +297,6 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
-_PROM_QUANTILES = (("p50", "0.5"), ("p90", "0.9"), ("p99", "0.99"))
-
-
 def _prom_name(name: str) -> str:
     """Sanitize a metric name to ``[a-zA-Z_:][a-zA-Z0-9_:]*``."""
     out = []
@@ -435,16 +338,13 @@ def _prom_help(family: str, kind: str) -> str:
     return f"# HELP {family} {text}"
 
 
-def _prom_series(
-    key: str, extra: list[tuple[str, str]] | None = None, suffix: str = ""
-) -> str:
-    """Render one series reference: sanitized name (+ suffix) and labels."""
-    name, label_map = _parse_series_key(key)
-    labels = [*label_map.items(), *(extra or [])]
-    rendered = _prom_name(name) + suffix
+def _prom_series(key: str) -> str:
+    """Render one series reference: sanitized name and labels."""
+    name, labels = _parse_series_key(key)
+    rendered = _prom_name(name)
     if labels:
         body = ",".join(
-            f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in labels
+            f'{_prom_name(k)}="{_prom_escape(v)}"' for k, v in labels.items()
         )
         rendered += "{" + body + "}"
     return rendered
@@ -464,14 +364,12 @@ def snapshot_to_prometheus(snapshot: dict) -> str:
     """A registry snapshot in Prometheus text exposition format.
 
     Mapping rules: counters and gauges become ``counter``/``gauge``
-    families; histogram summaries become ``summary`` families with
-    ``quantile="0.5"/"0.9"/"0.99"`` series (from p50/p90/p99) plus the
-    conventional ``_sum``/``_count`` lines.  Metric names are sanitized
-    (dots become underscores); label values are escaped (and round-trip
-    through :func:`_prom_unescape`).  Families are emitted sorted by
-    name, each preceded by ``# HELP`` and ``# TYPE`` comments, and the
-    output ends with a newline (as scrapers expect).  An empty snapshot
-    yields the empty string — a valid (empty) exposition.
+    families.  Metric names are sanitized (dots become underscores);
+    label values are escaped (and round-trip through
+    :func:`_prom_unescape`).  Families are emitted sorted by name,
+    counters first, each preceded by ``# HELP`` and ``# TYPE`` comments,
+    and the output ends with a newline (as scrapers expect).  An empty
+    snapshot yields the empty string — a valid (empty) exposition.
     """
     lines: list[str] = []
 
@@ -482,34 +380,13 @@ def snapshot_to_prometheus(snapshot: dict) -> str:
             by_name.setdefault(_prom_name(name), []).append(key)
         return by_name
 
-    for family, keys in sorted(families(snapshot.get("counters", {})).items()):
-        lines.append(_prom_help(family, "counter"))
-        lines.append(f"# TYPE {family} counter")
-        for key in keys:
-            value = snapshot["counters"][key]
-            lines.append(f"{_prom_series(key)} {_prom_value(value)}")
-    for family, keys in sorted(families(snapshot.get("gauges", {})).items()):
-        lines.append(_prom_help(family, "gauge"))
-        lines.append(f"# TYPE {family} gauge")
-        for key in keys:
-            value = snapshot["gauges"][key]
-            lines.append(f"{_prom_series(key)} {_prom_value(value)}")
-    for family, keys in sorted(families(snapshot.get("histograms", {})).items()):
-        lines.append(_prom_help(family, "summary"))
-        lines.append(f"# TYPE {family} summary")
-        for key in keys:
-            summ = snapshot["histograms"][key]
-            for stat, quantile in _PROM_QUANTILES:
-                if stat in summ:
-                    lines.append(
-                        f"{_prom_series(key, [('quantile', quantile)])} "
-                        f"{_prom_value(summ[stat])}"
-                    )
-            for stat, default in (("sum", 0.0), ("count", 0)):
-                lines.append(
-                    f"{_prom_series(key, suffix='_' + stat)} "
-                    f"{_prom_value(summ.get(stat, default))}"
-                )
+    for section, kind in (("counters", "counter"), ("gauges", "gauge")):
+        values = snapshot.get(section, {})
+        for family, keys in sorted(families(values).items()):
+            lines.append(_prom_help(family, kind))
+            lines.append(f"# TYPE {family} {kind}")
+            for key in keys:
+                lines.append(f"{_prom_series(key)} {_prom_value(values[key])}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -46,8 +46,9 @@ class RunReport:
     phase_summary:
         :meth:`~repro.sim.trace.ExecutionTrace.phase_summary` output.
     metrics:
-        Metrics-registry delta over the run (``repro run --metrics-out``);
-        empty in sweep payloads, whose delta is fresh-only.
+        Metrics-registry delta over the run (``repro run --metrics-out``:
+        its counters and gauges, a pure function of the run); empty in
+        sweep payloads, whose runs take no delta.
     """
 
     run_id: str

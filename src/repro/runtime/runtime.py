@@ -16,7 +16,6 @@ This is the library's main entry point::
 from __future__ import annotations
 
 import contextlib
-import time
 from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster
@@ -50,8 +49,6 @@ class RunResult:
         Completion time in seconds (virtual for sim, wall for real).
     trace:
         Full execution trace (Gantt, idleness, distributions).
-    wall_time_s:
-        Host seconds the run took to compute.
     results:
         Real-backend block results (``None`` on the sim backend).
     run_id:
@@ -69,7 +66,6 @@ class RunResult:
     total_units: int
     makespan: float
     trace: ExecutionTrace = field(repr=False)
-    wall_time_s: float
     results: list[tuple[int, int, object]] | None = field(
         default=None, repr=False
     )
@@ -184,7 +180,6 @@ class Runtime:
                 "telemetry sampling requires the simulated backend "
                 f"(got backend={self.backend!r})"
             )
-        t0 = time.perf_counter()
         results = None
         run_id = current_run_id()
         scope = (
@@ -193,34 +188,33 @@ class Runtime:
             else push_run_id(new_run_id())
         )
         with scope as run_id:
-            with _events.span(
+            # Host-time attribution for `repro profile`: the whole
+            # executor loop runs as "execute"; the policy's fit and
+            # solve scopes and the executor's probe transitions
+            # re-attribute their slices from inside.
+            with profile_phase("execute"):
+                if self.backend == "sim":
+                    trace, makespan = self._executor.run(
+                        policy, total_units, initial_block_size,
+                        sampler=sampler,
+                    )
+                else:
+                    trace, makespan, results = self._executor.run(
+                        policy, total_units, initial_block_size
+                    )
+            _events.instant(
                 "runtime.run",
                 policy=policy.name,
                 backend=self.backend,
                 total_units=int(total_units),
-            ) as span:
-                # Host-time attribution for `repro profile`: the whole
-                # executor loop runs as "execute"; the policy's fit and
-                # solve scopes and the executor's probe transitions
-                # re-attribute their slices from inside.
-                with profile_phase("execute"):
-                    if self.backend == "sim":
-                        trace, makespan = self._executor.run(
-                            policy, total_units, initial_block_size,
-                            sampler=sampler,
-                        )
-                    else:
-                        trace, makespan, results = self._executor.run(
-                            policy, total_units, initial_block_size
-                        )
-                span["makespan"] = float(makespan)
+                makespan=float(makespan),
+            )
         return RunResult(
             policy_name=policy.name,
             backend=self.backend,
             total_units=int(total_units),
             makespan=float(makespan),
             trace=trace,
-            wall_time_s=time.perf_counter() - t0,
             results=results,
             run_id=run_id or "",
             ledger=getattr(policy, "ledger", None),

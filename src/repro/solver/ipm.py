@@ -20,7 +20,6 @@ free.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,6 @@ class IPMResult:
     constraint_violation: float
     objective: float
     mu_final: float
-    wall_time_s: float
     #: feasibility-restoration phases entered during the solve
     restorations: int = 0
 
@@ -184,7 +182,6 @@ class InteriorPointSolver:
 
     def _solve_impl(self, problem: NLPProblem, x0: np.ndarray) -> IPMResult:
         opts = self.options
-        t0 = time.perf_counter()
 
         lo, up = problem.lower, problem.upper
         has_lo, has_up = problem.has_lower(), problem.has_upper()
@@ -372,7 +369,6 @@ class InteriorPointSolver:
         registry.inc("ipm.iterations", iteration)
         registry.inc("ipm.restorations", restorations)
         registry.set_gauge("ipm.kkt_error", final_err)
-        registry.observe("ipm.solve_ms", (time.perf_counter() - t0) * 1e3)
         if status != "optimal":
             registry.inc("ipm.failures", **{"status": status})
         return IPMResult(
@@ -386,7 +382,6 @@ class InteriorPointSolver:
             constraint_violation=float(np.abs(c).sum()),
             objective=problem.eval_objective(x),
             mu_final=mu,
-            wall_time_s=time.perf_counter() - t0,
             restorations=restorations,
         )
 

@@ -34,7 +34,6 @@ that fails, a measured-rate proportional split caps the damage
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -85,11 +84,6 @@ class PartitionResult:
         (0 for fallback paths).
     kkt_error:
         Final scaled KKT error (NaN for fallback paths).
-    solve_time_s:
-        Host wall-clock seconds the whole chain took, presolve and
-        certificate included (the overhead the paper reports as ~170 ms
-        on their master node).  Host time only: S1 and the
-        ``plbhec.solve_ms`` histogram read it, virtual time never does.
     """
 
     device_ids: tuple[str, ...]
@@ -99,7 +93,6 @@ class PartitionResult:
     converged: bool
     iterations: int
     kkt_error: float
-    solve_time_s: float
 
     @property
     def fractions(self) -> dict[str, float]:
@@ -258,7 +251,6 @@ def solve_block_partition(
         )
 
     n = len(model_list)
-    t_start = time.perf_counter()
     # The adaptive barrier update is the subject of the paper's solver
     # reference (Nocedal, Wächter & Waltz 2009) and roughly halves the
     # iteration count on partition problems; see the solver benchmarks.
@@ -283,7 +275,6 @@ def solve_block_partition(
             converged=converged,
             iterations=iterations,
             kkt_error=kkt_error,
-            solve_time_s=time.perf_counter() - t_start,
         )
 
     if n == 1:

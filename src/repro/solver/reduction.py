@@ -73,8 +73,8 @@ def waterfill_partition(
 
     # Precompute, per device, a monotone lookup table E(grid) so each
     # bisection probe is one list bisection instead of a scalar-evaluation
-    # bisection per device (this path is charged as scheduler overhead,
-    # so its wall cost directly worsens makespans).  E is positive, so a
+    # bisection per device (every scheduler decision and service tick
+    # runs this path).  E is positive, so a
     # table is sorted up to its first NaN, after which the running
     # maximum is all NaN; the lookup orders NaN last, as np.searchsorted.
     grid_n = 513

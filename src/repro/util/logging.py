@@ -12,7 +12,7 @@ The CLI (and any embedding application) opts into console output via
 * ``"json"`` — one JSON object per line.  Structured events emitted by
   :class:`repro.obs.events.EventLog` attach their payload under
   ``extra={"repro_event": {...}}``; the JSON formatter merges that
-  payload into the record, so span begin/end events come out as
+  payload into the record, so instant events come out as
   machine-readable JSON-lines.
 
 :func:`configure_from_env` honours the ``REPRO_LOG`` environment
@@ -78,8 +78,8 @@ class JsonFormatter(logging.Formatter):
     Base fields: ``ts`` (epoch seconds), ``level``, ``logger``, ``msg``.
     A ``repro_event`` payload attached by
     :class:`~repro.obs.events.EventLog` is merged in (its keys win over
-    nothing — base fields are never clobbered), giving structured span
-    begin/end and instant events their machine-readable form.
+    nothing — base fields are never clobbered), giving structured
+    instant events their machine-readable form.
     """
 
     def format(self, record: logging.LogRecord) -> str:

@@ -262,16 +262,14 @@ class TestTelemetry:
     @pytest.mark.parametrize("policy", ["greedy", "plb-hec"])
     def test_a_run_summarises_only_its_own_samples(self, policy, monkeypatch):
         """A run's metrics cost what it recorded: no whole-registry
-        snapshot and no summary of a process-wide reservoir."""
+        snapshot."""
         from repro.experiments.parallel import _execute_run
-        from repro.obs.metrics import Histogram, MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         def refuse(*args, **kwargs):
             raise AssertionError("a run summarised the whole registry")
 
         monkeypatch.setattr(MetricsRegistry, "snapshot", refuse)
-        monkeypatch.setattr(Histogram, "summary", refuse)
-        monkeypatch.setattr(Histogram, "percentile", refuse)
         spec = RunSpec("matmul", 4096, 2, policy, 3000, 0.005, 0.01)
         assert _execute_run(spec, paper_cluster)["makespan"] > 0
 
@@ -479,22 +477,6 @@ class TestProfiledSweeps:
         run_sweep([SMALL], jobs=1, cache=cache, stats=warm_stats)
         assert warm_stats.cache_hits == 0
         assert warm_stats.executed == 6
-
-    def test_repro_profile_env_resolution(self, monkeypatch):
-        from repro.experiments.parallel import resolve_profile
-
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert resolve_profile(None) is False
-        assert resolve_profile(True) is True
-        assert resolve_profile(False) is False
-        for value in ("1", "on", "true", "YES"):
-            monkeypatch.setenv("REPRO_PROFILE", value)
-            assert resolve_profile(None) is True
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert resolve_profile(None) is False
-        # Explicit argument always wins over the environment.
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert resolve_profile(False) is False
 
     def test_profiled_aggregates_match_unprofiled(self):
         """Profiling must observe, not perturb: virtual-time results are

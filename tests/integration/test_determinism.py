@@ -1,9 +1,35 @@
 """Determinism and cross-backend integration tests."""
 
+import ast
+import pathlib
+import time
+
 import pytest
 
+import repro
 from repro import Greedy, PLBHeC, Runtime, paper_cluster
 from repro.apps import BlackScholes, MatMul
+
+#: Layers whose results are virtual time (or a pure function of the
+#: inputs).  The host clocks (``perf_counter``, ``time.time``,
+#: ``monotonic``, ``process_time``) live in the ``time`` module, and no
+#: module of these layers imports it.
+VIRTUAL_TIME_LAYERS = (
+    "core", "solver", "modeling", "sim", "cluster", "balancers", "service",
+    "runtime",
+)
+#: The real backend's makespan is wall time by definition.
+HOST_CLOCK_EXEMPT = {"runtime/real_executor.py"}
+
+
+def time_imports(tree: ast.AST) -> list[int]:
+    """Lines of a module that import ``time`` or a name from it."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "time")
+    ]
 
 
 class TestDeterminism:
@@ -82,6 +108,27 @@ class TestVirtualTimeScaling:
         """A paper-scale run must simulate in a fraction of its makespan."""
         app = MatMul(n=32768)
         rt = Runtime(paper_cluster(4), app.codelet(), seed=0)
+        t0 = time.perf_counter()
         res = rt.run(Greedy(), app.total_units, app.default_initial_block_size())
+        wall_s = time.perf_counter() - t0
         assert res.makespan > 10.0  # tens of virtual seconds
-        assert res.wall_time_s < res.makespan / 10
+        assert wall_s < res.makespan / 10
+
+
+class TestNoHostClock:
+    def test_library_layers_read_no_host_clock(self):
+        """Host time is the phase profiler's and S1's to measure: the
+        layers that compute a run read no clock, so equal inputs give
+        equal outputs on any host."""
+        root = pathlib.Path(repro.__file__).parent
+        found = {}
+        for layer in VIRTUAL_TIME_LAYERS:
+            for path in sorted((root / layer).rglob("*.py")):
+                name = path.relative_to(root).as_posix()
+                lines = time_imports(ast.parse(path.read_text()))
+                if lines and name not in HOST_CLOCK_EXEMPT:
+                    found[name] = lines
+        assert found == {}
+        # the guard sees the one module that does read the clock
+        real = root / "runtime" / "real_executor.py"
+        assert time_imports(ast.parse(real.read_text()))

@@ -1,8 +1,7 @@
-"""Tests for repro.obs.events (run ids, spans, structured payloads)."""
+"""Tests for repro.obs.events (run ids, structured payloads)."""
 
 import json
 import logging
-import logging.handlers
 
 import pytest
 
@@ -61,22 +60,6 @@ class TestEventLog:
         assert payload["size"] == 3
         assert "run_id" not in payload  # none pushed
 
-    def test_span_emits_begin_and_end_with_duration(self, capture):
-        with EventLog().span("work", n=2) as extra:
-            extra["found"] = 7
-        begin, end = [r.repro_event for r in capture.records]
-        assert begin["type"] == "span_begin" and begin["n"] == 2
-        assert end["type"] == "span_end"
-        assert end["duration_s"] >= 0.0
-        assert end["found"] == 7  # keys added inside the block
-
-    def test_span_end_emitted_on_exception(self, capture):
-        with pytest.raises(RuntimeError):
-            with EventLog().span("work"):
-                raise RuntimeError("boom")
-        types = [r.repro_event["type"] for r in capture.records]
-        assert types == ["span_begin", "span_end"]
-
     def test_run_id_attached_from_context(self, capture):
         with push_run_id("run-xyz"):
             EventLog().instant("correlated")
@@ -91,162 +74,3 @@ class TestEventLog:
         assert doc["count"] == 1
         assert doc["run_id"] == "run-fmt"
         assert doc["logger"] == "repro.obs.events"
-
-
-class TestJsonlSink:
-    def test_events_land_in_file_as_json_lines(self, tmp_path):
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(str(path))
-        try:
-            EventLog("sink.test").instant("hello", n=7)
-        finally:
-            detach_sink(handler)
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        hit = [l for l in lines if l.get("name") == "hello"]
-        assert hit and hit[0]["n"] == 7
-        assert hit[0]["logger"] == "repro.sink.test"
-
-    def test_rotation_bounds_file_size(self, tmp_path):
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(
-            str(path), max_bytes=2048, backup_count=2
-        )
-        try:
-            log = EventLog("sink.rotate")
-            for i in range(200):
-                log.instant("tick", i=i, pad="x" * 64)
-        finally:
-            detach_sink(handler)
-        assert path.stat().st_size <= 4096  # one record of slack
-        backups = sorted(tmp_path.glob("events.jsonl.*"))
-        assert backups, "rotation must have produced backup files"
-        assert len(backups) <= 2
-        # every surviving line is still valid JSON
-        for p in [path, *backups]:
-            for line in p.read_text().splitlines():
-                json.loads(line)
-
-    def test_no_max_bytes_never_rotates(self, tmp_path):
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(str(path))
-        assert not isinstance(handler, logging.handlers.RotatingFileHandler)
-        try:
-            log = EventLog("sink.plain")
-            for i in range(50):
-                log.instant("tick", i=i, pad="x" * 64)
-        finally:
-            detach_sink(handler)
-        assert list(tmp_path.glob("events.jsonl.*")) == []
-
-    def test_invalid_arguments_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
-        from repro.obs.events import attach_jsonl_sink
-
-        with pytest.raises(ConfigurationError):
-            attach_jsonl_sink(str(tmp_path / "e.jsonl"), max_bytes=0)
-        with pytest.raises(ConfigurationError):
-            attach_jsonl_sink(str(tmp_path / "e.jsonl"), backup_count=-1)
-
-    def test_record_exactly_at_max_bytes_rotates(self, tmp_path):
-        """Boundary: a record that lands exactly on max_bytes rotates."""
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-
-        probe = tmp_path / "probe.jsonl"
-        handler = attach_jsonl_sink(str(probe))
-        try:
-            EventLog("sink.probe").instant("tick", i=0, pad="x" * 32)
-        finally:
-            detach_sink(handler)
-        line_size = probe.stat().st_size
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(
-            str(path), max_bytes=line_size, backup_count=3
-        )
-        try:
-            log = EventLog("sink.probe")
-            for i in range(3):
-                log.instant("tick", i=i, pad="x" * 32)
-        finally:
-            detach_sink(handler)
-        backups = sorted(tmp_path.glob("events.jsonl.*"))
-        assert backups, "record at the size limit must trigger rotation"
-        # no file ever exceeds the cap by more than one record, and
-        # every line in every generation is still complete JSON
-        for p in [path, *backups]:
-            assert p.stat().st_size <= 2 * line_size
-            for line in p.read_text().splitlines():
-                json.loads(line)
-
-    def test_backup_count_zero_truncates_in_place(self, tmp_path):
-        """backup_count=0: rotation truncates, never keeps generations."""
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(
-            str(path), max_bytes=1024, backup_count=0
-        )
-        try:
-            log = EventLog("sink.zero")
-            for i in range(100):
-                log.instant("tick", i=i, pad="x" * 64)
-        finally:
-            detach_sink(handler)
-        assert list(tmp_path.glob("events.jsonl.*")) == []
-        assert path.stat().st_size <= 2048  # bounded despite 100 records
-        for line in path.read_text().splitlines():
-            json.loads(line)
-
-    def test_concurrent_writers_never_interleave(self, tmp_path):
-        """Threads sharing one rotating sink produce only whole lines."""
-        import threading
-
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(
-            str(path), max_bytes=4096, backup_count=4
-        )
-        try:
-            def worker(wid):
-                log = EventLog(f"sink.w{wid}")
-                for i in range(50):
-                    log.instant("tick", worker=wid, i=i, pad="y" * 40)
-
-            threads = [
-                threading.Thread(target=worker, args=(w,)) for w in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            detach_sink(handler)
-        seen = 0
-        for p in [path, *tmp_path.glob("events.jsonl.*")]:
-            for line in p.read_text().splitlines():
-                doc = json.loads(line)  # a torn write would fail here
-                if doc.get("name") == "tick":
-                    seen += 1
-        # rotation may discard the oldest generations, never corrupt
-        # one: at least the retained capacity's worth of whole records
-        assert seen >= 40
-
-    def test_detach_closes_and_removes(self, tmp_path):
-        import logging as _logging
-
-        from repro.obs.events import attach_jsonl_sink, detach_sink
-        from repro.util.logging import get_logger
-
-        path = tmp_path / "events.jsonl"
-        handler = attach_jsonl_sink(str(path))
-        root = get_logger("repro")
-        assert handler in root.handlers
-        detach_sink(handler)
-        assert handler not in root.handlers

@@ -110,7 +110,6 @@ class TestEndToEndCounters:
         assert len(r2_keys) == len(small_cluster.devices())
         for key in r2_keys:
             assert 0.0 <= snap["gauges"][key] <= 1.0
-        assert snap["histograms"]["plbhec.solve_ms"]["count"] >= 1
 
     def test_ipm_solve_reports_kkt_and_restorations(self, registry):
         import numpy as np

@@ -272,6 +272,36 @@ class TestPolicyLedger:
         assert ledger.attributed_blocks == len(result.trace.records)
         assert any(c.count > 0 for c in ledger.calibration().values())
 
+    @pytest.mark.parametrize("pin", [None, 0.01])
+    def test_fallback_decision_records_its_charge(self, pin):
+        """A failed solve was charged before the chain ran; its fallback
+        decision records that charge, as a solved decision does."""
+        from repro import paper_cluster
+
+        class FailingSplit(PLBHeC):
+            def _split(self, quantum):
+                raise SolverError("forced for test")
+
+        cluster = paper_cluster(2)
+        app = MatMul(n=4096)
+        result = Runtime(cluster, app.codelet(), seed=0).run(
+            FailingSplit(fixed_overhead_s=pin),
+            app.total_units,
+            app.default_initial_block_size(),
+        )
+        n = len(cluster.devices())
+        charge = pin if pin is not None else (
+            PLBHeC.solve_s + PLBHeC.solve_s_per_device * n
+        )
+        fallback = [
+            d for d in result.ledger.decisions
+            if d.solver["method"].startswith("fallback-")
+        ]
+        assert fallback
+        assert [d.solver["solve_time_s"] for d in fallback] == [charge] * len(
+            fallback
+        )
+
     def test_fault_and_recovery_open_decisions(self, small_cluster):
         from repro.runtime.faults import TransientFailure
 

@@ -79,40 +79,6 @@ class TestGauge:
         assert reg.snapshot()["gauges"]["g"] == 1.5
 
 
-class TestHistogram:
-    def test_percentiles_interpolate(self):
-        reg = MetricsRegistry()
-        for v in range(1, 101):  # 1..100
-            reg.observe("h", float(v))
-        h = reg.histogram("h")
-        assert h.percentile(0.0) == 1.0
-        assert h.percentile(100.0) == 100.0
-        assert h.percentile(50.0) == pytest.approx(50.5)
-        assert h.percentile(90.0) == pytest.approx(90.1)
-
-    def test_percentile_out_of_range(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ConfigurationError):
-            reg.histogram("h").percentile(101.0)
-
-    def test_empty_summary(self):
-        reg = MetricsRegistry()
-        assert reg.histogram("h").summary() == {"count": 0, "sum": 0.0}
-
-    def test_reservoir_bounded_but_totals_exact(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        h.max_samples = 10
-        for v in range(1000):
-            h.observe(float(v))
-        summ = h.summary()
-        assert summ["count"] == 1000
-        assert summ["sum"] == sum(range(1000))
-        assert summ["min"] == 0.0 and summ["max"] == 999.0
-        # percentiles reflect only the retained (most recent) window
-        assert h.percentile(0.0) >= 990.0
-
-
 class TestLabelCardinality:
     def test_labelled_series_are_distinct(self):
         reg = MetricsRegistry()
@@ -149,7 +115,6 @@ class TestSnapshot:
         reg = MetricsRegistry()
         reg.inc("c", device="a")
         reg.set_gauge("g", 0.5)
-        reg.observe("h", 1.0)
         json.dumps(reg.snapshot())  # must not raise
 
     def test_snapshot_under_concurrency(self):
@@ -161,7 +126,7 @@ class TestSnapshot:
             i = 0
             while not stop.is_set():
                 reg.inc("c")
-                reg.observe("h", float(i % 7))
+                reg.set_gauge("g", float(i % 7))
                 i += 1
 
         def reader():
@@ -185,17 +150,18 @@ class TestSnapshot:
         assert not errors
         snap = reg.snapshot()
         assert snap["counters"]["c"] == reg.counter("c").value
-        assert snap["histograms"]["h"]["count"] == reg.histogram("h").count
+        assert snap["gauges"]["g"] == reg.gauge("g").value
 
     def test_reset_drops_everything(self):
         reg = MetricsRegistry()
         reg.inc("c")
+        reg.set_gauge("g", 1.0, device="a")
         reg.reset()
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert reg.snapshot() == {"counters": {}, "gauges": {}}
 
 
 def reference_percentile(samples, q):
-    """The percentile rule as ``Histogram.percentile`` first wrote it."""
+    """The percentile rule as first written, kept as an independent oracle."""
     if not 0.0 <= q <= 100.0:
         raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
     if not samples:
@@ -217,35 +183,33 @@ class TestPercentile:
         q=st.floats(min_value=0.0, max_value=100.0),
     )
     def test_matches_the_reference_rule(self, samples, q):
-        expected = reference_percentile(samples, q)
-        assert percentile(sorted(samples), q) == expected
-        h = MetricsRegistry().histogram("h")
-        for v in samples:
-            h.observe(v)
-        assert h.percentile(q) == expected
+        assert percentile(sorted(samples), q) == reference_percentile(samples, q)
+
+    def test_percentiles_interpolate(self):
+        ordered = [float(v) for v in range(1, 101)]  # 1..100
+        assert percentile(ordered, 0.0) == 1.0
+        assert percentile(ordered, 100.0) == 100.0
+        assert percentile(ordered, 50.0) == pytest.approx(50.5)
+        assert percentile(ordered, 90.0) == pytest.approx(90.1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             percentile([1.0], -0.5)
+
+    def test_percentile_out_of_range(self):
+        with pytest.raises(ConfigurationError):
+            percentile([1.0], 101.0)
 
 
 class TestDiffMerge:
     def test_diff_isolates_one_run(self):
         reg = MetricsRegistry()
         reg.inc("c", 5)
-        reg.observe("h", 1.0)
         mark = reg.mark()
         reg.inc("c", 2)
         reg.set_gauge("g", 9.0)
-        reg.observe("h", 3.0)
         delta = reg.delta_since(mark)
-        assert delta["counters"] == {"c": 2.0}
-        assert delta["gauges"]["g"] == 9.0
-        assert delta["histograms"]["h"]["count"] == 1
-        assert delta["histograms"]["h"]["sum"] == 3.0
-        # statistics of the run's sample, not of the process's two
-        assert delta["histograms"]["h"]["min"] == 3.0
-        assert delta["histograms"]["h"]["p50"] == 3.0
+        assert delta == {"counters": {"c": 2.0}, "gauges": {"g": 9.0}}
 
     def test_delta_since_keeps_the_gauges_written_since_the_mark(self):
         reg = MetricsRegistry()
@@ -272,52 +236,17 @@ class TestDiffMerge:
     def test_diff_drops_unchanged_series(self):
         reg = MetricsRegistry()
         reg.inc("c")
-        reg.observe("h", 1.0)
-        reg.histogram("idle")
+        reg.set_gauge("g", 1.0)
+        reg.counter("idle")
         delta = reg.delta_since(reg.mark())
-        assert delta == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert delta == {"counters": {}, "gauges": {}}
 
     def test_first_run_in_a_fresh_registry_equals_its_snapshot(self):
         reg = MetricsRegistry()
         mark = reg.mark()
         reg.inc("c", 3)
         reg.set_gauge("g", 2.0, device="A.gpu0")
-        for v in (0.1, 0.7, 0.2, 0.3):
-            reg.observe("h", v)
         assert reg.delta_since(mark) == reg.snapshot()
-
-    def test_run_statistics_ignore_earlier_samples(self):
-        reg = MetricsRegistry()
-        for v in range(8192):  # a full reservoir before the run
-            reg.observe("h", 100.0 + v)
-        mark = reg.mark()
-        for v in (3.0, 1.0, 2.0):
-            reg.observe("h", v)
-        summ = reg.delta_since(mark)["histograms"]["h"]
-        run = [3.0, 1.0, 2.0]
-        assert summ["count"] == 3
-        assert summ["sum"] == 6.0
-        assert summ["min"] == 1.0 and summ["max"] == 3.0
-        assert summ["mean"] == 2.0
-        for stat, q in (("p50", 50.0), ("p90", 90.0), ("p99", 99.0)):
-            assert summ[stat] == reference_percentile(run, q)
-
-    def test_a_run_past_the_reservoir_keeps_exact_totals(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        h.max_samples = 10
-        for _ in range(5):
-            h.observe(-1.0)
-        mark = reg.mark()
-        for v in range(25):
-            h.observe(float(v))
-        summ = reg.delta_since(mark)["histograms"]["h"]
-        assert summ["count"] == 25
-        assert summ["sum"] == float(sum(range(25)))
-        assert summ["mean"] == summ["sum"] / 25
-        # min, max and percentiles cover the retained tail: 15..24
-        assert summ["min"] == 15.0 and summ["max"] == 24.0
-        assert summ["p50"] == reference_percentile(range(15, 25), 50.0)
 
 
 class TestDefaultRegistry:
@@ -350,18 +279,6 @@ class TestPrometheusExport:
         assert "# TYPE sweep_runs counter\nsweep_runs 3.0\n" in text
         assert "# TYPE plbhec_block_size gauge" in text
         assert 'plbhec_block_size{device="A.gpu0"} 42.0' in text
-
-    def test_histogram_becomes_summary_with_quantiles(self):
-        reg = MetricsRegistry()
-        for v in range(1, 101):
-            reg.observe("solve.ms", float(v))
-        text = reg.to_prometheus()
-        assert "# TYPE solve_ms summary" in text
-        assert 'solve_ms{quantile="0.5"}' in text
-        assert 'solve_ms{quantile="0.9"}' in text
-        assert 'solve_ms{quantile="0.99"}' in text
-        assert "solve_ms_sum 5050.0" in text
-        assert "solve_ms_count 100.0" in text
 
     def test_names_sanitized_labels_escaped(self):
         reg = MetricsRegistry()
@@ -401,11 +318,9 @@ class TestPrometheusExport:
         reg = MetricsRegistry()
         reg.inc("c", 1)
         reg.set_gauge("g", 2.0)
-        reg.observe("h", 3.0)
         lines = reg.to_prometheus().splitlines()
         assert "# HELP c repro counter metric c" in lines
         assert "# HELP g repro gauge metric g" in lines
-        assert "# HELP h repro summary metric h" in lines
         # exactly one HELP immediately preceding each TYPE
         for i, line in enumerate(lines):
             if line.startswith("# TYPE "):
@@ -417,7 +332,6 @@ class TestPrometheusExport:
         reg = MetricsRegistry()
         reg.inc("a.b", 2)
         reg.set_gauge("c", 1.5, k="v")
-        reg.observe("h", 1.0)
         text = reg.to_prometheus()
         assert text.endswith("\n")
         for line in text.splitlines():

@@ -12,7 +12,6 @@ agrees with them bit for bit.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Sequence
 from unittest import mock
@@ -161,7 +160,6 @@ class ReferenceInteriorPointSolver(InteriorPointSolver):
 
     def _solve_impl(self, problem: NLPProblem, x0: np.ndarray) -> IPMResult:
         opts = self.options
-        t0 = time.perf_counter()
 
         lo, up = problem.lower, problem.upper
         has_lo, has_up = np.isfinite(lo), np.isfinite(up)
@@ -338,7 +336,6 @@ class ReferenceInteriorPointSolver(InteriorPointSolver):
             constraint_violation=float(np.abs(c).sum()),
             objective=problem.eval_objective(x),
             mu_final=mu,
-            wall_time_s=time.perf_counter() - t0,
             restorations=restorations,
         )
 

@@ -68,11 +68,6 @@ class TestSolveBlockPartition:
         assert result.units_by_device["pricey"] == pytest.approx(0.0, abs=1e-6)
         assert result.converged
 
-    def test_solve_time_recorded(self):
-        models = {f"d{i}": model(f"d{i}", 0.001) for i in range(2)}
-        result = solve_block_partition(models, 100.0)
-        assert result.solve_time_s > 0.0
-
     def test_empty_models_rejected(self):
         with pytest.raises(ConfigurationError):
             solve_block_partition({}, 100.0)

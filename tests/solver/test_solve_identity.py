@@ -188,7 +188,7 @@ def nan_model(i: int) -> DeviceModel:
     return make_model(i, (EXP, X_EXP), [1e308, -1e308], 100.0, 0.0, 0.0)
 
 
-IPM_FIELDS = [f.name for f in fields(IPMResult) if f.name != "wall_time_s"]
+IPM_FIELDS = [f.name for f in fields(IPMResult)]
 
 
 def ipm_outcome(solver_cls, models, q, caps, opts):

@@ -118,7 +118,6 @@ class TestTutorialObservability:
             assert snap["counters"]["plbhec.probe_rounds"] > 0
             assert snap["counters"]["plbhec.solves"] > 0
             assert any(k.startswith("plbhec.r2{device=") for k in snap["gauges"])
-            assert snap["histograms"]["plbhec.solve_ms"]["p90"] >= 0.0
             methods = {d.solver["method"] for d in result.ledger.decisions}
             assert "certified" in methods
         finally:

@@ -13,6 +13,7 @@ the paper's 0.7 threshold).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -58,6 +59,9 @@ _GRID_POINTS = 65
 _EDGE, _FAR = 2 * _GRID_POINTS, 2 * _GRID_POINTS + 1
 #: the all-zero table row that pads short fits
 _PADDING = np.zeros(_FAR + 1)
+#: sanity grids kept, and basis rows kept per grid (the default ladder
+#: uses 9 bases)
+_GRIDS, _ROWS = 64, 32
 
 
 class _SanityGrid:
@@ -73,13 +77,18 @@ class _SanityGrid:
     those are filtered here.  The check spans the fitted range plus the
     extrapolation slack the selection phase is allowed to use.
 
-    Every fit of one selection shares ``x_max`` and ``x_scale``, so each
-    basis function's value and slope on the 65-point grid, and its value
-    at the range edge and far end, are computed once, when a checked fit
-    first uses the basis.  :meth:`accepts` then combines them for many
-    fits at once, term by term in coefficient order, with the same
-    products and sums :meth:`FitResult.predict` and
-    :meth:`FitResult.derivative` would form for each fit alone.
+    The grid depends only on ``x_max``, ``x_scale`` and the slack, which
+    every fit of one selection shares and successive selections of one
+    profile mostly repeat, so :func:`_shared_grid` keeps the last
+    :data:`_GRIDS` grids.  Each basis function's value and slope on the
+    65-point grid, and its value at the range edge and far end, are
+    computed once per grid, when a checked fit first uses the basis, and
+    kept by the basis itself (an ``id()`` is reused once its object is
+    collected), at most :data:`_ROWS` of them (a full grid starts
+    over).  :meth:`accepts` then combines them for many fits at once,
+    term by term in coefficient order, with the same products and sums
+    :meth:`FitResult.predict` and :meth:`FitResult.derivative` would
+    form for each fit alone.
     """
 
     def __init__(
@@ -92,15 +101,18 @@ class _SanityGrid:
         self._u_grid = np.asarray(grid, dtype=float) / x_scale
         self._u_edge = np.asarray(x_max, dtype=float) / x_scale
         self._u_far = np.asarray(x_max * extrapolation_slack, dtype=float) / x_scale
-        self._rows: dict[int, np.ndarray] = {}  # by id(), as in FitData
+        self._rows: dict[BasisFunction, np.ndarray] = {}
 
     def _row(self, basis: BasisFunction) -> np.ndarray:
         """``basis``'s table row, evaluated on first use."""
-        row = self._rows.get(id(basis))
+        row = self._rows.get(basis)
         if row is None:
+            if len(self._rows) >= _ROWS:
+                self._rows.clear()
             ends = (basis.f(self._u_edge), basis.f(self._u_far))
             row = np.concatenate((basis.f(self._u_grid), basis.df(self._u_grid), ends))
-            self._rows[id(basis)] = row
+            row.flags.writeable = False  # later selections share it
+            self._rows[basis] = row
         return row
 
     def accepts(
@@ -138,12 +150,16 @@ class _SanityGrid:
         return positive & rising & gentle
 
 
+#: the kept grid of ``(x_max, x_scale[, extrapolation_slack])``
+_shared_grid = functools.lru_cache(maxsize=_GRIDS)(_SanityGrid)
+
+
 def _is_sane(fit: FitResult, *, extrapolation_slack: float = 4.0) -> bool:
     """Reject physically implausible execution-time curves.
 
     See :class:`_SanityGrid`; this is its one-row case.
     """
-    grid = _SanityGrid(fit.x_max, fit.x_scale, extrapolation_slack)
+    grid = _shared_grid(fit.x_max, fit.x_scale, extrapolation_slack)
     return bool(grid.accepts([(fit.basis, fit.coefficients)])[0])
 
 
@@ -263,8 +279,10 @@ def select_model(
     is checked only where the rule needs it: while a certificate is
     possible, for the candidates scoring at least
     :data:`_WINDOW_FLOOR`, the only ones a certified answer's window can
-    hold; for the rest, once the ladder runs out.  Only the answer
-    becomes a :class:`FitResult`.
+    hold; for the rest, once the ladder runs out.  The grid is the one
+    kept for the data's ``(x_max, x_scale)``, so its rows are evaluated
+    once across the selections that share it.  Only the answer becomes a
+    :class:`FitResult`.
 
     Raises
     ------
@@ -283,7 +301,7 @@ def select_model(
     data = FitData(
         x, y, [b for cand in ladder for b in cand], x_scale=x_scale, weights=weights
     )
-    grid = _SanityGrid(data.x_max, data.x_scale)
+    grid = _shared_grid(data.x_max, data.x_scale)
     widths = [len(cand) for cand in ladder]
     classes: dict[int, list[int]] = {}  # ladder indices by width
     for i, width in enumerate(widths):

@@ -28,6 +28,7 @@ series colors, and every mark has a ``<title>`` hover tooltip.
 
 from __future__ import annotations
 
+import html
 import math
 import os
 import platform
@@ -35,9 +36,9 @@ import subprocess
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from repro.obs.artifact import write_text
 from repro.obs.ledger import decision_rows, ledger_summary
@@ -58,6 +59,10 @@ __all__ = [
     "render_dashboard",
     "write_dashboard",
 ]
+
+#: ``&``, ``<`` and ``>`` as entities, quotes kept (the escape SVG and
+#: HTML text need, without the HTTP and email stack ``xml.sax`` loads)
+escape = partial(html.escape, quote=False)
 
 #: Fixed categorical assignment: paper policies in presentation order.
 #: (Validated 4-slot palette; light/dark steps of the same hues.)

@@ -37,9 +37,10 @@ from __future__ import annotations
 import cProfile
 import contextlib
 import contextvars
+import html
 import time
+from functools import partial
 from typing import Any, Iterator, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from repro.errors import ConfigurationError
 from repro.obs.artifact import write_text
@@ -62,6 +63,10 @@ __all__ = [
     "write_flamegraph",
     "write_collapsed",
 ]
+
+#: ``&``, ``<`` and ``>`` as entities, quotes kept (the escape SVG and
+#: HTML text need, without the HTTP and email stack ``xml.sax`` loads)
+escape = partial(html.escape, quote=False)
 
 #: The named phases profiled time is attributed to.  ``overhead`` is the
 #: base phase (harness work outside any instrumented scope), so every

@@ -18,6 +18,7 @@ It is used two ways by :func:`repro.solver.partition.solve_block_partition`:
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from typing import Sequence
 
@@ -27,6 +28,26 @@ from repro.errors import ConfigurationError, SolverError
 from repro.modeling.perf_profile import DeviceModel
 
 __all__ = ["waterfill_partition"]
+
+#: lookup-table points per device
+_GRID_N = 513
+
+
+@functools.lru_cache(maxsize=16)
+def _table(model: DeviceModel, cap: float) -> tuple[tuple, tuple, int]:
+    """``model``'s lookup table on ``[0, cap]``: the grid, the running
+    maximum of ``E`` on it, and the length of its sorted head.
+
+    ``E`` is positive, so a table is sorted up to its first NaN, after
+    which the running maximum is all NaN.  The last 16 tables are kept,
+    by model object and cap (each keeps its model alive until it is
+    evicted), as tuples, since every caller shares them.
+    """
+    xs = np.linspace(0.0, cap, _GRID_N)
+    ys = np.asarray(model.E(xs[1:]), dtype=float)
+    ys = np.concatenate([[0.0], np.maximum.accumulate(ys)])
+    head = _GRID_N - int(np.isnan(ys).sum())
+    return tuple(xs.tolist()), tuple(ys.tolist()), head
 
 
 def waterfill_partition(
@@ -43,6 +64,11 @@ def waterfill_partition(
     by a final proportional correction) and ``E_g(units_g)``
     approximately T for every device that received work and is not at
     its cap.
+
+    Each device's table of ``E`` comes from :func:`_table`.  A profile
+    with no new points returns the same model, so a rebalance over an
+    unchanged device reuses its table, and the answer is the one a fresh
+    table gives, bit for bit.
 
     Parameters
     ----------
@@ -71,29 +97,20 @@ def waterfill_partition(
             raise ConfigurationError("caps sum below total_units: infeasible")
         cap_arr = np.minimum(cap_arr, q)
 
-    # Precompute, per device, a monotone lookup table E(grid) so each
-    # bisection probe is one list bisection instead of a scalar-evaluation
-    # bisection per device (every scheduler decision and service tick
-    # runs this path).  E is positive, so a
-    # table is sorted up to its first NaN, after which the running
-    # maximum is all NaN; the lookup orders NaN last, as np.searchsorted.
-    grid_n = 513
-    tables: list[tuple[list[float], list[float], int]] = []
-    for m, c in zip(models, cap_arr):
-        xs = np.linspace(0.0, float(c), grid_n)
-        ys = np.asarray(m.E(xs[1:]), dtype=float)
-        ys = np.concatenate([[0.0], np.maximum.accumulate(ys)])
-        head = grid_n - int(np.isnan(ys).sum())
-        tables.append((xs.tolist(), ys.tolist(), head))
+    # A monotone lookup table E(grid) per device makes each bisection
+    # probe one list bisection instead of a scalar-evaluation bisection
+    # per device (every scheduler decision and service tick runs this
+    # path); the lookup orders NaN last, as np.searchsorted.
+    tables = [_table(m, float(c)) for m, c in zip(models, cap_arr)]
 
     def assigned(t: float) -> np.ndarray:
         out = np.empty(len(models))
         for i, (xs, ys, head) in enumerate(tables):
             # largest x with E(x) <= t (monotone table)
-            idx = (bisect_right(ys, t, 0, head) if t == t else grid_n) - 1
+            idx = (bisect_right(ys, t, 0, head) if t == t else _GRID_N) - 1
             if idx <= 0:
                 out[i] = 0.0
-            elif idx >= grid_n - 1:
+            elif idx >= _GRID_N - 1:
                 out[i] = xs[-1]
             else:
                 # linear interpolation inside the bracketing cell

@@ -15,12 +15,17 @@ come from :meth:`~repro.sim.trace.ExecutionTrace.idle_fractions`.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import html
+from functools import partial
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import ExecutionTrace
 
 __all__ = ["render_gantt", "render_gantt_svg", "PHASE_GLYPHS", "SVG_PHASE_COLORS"]
+
+#: ``&``, ``<`` and ``>`` as entities, quotes kept (the escape SVG and
+#: HTML text need, without the HTTP and email stack ``xml.sax`` loads)
+escape = partial(html.escape, quote=False)
 
 #: glyph used per phase label (anything else renders as ``#``)
 PHASE_GLYPHS = {"probe": ":", "exec": "#"}

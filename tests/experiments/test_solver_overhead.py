@@ -3,11 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import solver_overhead
 from repro.experiments.solver_overhead import (
     OverheadStats,
     fitted_models_for_scenario,
     run_solver_overhead,
 )
+from repro.solver import reduction
 
 
 class TestFittedModels:
@@ -52,3 +54,22 @@ class TestRunSolverOverhead:
             repetitions=2, quantum=512.0, size=16384, num_machines=2
         )
         assert stats.mean_ms > 0
+
+    def test_every_repetition_builds_its_own_tables(self, monkeypatch):
+        """S1 times one decision's solve: no repetition reuses the
+        waterfill tables of another."""
+        solved = []
+        real = solver_overhead.solve_block_partition
+
+        def recording(models, q):
+            solved.append(list(models.values()))
+            return real(models, q)
+
+        monkeypatch.setattr(solver_overhead, "solve_block_partition", recording)
+        before = reduction._table.cache_info()
+        run_solver_overhead(repetitions=4, size=16384, num_machines=2)
+        after = reduction._table.cache_info()
+        assert len(solved) == 4
+        assert len({id(m) for models in solved for m in models}) == 4 * 4
+        assert after.hits == before.hits
+        assert after.misses - before.misses == 4 * 4

@@ -1,7 +1,10 @@
 """Determinism and cross-backend integration tests."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -132,3 +135,29 @@ class TestNoHostClock:
         # the guard sees the one module that does read the clock
         real = root / "runtime" / "real_executor.py"
         assert time_imports(ast.parse(real.read_text()))
+
+
+#: Standard-library packages no entry point needs: ``xml.sax.saxutils``
+#: alone loads all of them (``urllib.request``, and through it
+#: ``http.client``, ``email`` and ``ssl``).
+HEAVY_STDLIB = ("xml.sax", "urllib.request", "http.client", "email", "ssl")
+
+_COLD_IMPORT = """
+import sys
+import repro.cli, repro.experiments.parallel, repro.service
+print(sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[1:]))))
+"""
+
+
+class TestColdImport:
+    def test_entry_points_load_no_http_or_email_stack(self):
+        """Every CLI command, sweep worker and service imports these; the
+        SVG and HTML writers escape text with ``html.escape``."""
+        src = pathlib.Path(repro.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_IMPORT, *HEAVY_STDLIB],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """``select_model`` and ``fit_basis_model`` agree bit for bit with the
 per-candidate reference in ``reference_select.py``, on generated
-profiles and on the calls real service and batch runs make."""
+profiles and on the calls real service and batch runs make, with the
+kept sanity grids cold and warm."""
 
 from __future__ import annotations
 
@@ -21,10 +22,17 @@ from repro.modeling.basis import (
     CANDIDATE_MODELS,
     CONSTANT,
     LINEAR,
+    SQUARE,
     BasisFunction,
 )
 from repro.modeling.least_squares import FitResult, fit_basis_model
-from repro.modeling.model_select import _is_sane, select_model
+from repro.modeling.model_select import (
+    _GRIDS,
+    _ROWS,
+    _is_sane,
+    _shared_grid,
+    select_model,
+)
 from repro.service.arrivals import ArrivalSpec
 from repro.service.server import ClusterService, ServiceConfig
 from tests.modeling import reference_select as ref
@@ -70,11 +78,19 @@ def assert_bit_identical(new, old) -> None:
     assert new.coefficients.tobytes() == old.coefficients.tobytes()
 
 
+def cold_and_warm(fn, *args, **kwargs) -> list:
+    """``fn``'s outcome with no sanity grid kept, then again with the
+    grid of the same ``(x_max, x_scale)`` kept from that first call."""
+    _shared_grid.cache_clear()
+    return [outcome(fn, *args, **kwargs) for _ in range(2)]
+
+
 def check(case: Case) -> FitResult | type[FitError]:
-    new = outcome(select_model, case.x, case.y, **case.kwargs())
     old = outcome(ref.reference_select_model, case.x, case.y, **case.kwargs())
-    assert_bit_identical(new, old)
-    return new
+    cold, warm = cold_and_warm(select_model, case.x, case.y, **case.kwargs())
+    assert_bit_identical(cold, old)
+    assert_bit_identical(warm, old)
+    return cold
 
 
 # strategies -----------------------------------------------------------
@@ -240,24 +256,26 @@ def solved_widths(monkeypatch) -> list[int]:
 
 class TestCertificate:
     """The ladder stops once its answer can no longer change, and the
-    answer is the full ladder's."""
+    answer is the full ladder's.  ``check`` selects twice (cold and warm
+    grid), with the same solves each time."""
 
     def test_an_affine_profile_stops_after_the_width_2_class(self, monkeypatch):
         widths = solved_widths(monkeypatch)
         fit = check(AFFINE)
         assert fit.names == ("1", "x")
-        assert widths == [2, 2, 2]
+        assert widths == [2, 2, 2] * 2
 
     def test_a_convex_profile_runs_the_full_ladder(self, monkeypatch):
         widths = solved_widths(monkeypatch)
         assert check(CONVEX).names == NNLS_NAMES
         ladder = [len(c) for c in CANDIDATE_MODELS if len(c) < len(CONVEX.x)]
-        assert widths == sorted(ladder)
+        assert widths == sorted(ladder) * 2
 
     def test_no_certificate_without_the_sanity_rule(self, monkeypatch):
         widths = solved_widths(monkeypatch)
         check(Case(AFFINE.x, AFFINE.y, require_sane=False))
-        assert len(widths) == len(CANDIDATE_MODELS) - 1  # all but the 9-term one
+        # all but the 9-term one, cold and warm
+        assert len(widths) == 2 * (len(CANDIDATE_MODELS) - 1)
 
 
 def recorded_selections(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, dict]]:
@@ -275,11 +293,15 @@ def recorded_selections(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, 
 
 
 def assert_replays_bit_identical(calls) -> None:
-    for x, y, kwargs in calls:
-        assert_bit_identical(
-            outcome(select_model, x, y, **kwargs),
-            outcome(ref.reference_select_model, x, y, **kwargs),
-        )
+    """Each call matches the reference when replayed in order, finding
+    the grids earlier calls left kept as in the run, and again with no
+    grid kept and with its own kept."""
+    old = [outcome(ref.reference_select_model, x, y, **kw) for x, y, kw in calls]
+    for (x, y, kwargs), expected in zip(calls, old):
+        assert_bit_identical(outcome(select_model, x, y, **kwargs), expected)
+    for (x, y, kwargs), expected in zip(calls, old):
+        for new in cold_and_warm(select_model, x, y, **kwargs):
+            assert_bit_identical(new, expected)
 
 
 class TestRecordedSelections:
@@ -298,14 +320,15 @@ class TestRecordedSelections:
         calls = recorded_selections(monkeypatch, ClusterService(config).run)
         assert sum(x.size >= 20 for x, _, _ in calls) >= 20
         assert all(kwargs["weights"] is None for _, _, kwargs in calls)
+        # successive selections of a profile mostly share (x_max, x_scale)
+        grids = {(x.max(), kwargs.get("x_scale")) for x, _, kwargs in calls}
+        assert len(grids) < 0.5 * len(calls)
+        assert_replays_bit_identical(calls)
         widths = solved_widths(monkeypatch)
         ladders = stopped = 0
         for x, y, kwargs in calls:
             del widths[:]
-            assert_bit_identical(
-                outcome(select_model, x, y, **kwargs),
-                outcome(ref.reference_select_model, x, y, **kwargs),
-            )
+            select_model(x, y, **kwargs)
             if x.size >= 4:  # a ladder with candidates wider than 2
                 ladders += 1
                 stopped += max(widths) == 2
@@ -341,4 +364,68 @@ class TestFitBasisModelIdentity:
             old = outcome(ref.reference_fit_basis_model, *args, **kwargs)
             assert_bit_identical(new, old)
             if new is not FitError:
-                assert _is_sane(new) == ref._is_sane(old)
+                sane = ref._is_sane(old)
+                assert cold_and_warm(_is_sane, new) == [sane, sane]
+
+
+def custom_basis(k: int) -> BasisFunction:
+    """A new basis object: rising for even ``k``; for odd ``k`` one that
+    turns down inside the checked range, so no fit on it is sane."""
+    if k % 2 == 0:
+        return BasisFunction(
+            f"rise{k}", lambda u: 1.0 * u, lambda u: np.ones_like(u),
+            lambda u: np.zeros_like(u),
+        )
+    return BasisFunction(
+        f"hump{k}", lambda u: u - 0.3 * u * u, lambda u: 1.0 - 0.6 * u,
+        lambda u: np.full_like(u, -0.6),
+    )
+
+
+class TestKeptGrids:
+    def test_a_new_basis_never_reads_a_dropped_basis_row(self):
+        """Bases created and dropped at one (x_max, x_scale) each get
+        their own grid row: CPython hands a dropped object's address,
+        and so its ``id()``, to the next object of its size."""
+        x = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0)
+        y = tuple(0.5 + v / 100.0 for v in x)
+        _shared_grid.cache_clear()
+        names = set()
+        for k in range(40):
+            candidates = [(CONSTANT, custom_basis(k))]
+            new = outcome(select_model, x, y, candidates=candidates)
+            old = outcome(ref.reference_select_model, x, y, candidates=candidates)
+            assert_bit_identical(new, old)
+            names.add(new.names)
+            del candidates, new, old
+        # the rising bases are chosen, the humps fall back to NNLS
+        assert NNLS_NAMES in names and ("1", "rise0") in names
+        assert _shared_grid.cache_info().currsize == 1
+
+    def test_grids_of_one_x_max_are_kept_apart(self):
+        """A kept grid serves only its own x_scale and slack."""
+        _shared_grid.cache_clear()
+        for scale in (None, 150.0, 600.0, 2400.0, None):
+            new = outcome(select_model, CONVEX.x, CONVEX.y, x_scale=scale)
+            old = outcome(ref.reference_select_model, CONVEX.x, CONVEX.y, x_scale=scale)
+            assert_bit_identical(new, old)
+        x = np.array(AFFINE.x)
+        # rises to x = 12,500: sane over 2 x_max, not over 4 x_max
+        fit = fit_basis_model(x, 1.0 + x - 4e-5 * x**2, (CONSTANT, LINEAR, SQUARE))
+        verdicts = {}
+        for slack in (4.0, 2.0, 4.0, 1.0):
+            sane = ref._is_sane(fit, extrapolation_slack=slack)
+            assert _is_sane(fit, extrapolation_slack=slack) == sane
+            verdicts[slack] = sane
+        assert verdicts == {4.0: False, 2.0: True, 1.0: True}
+
+    def test_kept_grids_and_their_rows_stay_bounded(self):
+        _shared_grid.cache_clear()
+        for k in range(_GRIDS + 20):
+            x = [v * (1.0 + k / 64) for v in AFFINE.x]
+            select_model(x, AFFINE.y)
+        assert _shared_grid.cache_info().currsize == _GRIDS
+        grid = _shared_grid(600.0, 600.0)
+        for k in range(3 * _ROWS):
+            grid.accepts([((custom_basis(k),), np.ones(1))])
+            assert len(grid._rows) <= _ROWS

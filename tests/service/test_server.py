@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.modeling.model_select import _shared_grid
+from repro.solver.reduction import _table
 from repro.runtime.faults import DeviceFailure, TransferFault, TransientFailure
 from repro.service import ClusterService, ServiceConfig, validate_scorecard
 from repro.service.arrivals import ArrivalSpec
@@ -67,6 +69,23 @@ class TestDeterminism:
         _, two = run_episode(seed=11, noise_sigma=0.02)
         assert (json.dumps(one, sort_keys=True)
                 == json.dumps(two, sort_keys=True))
+
+    def test_kept_grids_and_tables_move_no_scorecard_bit(self):
+        """perfbench's serve-overload episode, with nothing kept and then
+        with the first episode's sanity grids and waterfill tables kept."""
+        _shared_grid.cache_clear()
+        _table.cache_clear()
+        cards = []
+        for _ in range(2):
+            _, card = run_episode(
+                arrivals=ArrivalSpec(rate=8.5, duration=15.0), machines=2,
+                queue_limit=8, shed_policy="priority-shed", deadline_factor=30.0,
+                seed=1,
+            )
+            cards.append(json.dumps(card, sort_keys=True))
+        # both episodes reused kept grids and tables
+        assert _shared_grid.cache_info().hits > 0 and _table.cache_info().hits > 0
+        assert cards[0] == cards[1]
 
     def test_different_seeds_differ(self):
         _, one = run_episode(seed=11)

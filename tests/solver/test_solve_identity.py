@@ -1,10 +1,12 @@
 """The solve stage agrees bit for bit with ``reference_solve.py``: model
 evaluation at one block size, the interior-point iteration, waterfilling
-and the whole ``solve_block_partition`` chain."""
+and the whole ``solve_block_partition`` chain, with the kept waterfill
+tables cold and warm."""
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.modeling.transfer import LinearTransferFit
 from repro.solver.ipm import IPMOptions, IPMResult, InteriorPointSolver
 from repro.solver.partition import _trust_caps, solve_block_partition
 from repro.solver.problem import build_partition_nlp, initial_partition_point
+from repro.solver import reduction
 from repro.solver.reduction import waterfill_partition
 from tests.solver import reference_solve as ref
 
@@ -287,14 +290,21 @@ def test_ipm_identical_when_a_model_goes_non_finite():
 # ----------------------------------------------------------------------
 # waterfilling and the whole chain
 # ----------------------------------------------------------------------
+def cold_and_warm(run) -> list:
+    """``run()`` with no waterfill table kept, then again with the tables
+    of the same model objects kept from that first call."""
+    reduction._table.cache_clear()
+    return [run() for _ in range(2)]
+
+
 def check_waterfill(models, share, capped):
     q = quantum(models, share)
     caps = _trust_caps(models, q) if capped else None
     old_models = [ref.ReferenceDeviceModel(m) for m in models]
-    new = outcome(waterfill_partition, models, q, caps=caps)
     old = outcome(ref.waterfill_partition, old_models, q, caps=caps)
-    assert new == old
-    return new
+    new = cold_and_warm(lambda: outcome(waterfill_partition, models, q, caps=caps))
+    assert new == [old, old]
+    return old
 
 
 @given(
@@ -305,6 +315,20 @@ def check_waterfill(models, share, capped):
 @settings(max_examples=80, deadline=None)
 def test_waterfill_identical(models, share, capped):
     check_waterfill(models, share, capped)
+
+
+def test_kept_tables_stay_bounded_and_release_their_models():
+    reduction._table.cache_clear()
+    models = ladder(CANDIDATE_MODELS[0], 20)
+    alive = [weakref.ref(m) for m in models]
+    waterfill_partition(models, quantum(models, 0.5))
+    kept = reduction._table.cache_info().maxsize
+    assert reduction._table.cache_info().currsize == kept == 16
+    del models
+    # the 4 evicted tables held the only other references to their models
+    assert [m() is not None for m in alive] == [False] * 4 + [True] * kept
+    reduction._table.cache_clear()
+    assert all(m() is None for m in alive)
 
 
 def test_waterfill_identical_on_flat_non_monotone_and_nan_tables():
@@ -325,7 +349,7 @@ def test_waterfill_identical_on_flat_non_monotone_and_nan_tables():
                 check_waterfill(models, share, capped)
 
 
-def partition_outcome(models, q, opts, *, reference: bool):
+def partition_outcome(models, q, opts, *, reference: bool = False):
     def run():
         if not reference:
             result = solve_block_partition(models, q, ipm_options=opts)
@@ -349,10 +373,9 @@ def partition_outcome(models, q, opts, *, reference: bool):
 
 def check_partition(models, share, opts=None):
     q = quantum(models, share)
-    new = partition_outcome(models, q, opts, reference=False)
     old = partition_outcome(models, q, opts, reference=True)
-    assert new == old
-    return new[2] if isinstance(new, list) else new  # the method, or the error
+    assert cold_and_warm(lambda: partition_outcome(models, q, opts)) == [old, old]
+    return old[2] if isinstance(old, list) else old  # the method, or the error
 
 
 @given(
